@@ -4,16 +4,15 @@
 //
 //	pelican-bench -exp table5 -profile default
 //	pelican-bench -exp fig5a -profile smoke -v
-//	pelican-bench -exp infer -json BENCH_infer.json
 //	pelican-bench -exp all
 //
-// Experiments: table1, table2, table3, table4, table5, fig2, fig5a, fig5b,
-// fig5c, fig5d, infer (the f64-vs-f32 serving engine A/B), all. Profiles:
-// paper, default, smoke (see DESIGN.md §5).
+// Experiments: table1, table2, table3, table4, table5, table5x, fig2,
+// fig5a, fig5b, fig5c, fig5d, ext-*, all. Profiles: paper, default, smoke
+// (defined in internal/experiments/profile.go). Serving performance is
+// measured by the ledger, not here: go run ./bench (see bench/README.md).
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -36,7 +35,7 @@ func main() {
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("pelican-bench", flag.ContinueOnError)
 	var (
-		exp        = fs.String("exp", "all", "experiment id: table1..table5, table5x, fig2, fig5a..fig5d, ext-*, infer, transport, all")
+		exp        = fs.String("exp", "all", "experiment id: table1..table5, table5x, fig2, fig5a..fig5d, ext-*, all")
 		profile    = fs.String("profile", "default", "workload profile: paper, default, smoke")
 		records    = fs.Int("records", 0, "override records per dataset (0 = profile default)")
 		epochs     = fs.Int("epochs", 0, "override training epochs (0 = profile default)")
@@ -44,18 +43,9 @@ func run(args []string, out io.Writer) error {
 		verbose    = fs.Bool("v", false, "log per-epoch training progress to stderr")
 		cpuprofile = fs.String("cpuprofile", "", "write a pprof CPU profile to this file")
 		memprofile = fs.String("memprofile", "", "write a pprof heap profile to this file on exit")
-		engine     = fs.String("engine", "both", "infer A/B (-exp infer, or its -exp all tail): which engines to drive (f32, f64 or both)")
-		benchJSON  = fs.String("json", "", "infer/transport A/B: also write the result to this JSON file (e.g. BENCH_infer.json)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-	switch *engine {
-	case "f32", "f64", "both":
-	default:
-		// Diagnosed up front: the infer A/B may only run at the tail of
-		// -exp all, and a typo'd engine should not surface hours in.
-		return fmt.Errorf("unknown -engine %q (want f32, f64 or both)", *engine)
 	}
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
@@ -101,62 +91,16 @@ func run(args []string, out io.Writer) error {
 	}
 
 	start := time.Now()
-	if err := dispatch(*exp, p, *engine, *benchJSON, out, log); err != nil {
+	if err := dispatch(*exp, p, out, log); err != nil {
 		return err
 	}
 	fmt.Fprintf(out, "\n[%s profile, %s elapsed]\n", p.Name, time.Since(start).Round(time.Millisecond))
 	return nil
 }
 
-// runInferBench runs the serving-engine A/B (f64 training graph vs
-// compiled f32 plan side by side) and, when jsonPath is set, writes the
-// result there so BENCH_*.json tracks the inference trajectory.
-func runInferBench(p experiments.Profile, engine, jsonPath string, out, log io.Writer) error {
-	res, err := experiments.RunInferBench(p, engine, log)
-	if err != nil {
-		return err
-	}
-	fmt.Fprint(out, experiments.FormatInferBench(res))
-	if jsonPath != "" {
-		b, err := json.MarshalIndent(res, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(jsonPath, append(b, '\n'), 0o644); err != nil {
-			return fmt.Errorf("write %s: %w", jsonPath, err)
-		}
-		fmt.Fprintf(out, "wrote %s\n", jsonPath)
-	}
-	return nil
-}
-
-// runTransportBench runs the HTTP/JSON-vs-wire serving transport A/B
-// and, when jsonPath is set, writes the result there
-// (BENCH_transport.json tracks the transport trajectory).
-func runTransportBench(p experiments.Profile, jsonPath string, out, log io.Writer) error {
-	res, err := experiments.RunTransportBench(p, log)
-	if err != nil {
-		return err
-	}
-	fmt.Fprint(out, experiments.FormatTransportBench(res))
-	if jsonPath != "" {
-		b, err := json.MarshalIndent(res, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(jsonPath, append(b, '\n'), 0o644); err != nil {
-			return fmt.Errorf("write %s: %w", jsonPath, err)
-		}
-		fmt.Fprintf(out, "wrote %s\n", jsonPath)
-	}
-	return nil
-}
-
 // dispatch runs the selected experiment(s), reusing the four-network runs
-// across Table II/III/IV and Fig. 5 panels as the paper does. engine and
-// benchJSON parameterize the infer A/B (reached via -exp infer or as the
-// tail of -exp all).
-func dispatch(exp string, p experiments.Profile, engine, benchJSON string, out, log io.Writer) error {
+// across Table II/III/IV and Fig. 5 panels as the paper does.
+func dispatch(exp string, p experiments.Profile, out, log io.Writer) error {
 	needsFour := map[string]bool{
 		"table2": true, "table3": true, "table4": true,
 		"fig5a": true, "fig5b": true, "fig5c": true, "fig5d": true, "all": true,
@@ -287,14 +231,6 @@ func dispatch(exp string, p experiments.Profile, engine, benchJSON string, out, 
 			return err
 		}
 		fmt.Fprint(out, experiments.FormatTable5(t5))
-		fmt.Fprintln(out)
-		if err := runInferBench(p, engine, benchJSON, out, log); err != nil {
-			return err
-		}
-	case "infer":
-		return runInferBench(p, engine, benchJSON, out, log)
-	case "transport":
-		return runTransportBench(p, benchJSON, out, log)
 	default:
 		return fmt.Errorf("unknown experiment %q", exp)
 	}

@@ -2,9 +2,6 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -49,46 +46,6 @@ func TestRunFig5aSmokeIncludesChart(t *testing.T) {
 	s := out.String()
 	if !strings.Contains(s, "Fig. 5") || !strings.Contains(s, "epochs →") {
 		t.Fatalf("missing chart:\n%s", s)
-	}
-}
-
-func TestRunInferBenchSmoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("drives both engines")
-	}
-	path := filepath.Join(t.TempDir(), "BENCH_infer.json")
-	var out bytes.Buffer
-	if err := run([]string{"-exp", "infer", "-profile", "smoke", "-json", path}, &out); err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	s := out.String()
-	for _, want := range []string{"INFERENCE ENGINE A/B", "f64", "f32 speedup"} {
-		if !strings.Contains(s, want) {
-			t.Fatalf("missing %q:\n%s", want, s)
-		}
-	}
-	b, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("JSON not written: %v", err)
-	}
-	var res struct {
-		Rows []struct {
-			Engine        string  `json:"engine"`
-			RecordsPerSec float64 `json:"records_per_sec"`
-		} `json:"rows"`
-	}
-	if err := json.Unmarshal(b, &res); err != nil {
-		t.Fatalf("decode %s: %v", path, err)
-	}
-	if len(res.Rows) != 2 || res.Rows[0].RecordsPerSec <= 0 || res.Rows[1].RecordsPerSec <= 0 {
-		t.Fatalf("bad rows in %s: %s", path, b)
-	}
-}
-
-func TestRunInferBenchRejectsUnknownEngine(t *testing.T) {
-	var out bytes.Buffer
-	if err := run([]string{"-exp", "infer", "-profile", "smoke", "-engine", "f16"}, &out); err == nil {
-		t.Fatal("unknown engine accepted")
 	}
 }
 

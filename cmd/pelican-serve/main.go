@@ -9,7 +9,7 @@
 //
 // Usage:
 //
-//	pelican-serve -model model.plcn -addr 127.0.0.1:8080 -replicas 2 -engine f32
+//	pelican-serve -model model.plcn -addr 127.0.0.1:8080 -replicas 2
 //	pelican-serve -model live.plcn -shadow candidate.plcn   # mirror + canary
 //	pelican-serve -loadgen -target http://127.0.0.1:8080 -duration 5s -concurrency 8 -batch 8
 package main
@@ -59,7 +59,6 @@ func run(args []string, out io.Writer) error {
 		maxWait    = fs.Duration("max-wait", 2*time.Millisecond, "dynamic batcher flush deadline")
 		queue      = fs.Int("queue", 1024, "batcher queue depth per slot (requests block when full)")
 		maxBody    = fs.Int64("max-body", 4<<20, "request body size cap in bytes (413 beyond)")
-		engine     = fs.String("engine", "f32", "scoring engine: f32 (compiled float32 inference plan) or f64 (training graph)")
 		noMirror   = fs.Bool("no-mirror", false, "disable duplicating live traffic onto the shadow slot")
 		reqTimeout = fs.Duration("request-timeout", 5*time.Second, "scoring deadline budget; queued records past it are shed with 503 (negative disables)")
 		watermark  = fs.Int("admit-watermark", 0, "queue depth beyond which scoring requests fast-fail 429 (0 = queue size, negative disables)")
@@ -98,7 +97,7 @@ func run(args []string, out io.Writer) error {
 	}
 	cfg := serve.Config{
 		Replicas: *replicas, MaxBatch: *maxBatch, MaxWait: *maxWait, QueueDepth: *queue,
-		MaxBodyBytes: *maxBody, Engine: *engine, MirrorOff: *noMirror,
+		MaxBodyBytes: *maxBody, MirrorOff: *noMirror,
 		RequestTimeout: *reqTimeout, AdmitWatermark: *watermark,
 		TraceCap: *traceCap, ObsOff: *obsOff,
 		Logger: obs.NewLogger(os.Stderr, obs.ParseLevel(*logLevel)),
@@ -180,7 +179,7 @@ func runServer(out io.Writer, model, shadow, addr, wireAddr string, cfg serve.Co
 		fmt.Fprintf(out, "serving (no live model) on http://%s\n", ln.Addr())
 	}
 	info := srv.Info()
-	fmt.Fprintf(out, "engine=%s replicas=%d max-batch=%d max-wait=%s\n", info.Engine, info.Replicas, info.MaxBatch, cfg.MaxWait)
+	fmt.Fprintf(out, "replicas=%d max-batch=%d max-wait=%s\n", info.Replicas, info.MaxBatch, cfg.MaxWait)
 	fmt.Fprintf(out, "registry: /v2/models (list), /v2/load?tag= (stage), /v2/promote, /v2/rollback\n")
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)

@@ -251,12 +251,6 @@ type Event struct {
 	// live model is untouched. The next retrain warm-starts from the live
 	// weights again, not the rejected ones.
 	Rejected bool
-	// LowerErr records a float32-lowering failure for the retrained
-	// artifact. It is non-fatal — f64-engine servers serve the artifact
-	// regardless, and an f32 server's reload re-validates and rejects it —
-	// but a set LowerErr means f32 deployments will refuse this
-	// generation.
-	LowerErr error
 	// Version/Path identify the published artifact.
 	Version string
 	Path    string
@@ -278,9 +272,6 @@ func (e Event) String() string {
 			e.Trigger.Signal, e.Trigger.Z, e.TrainFlows, e.TrainLoss, e.Version, e.Duration.Round(time.Millisecond))
 		if e.HoldoutFlows > 0 {
 			s += fmt.Sprintf(" (gate: DR %.3f vs live %.3f on %d held-out)", e.CandidateDR, e.LiveDR, e.HoldoutFlows)
-		}
-		if e.LowerErr != nil {
-			s += fmt.Sprintf(" (f32 lowering failed: %v)", e.LowerErr)
 		}
 		return s
 	}
@@ -470,9 +461,6 @@ func (l *Loop) logEvent(ev Event) {
 			kv = append(kv, "candidate_dr", ev.CandidateDR, "live_dr", ev.LiveDR,
 				"holdout_flows", ev.HoldoutFlows)
 		}
-		if ev.LowerErr != nil {
-			kv = append(kv, "lower_error", ev.LowerErr)
-		}
 		log.Info("model published", kv...)
 	}
 }
@@ -540,16 +528,15 @@ func (l *Loop) adapt(trig Trigger) Event {
 		l.discardRetrain(&ev)
 		return ev
 	}
-	// Recompile the float32 inference plan before publication: for
+	// Compile the float32 inference plan before publication: for
 	// in-process publishers this warms the exact plan cache the swapped-in
-	// f32 replicas will read (the reload never pays the lowering inline),
-	// and a lowering failure surfaces here, on the event, before the
-	// server sees the artifact. It is deliberately non-fatal: an
-	// f64-engine deployment can serve — and must still be able to adapt
-	// with — an artifact the f32 compiler cannot express, and an f32
-	// server's reload re-validates and rejects such an artifact itself.
+	// replicas will read (the reload never pays the lowering inline), and
+	// an artifact the compiler cannot express — which no server could
+	// load — fails here, before the server sees it.
 	if _, err := next.Plan(); err != nil {
-		ev.LowerErr = err
+		ev.Err = fmt.Errorf("lower artifact: %w", err)
+		l.discardRetrain(&ev)
+		return ev
 	}
 	path := filepath.Join(l.cfg.ArtifactDir, fmt.Sprintf("%s-%s.plcn", next.ModelName, next.Version()))
 	if err := serve.SaveArtifactFile(path, next); err != nil {

@@ -1,6 +1,13 @@
-package serve
+// Package resilience is the client-side failure policy both scoring
+// clients (serve.Client over HTTP, wire.Client over the binary plane)
+// share: which answers may be retried, which count as evidence the server
+// is down, how long to back off, and the circuit breaker that acts on it.
+// It is a leaf — it imports nothing from this module — so either client
+// can use it without an import cycle.
+package resilience
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -34,10 +41,10 @@ func (s BreakerState) String() string {
 
 // ErrBreakerOpen is returned (wrapped) by clients that fast-fail a call
 // because their circuit breaker is open.
-var ErrBreakerOpen = fmt.Errorf("serve: circuit breaker open")
+var ErrBreakerOpen = errors.New("resilience: circuit breaker open")
 
 // Breaker is a classic closed/open/half-open circuit breaker for the
-// scoring client: FailureThreshold consecutive failures open it, opened
+// scoring clients: FailureThreshold consecutive failures open it, opened
 // circuits fast-fail every call for OpenFor, then a half-open phase lets
 // one probe through at a time — HalfOpenSuccesses consecutive probe
 // successes re-close the circuit, any probe failure re-opens it. Safe for

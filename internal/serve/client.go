@@ -3,10 +3,8 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
-	"math/rand"
 	"net/http"
 	"net/url"
 	"strconv"
@@ -16,6 +14,7 @@ import (
 	"repro/internal/data"
 	"repro/internal/nids"
 	"repro/internal/obs"
+	"repro/internal/resilience"
 )
 
 // DefaultClientTimeout bounds every request made through a Client that
@@ -54,7 +53,8 @@ var defaultHTTPClient = &http.Client{
 // backoff on transport errors and retryable statuses (429, 500, 502,
 // 503, 504), honoring Retry-After; and an optional circuit Breaker
 // fast-fails calls while the server is down so a wedged scoring plane
-// degrades to counted errors instead of piled-up goroutines. Mutating
+// degrades to counted errors instead of piled-up goroutines — the policy
+// internal/resilience defines once for this client and wire.Client. Mutating
 // control-plane calls (reload, load, promote, rollback) are never
 // retried — promote twice is not promote once.
 type Client struct {
@@ -72,11 +72,11 @@ type Client struct {
 	// 50ms.
 	RetryBase time.Duration
 	// Breaker, when non-nil, guards every call: while open, calls fail
-	// immediately with ErrBreakerOpen. Transport errors and hard 5xx
-	// statuses (500/502/504) count as breaker failures; 429 and 503 are
-	// overload shedding — the server is alive and asking for backoff, so
-	// they are retried but never trip the breaker.
-	Breaker *Breaker
+	// immediately with resilience.ErrBreakerOpen. Transport errors and
+	// hard 5xx statuses (500/502/504) count as breaker failures; 429 and
+	// 503 are overload shedding — the server is alive and asking for
+	// backoff, so they are retried but never trip the breaker.
+	Breaker *resilience.Breaker
 
 	// lastRequestID holds the X-Request-Id echoed by the most recent
 	// response (string). Every logical call sends one generated ID, shared
@@ -109,13 +109,6 @@ func (c *Client) attempts() int {
 	return 3
 }
 
-func (c *Client) retryBase() time.Duration {
-	if c.RetryBase > 0 {
-		return c.RetryBase
-	}
-	return 50 * time.Millisecond
-}
-
 // statusError is a non-2xx response, carrying what the retry policy
 // needs: the status and any server-requested backoff.
 type statusError struct {
@@ -132,57 +125,10 @@ func (e *statusError) Error() string {
 	return fmt.Sprintf("serve: %s: status %d", e.path, e.status)
 }
 
-// retryable reports whether err may be retried on an idempotent call:
-// transport errors (the request may never have arrived) and the
-// overload/transient statuses.
-func retryable(err error) bool {
-	if errors.Is(err, ErrBreakerOpen) {
-		return false // the breaker's cool-down outlives any backoff here
-	}
-	var se *statusError
-	if errors.As(err, &se) {
-		switch se.status {
-		case http.StatusTooManyRequests, http.StatusInternalServerError,
-			http.StatusBadGateway, http.StatusServiceUnavailable, http.StatusGatewayTimeout:
-			return true
-		}
-		return false
-	}
-	return true // transport-level failure
-}
-
-// breakerFailure reports whether err is evidence the server is down (as
-// opposed to deliberately shedding load).
-func breakerFailure(err error) bool {
-	var se *statusError
-	if errors.As(err, &se) {
-		switch se.status {
-		case http.StatusInternalServerError, http.StatusBadGateway, http.StatusGatewayTimeout:
-			return true
-		}
-		return false // 4xx and 503 are deliberate answers from a live server
-	}
-	return true // transport-level failure
-}
-
-// maxBackoff caps the exponential retry delay.
-const maxBackoff = 2 * time.Second
-
-// backoffFor computes the sleep before retry attempt i (1-based): base
-// doubled per attempt with ±50% jitter, capped, and floored at the
-// server's Retry-After when the last error carried one.
-func (c *Client) backoffFor(i int, last error) time.Duration {
-	d := c.retryBase() << (i - 1)
-	if d > maxBackoff {
-		d = maxBackoff
-	}
-	d = d/2 + time.Duration(rand.Int63n(int64(d))) // [d/2, 3d/2)
-	var se *statusError
-	if errors.As(last, &se) && se.retryAfter > d {
-		d = se.retryAfter
-	}
-	return d
-}
+// StatusCode and RetryAfter are what internal/resilience classifies and
+// floors its backoff on.
+func (e *statusError) StatusCode() int           { return e.status }
+func (e *statusError) RetryAfter() time.Duration { return e.retryAfter }
 
 // once performs one HTTP exchange with breaker accounting. A nil out
 // discards the response body.
@@ -190,7 +136,7 @@ func (c *Client) once(method, path string, body []byte, out any, requestID strin
 	b := c.Breaker
 	if b != nil && !b.Allow() {
 		// Not Recorded: the call never happened, so it is not evidence.
-		return fmt.Errorf("%w (state %s): %s", ErrBreakerOpen, b.State(), path)
+		return fmt.Errorf("%w (state %s): %s", resilience.ErrBreakerOpen, b.State(), path)
 	}
 	var reader io.Reader
 	if body != nil {
@@ -231,7 +177,7 @@ func (c *Client) once(method, path string, body []byte, out any, requestID strin
 			se.msg = e.Error
 		}
 		if b != nil {
-			b.Record(!breakerFailure(se))
+			b.Record(!resilience.BreakerFailure(se))
 		}
 		return se
 	}
@@ -258,39 +204,30 @@ func (c *Client) call(method, path string, body []byte, out any, idempotent bool
 	var last error
 	for i := 0; i < attempts; i++ {
 		if i > 0 {
-			time.Sleep(c.backoffFor(i, last))
+			time.Sleep(resilience.Backoff(c.RetryBase, i, last))
 		}
 		err := c.once(method, path, body, out, requestID)
 		if err == nil {
 			return nil
 		}
 		last = err
-		if !retryable(err) {
+		if !resilience.Retryable(err) {
 			return err
 		}
 	}
 	return last
 }
 
-// postJSON posts body as JSON exactly once (the mutating control-plane
-// path) and decodes the response into out, translating non-2xx statuses
-// into errors carrying the server's message.
-func (c *Client) postJSON(path string, body, out any) error {
+// postJSON posts body as JSON and decodes the response into out,
+// translating non-2xx statuses into errors carrying the server's message.
+// Mutating control-plane calls post exactly once; idempotent ones —
+// scoring calls, pure functions of their payload — retry.
+func (c *Client) postJSON(path string, body, out any, idempotent bool) error {
 	b, err := json.Marshal(body)
 	if err != nil {
 		return err
 	}
-	return c.call(http.MethodPost, path, b, out, false)
-}
-
-// postJSONIdempotent is postJSON with retries — for scoring calls, which
-// are pure functions of their payload.
-func (c *Client) postJSONIdempotent(path string, body, out any) error {
-	b, err := json.Marshal(body)
-	if err != nil {
-		return err
-	}
-	return c.call(http.MethodPost, path, b, out, true)
+	return c.call(http.MethodPost, path, b, out, idempotent)
 }
 
 // getJSON fetches path (with retries; GETs are idempotent) and decodes
@@ -348,7 +285,7 @@ func (c *Client) scoreAt(path string, recs []*data.Record) ([]nids.Verdict, stri
 		req.Records[i] = RecordJSON{Numeric: r.Numeric, Categorical: r.Categorical}
 	}
 	var resp detectBatchResponse
-	if err := c.postJSONIdempotent(path, req, &resp); err != nil {
+	if err := c.postJSON(path, req, &resp, true); err != nil {
 		return nil, "", err
 	}
 	if len(resp.Verdicts) != len(recs) {
@@ -366,7 +303,7 @@ func (c *Client) scoreAt(path string, recs []*data.Record) ([]nids.Verdict, stri
 // model info. The registry-aware form is LoadTag.
 func (c *Client) Reload(path string) (ModelInfo, error) {
 	var info ModelInfo
-	err := c.postJSON("/v1/reload", reloadRequest{Path: path}, &info)
+	err := c.postJSON("/v1/reload", reloadRequest{Path: path}, &info, false)
 	return info, err
 }
 
@@ -375,7 +312,7 @@ func (c *Client) Reload(path string) (ModelInfo, error) {
 // staging slot) and returns the slot's new model info.
 func (c *Client) LoadTag(path, tag string) (ModelInfo, error) {
 	var info ModelInfo
-	err := c.postJSON("/v2/load"+tagQuery(tag), loadRequest{Path: path, Tag: tag}, &info)
+	err := c.postJSON("/v2/load"+tagQuery(tag), loadRequest{Path: path, Tag: tag}, &info, false)
 	return info, err
 }
 
@@ -384,7 +321,7 @@ func (c *Client) LoadTag(path, tag string) (ModelInfo, error) {
 // model info.
 func (c *Client) Promote() (ModelInfo, error) {
 	var info ModelInfo
-	err := c.postJSON("/v2/promote", struct{}{}, &info)
+	err := c.postJSON("/v2/promote", struct{}{}, &info, false)
 	return info, err
 }
 
@@ -392,7 +329,7 @@ func (c *Client) Promote() (ModelInfo, error) {
 // promotion or live load and returns the restored live model info.
 func (c *Client) Rollback() (ModelInfo, error) {
 	var info ModelInfo
-	err := c.postJSON("/v2/rollback", struct{}{}, &info)
+	err := c.postJSON("/v2/rollback", struct{}{}, &info, false)
 	return info, err
 }
 

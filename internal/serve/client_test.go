@@ -12,110 +12,8 @@ import (
 	"repro/internal/chaos"
 	"repro/internal/data"
 	"repro/internal/nids"
+	"repro/internal/resilience"
 )
-
-// fakeClock is the breaker's time seam for deterministic cool-down tests.
-type fakeClock struct{ t time.Time }
-
-func (c *fakeClock) now() time.Time          { return c.t }
-func (c *fakeClock) advance(d time.Duration) { c.t = c.t.Add(d) }
-
-// TestBreakerLifecycle walks the full state machine on a fake clock:
-// closed absorbs sub-threshold failures, the threshold trips it open, open
-// fast-fails until the cool-down, half-open admits exactly one probe at a
-// time, a probe failure re-opens, and enough probe successes re-close.
-func TestBreakerLifecycle(t *testing.T) {
-	clk := &fakeClock{t: time.Unix(1000, 0)}
-	b := &Breaker{FailureThreshold: 3, OpenFor: time.Second, HalfOpenSuccesses: 2, now: clk.now}
-
-	// Sub-threshold failures with a success in between never trip.
-	for _, ok := range []bool{false, false, true, false, false} {
-		if !b.Allow() {
-			t.Fatal("closed breaker refused a call")
-		}
-		b.Record(ok)
-	}
-	if st := b.State(); st != BreakerClosed {
-		t.Fatalf("state %s after interleaved failures, want closed", st)
-	}
-
-	// A third consecutive failure trips it.
-	if !b.Allow() {
-		t.Fatal("closed breaker refused the tripping call")
-	}
-	b.Record(false)
-	if st := b.State(); st != BreakerOpen {
-		t.Fatalf("state %s after threshold failures, want open", st)
-	}
-	if got := b.Opens(); got != 1 {
-		t.Fatalf("Opens() = %d, want 1", got)
-	}
-
-	// Open: everything fast-fails until the cool-down elapses.
-	if b.Allow() {
-		t.Fatal("open breaker admitted a call inside the cool-down")
-	}
-	if got := b.ShortCircuits(); got != 1 {
-		t.Fatalf("ShortCircuits() = %d, want 1", got)
-	}
-
-	// Cool-down over: exactly one probe at a time.
-	clk.advance(time.Second)
-	if st := b.State(); st != BreakerHalfOpen {
-		t.Fatalf("state %s after cool-down, want half-open", st)
-	}
-	if !b.Allow() {
-		t.Fatal("half-open breaker refused the first probe")
-	}
-	if b.Allow() {
-		t.Fatal("half-open breaker admitted a second concurrent probe")
-	}
-
-	// Probe failure re-opens (and re-arms the cool-down).
-	b.Record(false)
-	if st := b.State(); st != BreakerOpen {
-		t.Fatalf("state %s after failed probe, want open", st)
-	}
-	if got := b.Opens(); got != 2 {
-		t.Fatalf("Opens() = %d after re-open, want 2", got)
-	}
-
-	// Recover: two successful probes (HalfOpenSuccesses) re-close.
-	clk.advance(time.Second)
-	for i := 0; i < 2; i++ {
-		if !b.Allow() {
-			t.Fatalf("half-open breaker refused probe %d", i)
-		}
-		b.Record(true)
-	}
-	if st := b.State(); st != BreakerClosed {
-		t.Fatalf("state %s after successful probes, want closed", st)
-	}
-	if !b.Allow() {
-		t.Fatal("re-closed breaker refused a call")
-	}
-	b.Record(true)
-}
-
-// TestBreakerZeroValueDefaults checks a zero-value breaker works with the
-// documented defaults (threshold 5) rather than tripping instantly.
-func TestBreakerZeroValueDefaults(t *testing.T) {
-	b := &Breaker{}
-	for i := 0; i < 4; i++ {
-		if !b.Allow() {
-			t.Fatalf("call %d refused", i)
-		}
-		b.Record(false)
-	}
-	if st := b.State(); st != BreakerClosed {
-		t.Fatalf("state %s after 4 failures, default threshold is 5", st)
-	}
-	b.Allow()
-	b.Record(false)
-	if st := b.State(); st != BreakerOpen {
-		t.Fatalf("state %s after 5 failures, want open", st)
-	}
-}
 
 // TestClientDefaultTimeout pins the satellite fix: a Client without its
 // own *http.Client gets DefaultClientTimeout, never an unbounded wait.
@@ -245,7 +143,7 @@ func TestClientBreakerFastFailsAndRecovers(t *testing.T) {
 	ts := httptest.NewServer(ss.handler())
 	defer ts.Close()
 
-	br := &Breaker{FailureThreshold: 3, OpenFor: 50 * time.Millisecond}
+	br := &resilience.Breaker{FailureThreshold: 3, OpenFor: 50 * time.Millisecond}
 	c := &Client{BaseURL: ts.URL, MaxAttempts: 1, RetryBase: time.Millisecond, Breaker: br}
 
 	for i := 0; i < 3; i++ {
@@ -253,11 +151,11 @@ func TestClientBreakerFastFailsAndRecovers(t *testing.T) {
 			t.Fatalf("call %d against a failing server succeeded", i)
 		}
 	}
-	if st := br.State(); st != BreakerOpen {
+	if st := br.State(); st != resilience.BreakerOpen {
 		t.Fatalf("breaker %s after %d hard failures, want open", st, 3)
 	}
 	sent := ss.hits.Load()
-	if _, err := c.Model(); !errors.Is(err, ErrBreakerOpen) {
+	if _, err := c.Model(); !errors.Is(err, resilience.ErrBreakerOpen) {
 		t.Fatalf("open-breaker call error = %v, want ErrBreakerOpen", err)
 	}
 	if n := ss.hits.Load(); n != sent {
@@ -274,7 +172,7 @@ func TestClientBreakerFastFailsAndRecovers(t *testing.T) {
 	if _, err := c.Model(); err != nil {
 		t.Fatalf("half-open probe failed against a healthy server: %v", err)
 	}
-	if st := br.State(); st != BreakerClosed {
+	if st := br.State(); st != resilience.BreakerClosed {
 		t.Fatalf("breaker %s after successful probe, want closed", st)
 	}
 }
@@ -287,14 +185,14 @@ func TestBreakerIgnoresSheddingStatuses(t *testing.T) {
 		ss := &scriptedServer{status: status}
 		ss.failing.Store(true)
 		ts := httptest.NewServer(ss.handler())
-		br := &Breaker{FailureThreshold: 2, OpenFor: time.Hour}
+		br := &resilience.Breaker{FailureThreshold: 2, OpenFor: time.Hour}
 		c := &Client{BaseURL: ts.URL, MaxAttempts: 1, RetryBase: time.Millisecond, Breaker: br}
 		for i := 0; i < 5; i++ {
 			if _, err := c.Model(); err == nil {
 				t.Fatalf("status %d: call %d succeeded", status, i)
 			}
 		}
-		if st := br.State(); st != BreakerClosed {
+		if st := br.State(); st != resilience.BreakerClosed {
 			t.Fatalf("status %d tripped the breaker to %s", status, st)
 		}
 		ts.Close()
@@ -311,7 +209,7 @@ func TestRemoteDetectorDegradesUnderBreaker(t *testing.T) {
 	ts := httptest.NewServer(ss.handler())
 	defer ts.Close()
 
-	br := &Breaker{FailureThreshold: 1, OpenFor: time.Hour}
+	br := &resilience.Breaker{FailureThreshold: 1, OpenFor: time.Hour}
 	det := &RemoteDetector{Client: &Client{BaseURL: ts.URL, MaxAttempts: 1, RetryBase: time.Millisecond, Breaker: br}}
 
 	recs := []*data.Record{{Numeric: []float64{1}}, {Numeric: []float64{2}}}
@@ -350,14 +248,14 @@ func TestRetryableClassification(t *testing.T) {
 		http.StatusConflict:            false,
 		http.StatusUnprocessableEntity: false,
 	} {
-		if got := retryable(&statusError{status: status}); got != want {
-			t.Errorf("retryable(%d) = %v, want %v", status, got, want)
+		if got := resilience.Retryable(&statusError{status: status}); got != want {
+			t.Errorf("Retryable(%d) = %v, want %v", status, got, want)
 		}
 	}
-	if !retryable(errors.New("connection refused")) {
+	if !resilience.Retryable(errors.New("connection refused")) {
 		t.Error("transport error not retryable")
 	}
-	if retryable(ErrBreakerOpen) {
+	if resilience.Retryable(resilience.ErrBreakerOpen) {
 		t.Error("ErrBreakerOpen retryable: the cool-down outlives any backoff")
 	}
 }
@@ -365,15 +263,14 @@ func TestRetryableClassification(t *testing.T) {
 // TestBackoffHonorsRetryAfter checks a server-sent Retry-After floors the
 // computed backoff.
 func TestBackoffHonorsRetryAfter(t *testing.T) {
-	c := &Client{RetryBase: time.Millisecond}
 	last := &statusError{status: http.StatusServiceUnavailable, retryAfter: time.Second}
 	for i := 1; i <= 3; i++ {
-		if d := c.backoffFor(i, last); d < time.Second {
+		if d := resilience.Backoff(time.Millisecond, i, last); d < time.Second {
 			t.Fatalf("attempt %d backoff %v under the server's Retry-After of 1s", i, d)
 		}
 	}
 	// Without Retry-After the jittered exponential stays near its base.
-	if d := c.backoffFor(1, errors.New("x")); d > 100*time.Millisecond {
+	if d := resilience.Backoff(time.Millisecond, 1, errors.New("x")); d > 100*time.Millisecond {
 		t.Fatalf("first backoff %v with a 1ms base", d)
 	}
 }

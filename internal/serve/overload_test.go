@@ -2,9 +2,11 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"strings"
 	"sync"
@@ -51,7 +53,8 @@ func waitQueueLen(t *testing.T, srv *Server, n int) {
 // test: once a slot's queue crosses the watermark, new scoring requests
 // are answered 429 + Retry-After immediately — no handler goroutine ever
 // parks behind a saturated batcher — the sheds are counted per slot and
-// server-wide, and /healthz stays green throughout.
+// server-wide, and /healthz stays green throughout. Identically on both
+// planes.
 func TestAdmissionControlFastFails429(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains a model")
@@ -63,55 +66,42 @@ func TestAdmissionControlFastFails429(t *testing.T) {
 		QueueDepth: 8, AdmitWatermark: 2, Chaos: inj,
 	})
 
-	// Stall the only replica so queued records stay queued.
-	inj.SetScoreDelay(300 * time.Millisecond)
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		// 8 single-record batches: one in service, one parked in the
-		// hand-off, the rest queued (>= watermark 2).
-		postJSON(t, ts.URL+"/v1/detect-batch", detectBatchRequest{Records: recordsJSON(recs[:8])})
-	}()
-	waitQueueLen(t, srv, 2)
+	// 8 filler records scored + 1 record shed are admitted per run.
+	ans, delta := onBothPlanes(t, srv, planesOf(t, srv, ts), 9, func(t *testing.T, p scorePlane) planeAnswer {
+		// Stall the only replica so queued records stay queued.
+		inj.SetScoreDelay(300 * time.Millisecond)
+		var wg sync.WaitGroup
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			// 8 single-record batches: one in service, one parked in the
+			// hand-off, the rest queued (>= watermark 2).
+			postJSON(t, ts.URL+"/v1/detect-batch", detectBatchRequest{Records: recordsJSON(recs[:8])})
+		}()
+		waitQueueLen(t, srv, 2)
 
-	b, _ := json.Marshal(detectBatchRequest{Records: recordsJSON(recs[:1])})
-	resp, err := http.Post(ts.URL+"/v1/detect-batch", "application/json", bytes.NewReader(b))
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("over-watermark request got %d, want 429", resp.StatusCode)
-	}
-	if ra := resp.Header.Get("Retry-After"); ra == "" {
-		t.Fatal("429 without Retry-After")
-	}
+		ans := p.score(t, planeRequest{recs: recs[:1]})
 
-	// Overload must be invisible to liveness.
-	if code, _ := getBody(t, ts.URL+"/healthz"); code != http.StatusOK {
-		t.Fatalf("/healthz = %d during overload, want 200", code)
-	}
-
-	inj.SetScoreDelay(0)
-	wg.Wait()
-
-	m := srv.Models()
-	var live SlotStatsJSON
-	for _, s := range m.Slots {
-		if s.Tag == registry.Live {
-			live = s.Stats
+		// Overload must be invisible to liveness.
+		if code, _ := getBody(t, ts.URL+"/healthz"); code != http.StatusOK {
+			t.Fatalf("/healthz = %d during overload, want 200", code)
 		}
+		inj.SetScoreDelay(0)
+		wg.Wait()
+		return ans
+	})
+	if ans.status != http.StatusTooManyRequests {
+		t.Fatalf("over-watermark request got %d, want 429", ans.status)
 	}
-	if live.Shed < 1 {
-		t.Fatalf("live slot Shed = %d, want >= 1", live.Shed)
+	if delta["shed"] != 1 || delta["live.shed"] != 1 || delta["errors_4xx"] != 1 || delta["records"] != 8 {
+		t.Fatalf("one 429 behind 8 queued records moved the counters by %v", delta)
 	}
+
 	code, metrics := getBody(t, ts.URL+"/metrics")
 	if code != http.StatusOK {
 		t.Fatalf("/metrics = %d", code)
 	}
-	for _, want := range []string{"pelican_serve_shed_total 1", `pelican_serve_slot_shed_total{slot="live"`} {
+	for _, want := range []string{"pelican_serve_shed_total 2", `pelican_serve_slot_shed_total{slot="live"`} {
 		if !strings.Contains(string(metrics), want) {
 			t.Fatalf("/metrics missing %q:\n%s", want, metrics)
 		}
@@ -119,10 +109,11 @@ func TestAdmissionControlFastFails429(t *testing.T) {
 }
 
 // TestDeadlineExpiredSheds503 is the deadline-propagation tentpole test: a
-// request whose X-Timeout-Ms budget runs out while its record waits behind
-// a slow replica is shed — never scored — and answered 503 + Retry-After,
-// with the shed counted on the slot; the server then recovers on its own
-// once the fault clears.
+// request whose deadline hint (X-Timeout-Ms, the wire frame's deadline
+// field) runs out while its record waits behind a slow replica is shed —
+// never scored — and answered 503 + Retry-After, with the shed counted on
+// the slot; the server then recovers on its own once the fault clears.
+// Identically on both planes.
 func TestDeadlineExpiredSheds503(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains a model")
@@ -134,55 +125,42 @@ func TestDeadlineExpiredSheds503(t *testing.T) {
 		QueueDepth: 8, Chaos: inj,
 	})
 
-	// Occupy the only replica for 400ms.
-	inj.SetScoreDelay(400 * time.Millisecond)
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		postJSON(t, ts.URL+"/v1/detect-batch", detectBatchRequest{Records: recordsJSON(recs[:1])})
-	}()
-	// Give the first record time to be cut and picked up by the (stalled)
-	// replica before the timed request arrives behind it.
-	time.Sleep(50 * time.Millisecond)
+	// 1 filler record scored + 1 record expired are admitted per run.
+	ans, delta := onBothPlanes(t, srv, planesOf(t, srv, ts), 2, func(t *testing.T, p scorePlane) planeAnswer {
+		// Occupy the only replica for 400ms.
+		inj.SetScoreDelay(400 * time.Millisecond)
+		var wg sync.WaitGroup
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			postJSON(t, ts.URL+"/v1/detect-batch", detectBatchRequest{Records: recordsJSON(recs[:1])})
+		}()
+		// Give the first record time to be cut and picked up by the (stalled)
+		// replica before the timed request arrives behind it.
+		time.Sleep(50 * time.Millisecond)
 
-	// 50ms of budget cannot survive a 400ms replica stall.
-	b, _ := json.Marshal(detectBatchRequest{Records: recordsJSON(recs[:1])})
-	req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/detect-batch", bytes.NewReader(b))
-	if err != nil {
-		t.Fatal(err)
+		// 50ms of budget cannot survive a 400ms replica stall.
+		start := time.Now()
+		ans := p.score(t, planeRequest{recs: recs[:1], timeoutMS: 50})
+		// The answer must come at deadline speed, not replica speed... but the
+		// shed happens when a worker sees the record, so allow one stall.
+		if waited := time.Since(start); waited > 3*time.Second {
+			t.Fatalf("expired request answered after %v", waited)
+		}
+		if code, _ := getBody(t, ts.URL+"/healthz"); code != http.StatusOK {
+			t.Fatalf("/healthz = %d during deadline sheds, want 200", code)
+		}
+		inj.SetScoreDelay(0)
+		wg.Wait()
+		return ans
+	})
+	if ans.status != http.StatusServiceUnavailable {
+		t.Fatalf("expired request got %d, want 503", ans.status)
 	}
-	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set("X-Timeout-Ms", "50")
-	start := time.Now()
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("expired request got %d (%s), want 503", resp.StatusCode, body)
-	}
-	if ra := resp.Header.Get("Retry-After"); ra == "" {
-		t.Fatal("503 without Retry-After")
-	}
-	// The answer must come at deadline speed, not replica speed... but the
-	// shed happens when a worker sees the record, so allow one stall.
-	if waited := time.Since(start); waited > 3*time.Second {
-		t.Fatalf("expired request answered after %v", waited)
-	}
-	if code, _ := getBody(t, ts.URL+"/healthz"); code != http.StatusOK {
-		t.Fatalf("/healthz = %d during deadline sheds, want 200", code)
+	if delta["expired"] != 1 || delta["live.expired"] != 1 || delta["errors_5xx"] != 1 || delta["records"] != 1 {
+		t.Fatalf("one expired request behind one scored record moved the counters by %v", delta)
 	}
 
-	inj.SetScoreDelay(0)
-	wg.Wait()
-
-	st := srv.Registry().StatsFor(registry.Live)
-	if got := st.DeadlineExpired.Load(); got != 1 {
-		t.Fatalf("DeadlineExpired = %d, want 1", got)
-	}
 	// Recovery: the same request with default budget now scores fine.
 	resp2, body2 := postJSON(t, ts.URL+"/v1/detect-batch", detectBatchRequest{Records: recordsJSON(recs[:1])})
 	if resp2.StatusCode != http.StatusOK {
@@ -192,8 +170,89 @@ func TestDeadlineExpiredSheds503(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("/metrics = %d", code)
 	}
-	if !strings.Contains(string(metrics), "pelican_serve_deadline_expired_total 1") {
+	if !strings.Contains(string(metrics), "pelican_serve_deadline_expired_total 2") {
 		t.Fatalf("/metrics missing the deadline-expired counter:\n%s", metrics)
+	}
+}
+
+// TestDeadlineHintShortensNeverExtends pins the one deadline rule both
+// planes share: a client's millisecond hint may shorten RequestTimeout and
+// nothing else — absent, non-positive, larger, or too large to be a
+// Duration at all (a hostile X-Timeout-Ms), the server's own budget holds.
+func TestDeadlineHintShortensNeverExtends(t *testing.T) {
+	s := &Server{cfg: Config{RequestTimeout: time.Second}}
+	for hint, want := range map[int64]time.Duration{
+		0: time.Second, -5: time.Second, 50: 50 * time.Millisecond, 5000: time.Second,
+		math.MaxInt64: time.Second, math.MaxInt64 / 1000: time.Second,
+	} {
+		ctx, cancel := s.deadline(context.Background(), hint)
+		dl, ok := ctx.Deadline()
+		cancel()
+		if left := time.Until(dl); !ok || left > want || left < want-500*time.Millisecond {
+			t.Errorf("hint %d ms: deadline in %v (set %v), want %v", hint, left, ok, want)
+		}
+	}
+}
+
+// TestSwapMidRequestRetriesOnSuccessor pins the swap-retry path: a request
+// still enqueueing when its slot is replaced (the old generation's scorer
+// closes under it) is scored, whole, by the successor generation — the
+// client sees one answer from the new version, and the records are
+// counted once. Identically on both planes.
+func TestSwapMidRequestRetriesOnSuccessor(t *testing.T) {
+	if testing.Short() {
+		t.Skip("trains models")
+	}
+	a1, _, recs := trainTestArtifact(t, "mlp", 17, 1)
+	a2, _, _ := trainTestArtifact(t, "mlp", 19, 1)
+	oracle, err := a2.NewDetector()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([]nids.Verdict, 6)
+	oracle.DetectBatch(recs[:6], want)
+
+	inj := &chaos.Injector{}
+	srv, ts := newTestServer(t, a1, Config{
+		Replicas: 1, MaxBatch: 1, MaxWait: time.Millisecond,
+		QueueDepth: 1, AdmitWatermark: -1, Chaos: inj,
+	})
+
+	ans, delta := onBothPlanes(t, srv, planesOf(t, srv, ts), 6, func(t *testing.T, p scorePlane) planeAnswer {
+		if err := srv.LoadSlot(registry.Live, a1); err != nil {
+			t.Fatal(err)
+		}
+		// A stalled single-record pipeline holds four records (in service,
+		// handed off, held by the dispatcher, queued): a six-record request
+		// cannot finish enqueueing until the replica moves.
+		inj.SetScoreDelay(50 * time.Millisecond)
+		swapped := make(chan error, 1)
+		go func() {
+			defer close(swapped) // also when waitQueueLen gives up
+			waitQueueLen(t, srv, 1)
+			// The first swap only demotes a1 to the warm rollback target;
+			// the second retires it — closing the scorer the request is on.
+			err := srv.LoadSlot(registry.Live, a2)
+			if err == nil {
+				err = srv.LoadSlot(registry.Live, a2)
+			}
+			swapped <- err
+		}()
+		ans := p.score(t, planeRequest{recs: recs[:6]})
+		inj.SetScoreDelay(0)
+		if err := <-swapped; err != nil {
+			t.Fatal(err)
+		}
+		return ans
+	})
+	if ans.status != http.StatusOK || ans.version != a2.Version() {
+		t.Fatalf("swapped request answered %d by version %q, want 200 by the successor %q", ans.status, ans.version, a2.Version())
+	}
+	if err := sameVerdicts(ans.verdicts, want); err != nil {
+		t.Fatalf("swapped request vs the successor's f64 oracle: %v", err)
+	}
+	if delta["records"] != 6 || delta["live.records"] != 6 {
+		t.Fatalf("six records scored across a swap moved the counters by %v", delta)
 	}
 }
 

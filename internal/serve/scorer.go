@@ -2,7 +2,6 @@ package serve
 
 import (
 	"context"
-	"fmt"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -59,8 +58,8 @@ const (
 	submitExpired
 )
 
-// newScorer builds the replicas for a (engine-selected) and starts the
-// scoring workers. gm (may be nil in tests) receives the server-wide batch
+// newScorer builds the replicas for a — each a compiled float32 inference
+// engine over the artifact's shared plan — and starts the scoring workers. gm (may be nil in tests) receives the server-wide batch
 // aggregates; per-slot counters are the handlers' business — they know
 // which tag a request resolved to, the scorer deliberately does not (a
 // promotion re-tags this scorer without touching it).
@@ -70,18 +69,9 @@ func newScorer(a *Artifact, cfg Config, gm *serverMetrics) (*scorer, error) {
 		sc.stages = newStageMetrics()
 	}
 	for i := 0; i < cfg.Replicas; i++ {
-		var det nids.BatchDetector
-		var err error
-		switch cfg.Engine {
-		case EngineF32:
-			// The first replica triggers the one-time lowering; the rest (and
-			// any pre-validation done before publish) share the cached plan.
-			det, err = a.NewInferDetector()
-		case EngineF64:
-			det, err = a.NewDetector()
-		default:
-			return nil, fmt.Errorf("serve: unknown engine %q (want %q or %q)", cfg.Engine, EngineF32, EngineF64)
-		}
+		// The first replica triggers the one-time lowering; the rest (and
+		// any pre-validation done before publish) share the cached plan.
+		det, err := a.NewInferDetector()
 		if err != nil {
 			return nil, err
 		}

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -43,11 +42,6 @@ type Config struct {
 	// exhaust server memory. Default 4 MiB (~2000 NSL-KDD-shaped records
 	// per batch).
 	MaxBodyBytes int64
-	// Engine selects the scoring implementation: "f32" (default) runs the
-	// compiled float32 inference plan (internal/infer) lowered from the
-	// artifact at load time; "f64" runs the float64 training graph through
-	// nids.ModelDetector — the A/B escape hatch.
-	Engine string
 	// MirrorOff disables shadow mirroring: by default, every record scored
 	// against the live slot is also (asynchronously, best-effort)
 	// duplicated onto the shadow slot when one is loaded with a matching
@@ -109,18 +103,9 @@ type Config struct {
 	WirePipeline int
 }
 
-// Engine values accepted by Config.Engine.
-const (
-	EngineF32 = "f32"
-	EngineF64 = "f64"
-)
-
 func (c Config) withDefaults() Config {
 	if c.Replicas <= 0 {
 		c.Replicas = 2
-	}
-	if c.Engine == "" {
-		c.Engine = EngineF32
 	}
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 32
@@ -284,15 +269,15 @@ func newServer(cfg Config) (*Server, error) {
 		}
 	}
 
-	s.mux.HandleFunc("/v1/detect", s.handleDetect)
-	s.mux.HandleFunc("/v1/detect-batch", s.handleDetectBatch)
+	s.mux.HandleFunc("/v1/detect", s.handleScore)
+	s.mux.HandleFunc("/v1/detect-batch", s.handleScore)
 	s.mux.HandleFunc("/v1/model", s.handleModel)
 	s.mux.HandleFunc("/v1/reload", s.handleReload)
 	s.mux.HandleFunc("/v2/models", s.handleModels)
 	s.mux.HandleFunc("/v2/models/", s.handleModelTag)
 	s.mux.HandleFunc("/v2/load", s.handleLoad)
-	s.mux.HandleFunc("/v2/detect", s.handleDetectV2)
-	s.mux.HandleFunc("/v2/detect-batch", s.handleDetectBatchV2)
+	s.mux.HandleFunc("/v2/detect", s.handleScore)
+	s.mux.HandleFunc("/v2/detect-batch", s.handleScore)
 	s.mux.HandleFunc("/v2/promote", s.handlePromote)
 	s.mux.HandleFunc("/v2/rollback", s.handleRollback)
 	s.mux.HandleFunc("/healthz", s.handleHealthz)
@@ -469,94 +454,6 @@ func (s *Server) Close() {
 	})
 }
 
-// scoreSlot resolves tag, validates the wire records against that slot's
-// schema, and scores them on that slot's replicas — one generation end to
-// end, under ctx's deadline. The overload path answers before any work
-// queues: a slot whose queue is over the admission watermark fast-fails
-// the whole request with 429 (records counted as shed), and a deadline
-// that expires while records wait for queue space or a replica sheds
-// them and answers 503 — both with Retry-After, both leaving /healthz
-// untouched. If the slot is swapped mid-request (its scorer closed
-// before every record was accepted), the request retries on the
-// successor generation; records accepted before a swap are still scored
-// by it, so nothing is dropped. On error the returned status is the HTTP
-// code to answer.
-func (s *Server) scoreSlot(ctx context.Context, tag string, wire []RecordJSON, tr *obs.Trace) ([]nids.Verdict, *slotInstance, int, error) {
-	const maxAttempts = 4
-	for attempt := 0; attempt < maxAttempts; attempt++ {
-		admitStart := time.Now()
-		si, ok := s.slot(tag)
-		if !ok {
-			return nil, nil, http.StatusNotFound, fmt.Errorf("no model loaded under tag %q", tag)
-		}
-		recs, err := toRecords(si.artifact.Schema, wire)
-		if err != nil {
-			return nil, nil, http.StatusBadRequest, err
-		}
-		tr.SetSlot(tag, si.artifact.Version())
-		st := s.reg.StatsFor(tag)
-		if wm := s.cfg.AdmitWatermark; wm > 0 && si.scorer.queueLen() >= wm {
-			st.Shed.Add(int64(len(recs)))
-			s.m.shed.Add(int64(len(recs)))
-			return nil, nil, http.StatusTooManyRequests,
-				fmt.Errorf("slot %q queue is over the admission watermark (%d queued, watermark %d); retry later", tag, si.scorer.queueLen(), wm)
-		}
-		if attempt == 0 {
-			// Resolve + validate + watermark check; later attempts (slot
-			// swapped mid-request, rare) are folded into queue_wait.
-			tr.Span("admit", admitStart, time.Since(admitStart))
-		}
-		verdicts := make([]nids.Verdict, len(recs))
-		// The expired tally is per attempt: a swap-aborted attempt's sheds
-		// are retried wholesale on the successor, so only the attempt that
-		// actually answers may account them.
-		var expired atomic.Int64
-		switch si.scorer.score(ctx, recs, verdicts, &expired, tr) {
-		case submitClosed:
-			continue // slot swapped mid-request: resolve again
-		case submitExpired:
-			n := expired.Load()
-			st.DeadlineExpired.Add(n)
-			s.m.deadlineExpired.Add(n)
-			return nil, nil, http.StatusServiceUnavailable,
-				fmt.Errorf("deadline expired while queued: %d of %d records shed; retry with more budget", n, len(recs))
-		}
-		st.Records.Add(int64(len(recs)))
-		attacks := int64(0)
-		for i := range verdicts {
-			if verdicts[i].IsAttack {
-				attacks++
-			}
-		}
-		st.Attacks.Add(attacks)
-		if tag == registry.Live {
-			s.mirror(si, recs, verdicts, tr)
-		}
-		return verdicts, si, 0, nil
-	}
-	return nil, nil, http.StatusServiceUnavailable,
-		fmt.Errorf("slot %q was replaced %d times mid-request; retry", tag, maxAttempts)
-}
-
-// scoreCtx derives the scoring deadline for one request: the handler's
-// context (cancelled on client disconnect) bounded by RequestTimeout,
-// further shortened — never extended — by an X-Timeout-Ms request header.
-// The returned cancel must be called when scoring completes.
-func (s *Server) scoreCtx(r *http.Request) (context.Context, context.CancelFunc) {
-	budget := s.cfg.RequestTimeout
-	if h := r.Header.Get("X-Timeout-Ms"); h != "" {
-		if ms, err := strconv.ParseInt(h, 10, 64); err == nil && ms > 0 {
-			if d := time.Duration(ms) * time.Millisecond; budget < 0 || d < budget {
-				budget = d
-			}
-		}
-	}
-	if budget < 0 {
-		return context.WithCancel(r.Context())
-	}
-	return context.WithTimeout(r.Context(), budget)
-}
-
 // traceFor assigns the request its ID — honoring an incoming
 // X-Request-Id, generating one otherwise — echoes it on the response, and
 // (when tracing is enabled) opens the request's trace. Returns nil under
@@ -573,16 +470,6 @@ func (s *Server) traceFor(w http.ResponseWriter, r *http.Request) *obs.Trace {
 	return obs.NewTrace(id, r.URL.Path)
 }
 
-// putTrace seals tr with the request's outcome and publishes it to the
-// /debug/traces ring. Nil traces (ObsOff) are ignored.
-func (s *Server) putTrace(tr *obs.Trace, status int, errMsg string) {
-	if tr == nil {
-		return
-	}
-	tr.Finish(status, errMsg)
-	s.traces.Put(tr)
-}
-
 // retryAfter marks an overload rejection as retryable: 429 (admission
 // shed) and 503 (deadline shed, drain, swap churn) tell well-behaved
 // clients when to come back.
@@ -590,97 +477,6 @@ func retryAfter(w http.ResponseWriter, status int) {
 	if status == http.StatusTooManyRequests || status == http.StatusServiceUnavailable {
 		w.Header().Set("Retry-After", "1")
 	}
-}
-
-// mirror duplicates a live request onto the shadow slot, asynchronously
-// and best-effort: a missing shadow, a different feature layout, a full
-// shadow queue, or more than MirrorConcurrency mirrors already in flight
-// all drop the mirror (counted) rather than delay anything. Completed
-// mirrors accumulate the shadow slot's records/attacks counters and the
-// per-record agreement split against live's verdicts — the side-by-side
-// evidence a promotion decision reads. With tracing on, each mirror gets
-// its own trace child-linked (ParentID) to the live request that spawned
-// it: the mirror outlives the parent's response, so it cannot share the
-// parent's sealed trace.
-func (s *Server) mirror(live *slotInstance, recs []data.Record, liveVerdicts []nids.Verdict, parent *obs.Trace) {
-	if s.cfg.MirrorOff {
-		return
-	}
-	sh, ok := s.slot(registry.Shadow)
-	if !ok {
-		return
-	}
-	stats := s.reg.StatsFor(registry.Shadow)
-	if !sh.artifact.Schema.SameFeatures(live.artifact.Schema) {
-		// A schema-evolving shadow cannot score live-shaped records; it is
-		// staged for promotion, not comparison.
-		stats.MirrorDropped.Add(int64(len(recs)))
-		return
-	}
-	select {
-	case s.mirrorSem <- struct{}{}:
-	default:
-		stats.MirrorDropped.Add(int64(len(recs)))
-		return
-	}
-	// SameFeatures deliberately ignores class names, so the two models may
-	// label incompatible class spaces; comparing raw class indices across
-	// them would count two "dos" verdicts as disagreement. Fall back to
-	// attack/normal agreement — always comparable — unless the class lists
-	// match exactly.
-	classComparable := sameClasses(live.artifact.Schema.ClassNames, sh.artifact.Schema.ClassNames)
-	var child *obs.Trace
-	if s.traces != nil {
-		child = obs.NewTrace(obs.NewID(), "mirror")
-		if parent != nil {
-			child.ParentID = parent.ID
-		}
-		child.Records = len(recs)
-		child.SetSlot(registry.Shadow, sh.artifact.Version())
-	}
-	s.mirrorWG.Add(1)
-	go func() {
-		defer func() {
-			<-s.mirrorSem
-			s.mirrorWG.Done()
-		}()
-		verdicts := make([]nids.Verdict, len(recs))
-		if !sh.scorer.tryScore(recs, verdicts, child) {
-			stats.MirrorDropped.Add(int64(len(recs)))
-			s.putTrace(child, http.StatusServiceUnavailable, "mirror dropped: shadow queue full or slot swapped")
-			return
-		}
-		s.putTrace(child, http.StatusOK, "")
-		stats.Mirrored.Add(int64(len(recs)))
-		stats.Records.Add(int64(len(recs)))
-		var attacks, agree int64
-		for i := range verdicts {
-			if verdicts[i].IsAttack {
-				attacks++
-			}
-			if verdicts[i].IsAttack == liveVerdicts[i].IsAttack &&
-				(!classComparable || verdicts[i].Class == liveVerdicts[i].Class) {
-				agree++
-			}
-		}
-		stats.Attacks.Add(attacks)
-		stats.Agreements.Add(agree)
-		stats.Disagreements.Add(int64(len(recs)) - agree)
-	}()
-}
-
-// sameClasses reports whether two class-name lists are identical (same
-// labels, same order — i.e. class indices mean the same thing).
-func sameClasses(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // RecordJSON is the wire form of one flow record.
@@ -720,19 +516,19 @@ type errorResponse struct {
 	RequestID string `json:"request_id,omitempty"`
 }
 
+// httpError counts, logs and writes one refused non-scoring request
+// (scoring requests are refused through finish).
 func (s *Server) httpError(w http.ResponseWriter, status int, format string, args ...any) {
 	msg := fmt.Sprintf(format, args...)
-	id := w.Header().Get(obs.RequestIDHeader)
-	if status >= 500 {
-		s.m.requestErrors5xx.Add(1)
-		s.log.Warn("request error", "status", status, "request_id", id, "error", msg)
-	} else {
-		s.m.requestErrors4xx.Add(1)
-		s.log.Debug("request rejected", "status", status, "request_id", id, "error", msg)
-	}
+	s.countError(status, w.Header().Get(obs.RequestIDHeader), msg)
+	writeError(w, status, msg)
+}
+
+// writeError writes the JSON error body every refused request gets.
+func writeError(w http.ResponseWriter, status int, msg string) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(errorResponse{Error: msg, RequestID: id})
+	json.NewEncoder(w).Encode(errorResponse{Error: msg, RequestID: w.Header().Get(obs.RequestIDHeader)})
 }
 
 func writeJSON(w http.ResponseWriter, v any) {
@@ -741,37 +537,31 @@ func writeJSON(w http.ResponseWriter, v any) {
 }
 
 // decodeBody reads exactly one JSON value from the request body into v,
-// capped at cfg.MaxBodyBytes. Oversized bodies answer 413 and malformed or
-// trailing-garbage bodies 400 — in both cases the response has been written
-// and the caller must return. The cap is installed via http.MaxBytesReader,
-// which also closes the connection on overflow so a huge body is not
-// drained.
-func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+// capped at cfg.MaxBodyBytes. On error the returned status is the code to
+// answer: 413 for an oversized body, 400 for a malformed one or one with
+// trailing garbage. The cap is installed via http.MaxBytesReader, which
+// also closes the connection on overflow so a huge body is not drained.
+func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) (int, error) {
 	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
 	dec := json.NewDecoder(r.Body)
 	if err := dec.Decode(v); err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
-			s.httpError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", tooBig.Limit)
-			return false
+			return http.StatusRequestEntityTooLarge, fmt.Errorf("request body exceeds %d bytes", tooBig.Limit)
 		}
-		s.httpError(w, http.StatusBadRequest, "decode request: %v", err)
-		return false
+		return http.StatusBadRequest, fmt.Errorf("decode request: %w", err)
 	}
 	// Reject trailing content after the JSON value: a concatenated second
 	// payload silently ignored is a smuggling/confusion hazard. Only a
 	// clean EOF is acceptable here.
 	if err := dec.Decode(new(json.RawMessage)); err != io.EOF {
-		s.httpError(w, http.StatusBadRequest, "unexpected data after JSON body")
-		return false
+		return http.StatusBadRequest, errors.New("unexpected data after JSON body")
 	}
-	return true
+	return 0, nil
 }
 
-// toRecords validates the wire records against the schema and converts
-// them. The schema is the resolved slot's own — validation and scoring
-// always use the same generation, so a concurrent swap can never mis-pair
-// a record with a different encoder.
+// toRecords validates the JSON records against the schema and converts
+// them.
 func toRecords(schema data.Schema, in []RecordJSON) ([]data.Record, error) {
 	nNum, nCat := schema.NumNumeric(), len(schema.Categorical)
 	out := make([]data.Record, len(in))
@@ -799,152 +589,115 @@ func toVerdictsJSON(schema data.Schema, vs []nids.Verdict) []VerdictJSON {
 	return out
 }
 
-// acceptScoring centralizes method/drain gating for the scoring endpoints.
-func (s *Server) acceptScoring(w http.ResponseWriter, r *http.Request) bool {
+// httpScore is one HTTP scoring request as the scoring core sees it: the
+// decoded JSON records on the way in, the response writer and the
+// endpoint's response shape on the way out.
+type httpScore struct {
+	w    http.ResponseWriter
+	recs []RecordJSON
+	// single is the /detect shape (one bare record in, one verdict out);
+	// otherwise /detect-batch ({"records": [...]} in, verdicts out).
+	single bool
+	// echoTag, when non-empty, is included in the response (the /v2
+	// shape; /v1 responses stay byte-compatible).
+	echoTag string
+}
+
+// handleScore is the one HTTP scoring handler, mounted on four routes:
+// POST /v1/detect and /v1/detect-batch score on the live slot; the /v2
+// forms score on ?tag= (default live) and echo the tag.
+func (s *Server) handleScore(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		s.httpError(w, http.StatusMethodNotAllowed, "POST required")
-		return false
+		return
 	}
 	if s.draining.Load() {
 		retryAfter(w, http.StatusServiceUnavailable)
 		s.httpError(w, http.StatusServiceUnavailable, "server is draining")
-		return false
-	}
-	return true
-}
-
-// scoreTag reads ?tag= (default live).
-func scoreTag(r *http.Request) string {
-	if tag := r.URL.Query().Get("tag"); tag != "" {
-		return tag
-	}
-	return registry.Live
-}
-
-// handleDetect is POST /v1/detect: score one record on the live slot.
-func (s *Server) handleDetect(w http.ResponseWriter, r *http.Request) {
-	s.detectOn(w, r, registry.Live, "")
-}
-
-// handleDetectV2 is POST /v2/detect?tag=: score one record on any slot.
-func (s *Server) handleDetectV2(w http.ResponseWriter, r *http.Request) {
-	tag := scoreTag(r)
-	s.detectOn(w, r, tag, tag)
-}
-
-// detectOn scores one record on tag. echoTag, when non-empty, is included
-// in the response (the /v2 shape; /v1 responses stay byte-compatible).
-func (s *Server) detectOn(w http.ResponseWriter, r *http.Request, tag, echoTag string) {
-	if !s.acceptScoring(w, r) {
 		return
 	}
-	s.m.detectRequests.Add(1)
+	hs := &httpScore{w: w, single: strings.HasSuffix(r.URL.Path, "/detect")}
+	tag := registry.Live
+	if strings.HasPrefix(r.URL.Path, "/v2/") {
+		if qt := r.URL.Query().Get("tag"); qt != "" {
+			tag = qt
+		}
+		hs.echoTag = tag
+	}
+	if hs.single {
+		s.m.detectRequests.Add(1)
+	} else {
+		s.m.batchRequests.Add(1)
+	}
 	start := time.Now()
 	tr := s.traceFor(w, r)
-	var rec RecordJSON
-	if !s.decodeBody(w, r, &rec) {
-		s.putTrace(tr, http.StatusBadRequest, "bad request body")
+	if status, err := hs.decode(s, r); err != nil {
+		s.finish(hs, tr, start, nil, nil, status, err)
 		return
 	}
 	if tr != nil {
-		tr.Records = 1
+		tr.Records = len(hs.recs)
 	}
-	ctx, cancel := s.scoreCtx(r)
-	defer cancel()
-	verdicts, si, status, err := s.scoreSlot(ctx, tag, []RecordJSON{rec}, tr)
+	// A malformed X-Timeout-Ms is no hint at all.
+	hintMS, err := strconv.ParseInt(r.Header.Get("X-Timeout-Ms"), 10, 64)
 	if err != nil {
-		retryAfter(w, status)
-		s.httpError(w, status, "%v", err)
-		s.putTrace(tr, status, err.Error())
-		return
+		hintMS = 0
 	}
-	s.m.records.Add(1)
-	encStart := time.Now()
-	writeJSON(w, detectResponse{
-		ModelVersion: si.artifact.Version(),
-		Tag:          echoTag,
-		Verdict:      toVerdictsJSON(si.artifact.Schema, verdicts)[0],
-	})
-	s.finishScored(tr, si, encStart, 1)
-	s.m.observeLatency(time.Since(start))
+	s.serveScore(r.Context(), hintMS, tag, hs, tr, start)
 }
 
-// handleDetectBatch is POST /v1/detect-batch: score records on the live slot.
-func (s *Server) handleDetectBatch(w http.ResponseWriter, r *http.Request) {
-	s.detectBatchOn(w, r, registry.Live, "")
-}
-
-// handleDetectBatchV2 is POST /v2/detect-batch?tag=.
-func (s *Server) handleDetectBatchV2(w http.ResponseWriter, r *http.Request) {
-	tag := scoreTag(r)
-	s.detectBatchOn(w, r, tag, tag)
-}
-
-func (s *Server) detectBatchOn(w http.ResponseWriter, r *http.Request, tag, echoTag string) {
-	if !s.acceptScoring(w, r) {
-		return
+// decode reads the request body into hs.recs.
+func (hs *httpScore) decode(s *Server, r *http.Request) (int, error) {
+	if hs.single {
+		hs.recs = make([]RecordJSON, 1)
+		return s.decodeBody(hs.w, r, &hs.recs[0])
 	}
-	s.m.batchRequests.Add(1)
-	start := time.Now()
-	tr := s.traceFor(w, r)
 	var req detectBatchRequest
-	if !s.decodeBody(w, r, &req) {
-		s.putTrace(tr, http.StatusBadRequest, "bad request body")
-		return
+	if status, err := s.decodeBody(hs.w, r, &req); err != nil {
+		return status, err
 	}
 	if len(req.Records) == 0 {
-		s.httpError(w, http.StatusBadRequest, "empty records")
-		s.putTrace(tr, http.StatusBadRequest, "empty records")
-		return
+		return http.StatusBadRequest, errors.New("empty records")
 	}
-	if tr != nil {
-		tr.Records = len(req.Records)
-	}
-	ctx, cancel := s.scoreCtx(r)
-	defer cancel()
-	verdicts, si, status, err := s.scoreSlot(ctx, tag, req.Records, tr)
-	if err != nil {
-		retryAfter(w, status)
-		s.httpError(w, status, "%v", err)
-		s.putTrace(tr, status, err.Error())
-		return
-	}
-	s.m.records.Add(int64(len(verdicts)))
-	encStart := time.Now()
-	writeJSON(w, detectBatchResponse{
-		ModelVersion: si.artifact.Version(),
-		Tag:          echoTag,
-		Verdicts:     toVerdictsJSON(si.artifact.Schema, verdicts),
-	})
-	s.finishScored(tr, si, encStart, len(verdicts))
-	s.m.observeLatency(time.Since(start))
+	hs.recs = req.Records
+	return 0, nil
 }
 
-// finishScored closes out one successfully scored request: the encode
-// stage observation on the answering slot's histograms, the encode span,
-// and publication of the sealed trace.
-func (s *Server) finishScored(tr *obs.Trace, si *slotInstance, encStart time.Time, records int) {
-	encDur := time.Since(encStart)
-	if st := si.scorer.stages; st != nil {
-		st.encode.ObserveDuration(encDur)
+func (hs *httpScore) records(si *slotInstance) ([]data.Record, int, error) {
+	recs, err := toRecords(si.artifact.Schema, hs.recs)
+	if err != nil {
+		return nil, http.StatusBadRequest, err
 	}
-	if tr == nil {
-		return
-	}
-	tr.Span("encode", encStart, encDur)
-	s.putTrace(tr, http.StatusOK, "")
-	if s.log.Enabled(obs.LevelDebug) {
-		s.log.Debug("request scored", "request_id", tr.ID, "endpoint", tr.Endpoint,
-			"slot", tr.Slot, "version", tr.Version, "records", records,
-			"dur", time.Since(tr.Start))
-	}
+	return recs, 0, nil
 }
+
+func (hs *httpScore) verdictSlab(n int) []nids.Verdict { return make([]nids.Verdict, n) }
+
+func (hs *httpScore) pooled() bool { return false }
+
+func (hs *httpScore) respond(si *slotInstance, verdicts []nids.Verdict) error {
+	vj := toVerdictsJSON(si.artifact.Schema, verdicts)
+	if hs.single {
+		writeJSON(hs.w, detectResponse{ModelVersion: si.artifact.Version(), Tag: hs.echoTag, Verdict: vj[0]})
+	} else {
+		writeJSON(hs.w, detectBatchResponse{ModelVersion: si.artifact.Version(), Tag: hs.echoTag, Verdicts: vj})
+	}
+	return nil
+}
+
+// reject answers an error; 429 (admission shed) and 503 (deadline shed,
+// swap churn) carry Retry-After.
+func (hs *httpScore) reject(status int, msg string) {
+	retryAfter(hs.w, status)
+	writeError(hs.w, status, msg)
+}
+
+func (hs *httpScore) requestID() string { return hs.w.Header().Get(obs.RequestIDHeader) }
 
 // ModelInfo describes one loaded model slot.
 type ModelInfo struct {
 	Model   string `json:"model"`
 	Version string `json:"version"`
-	Engine  string `json:"engine"`
 	// Tag is the slot this description refers to (on /v2 responses).
 	Tag string `json:"tag,omitempty"`
 	// PreviousVersion is the retained rollback generation (live slot only).
@@ -999,7 +752,6 @@ func (s *Server) infoFor(tag string, si *slotInstance) ModelInfo {
 	info := ModelInfo{
 		Model:      si.artifact.ModelName,
 		Version:    si.artifact.Version(),
-		Engine:     s.cfg.Engine,
 		Tag:        tag,
 		Features:   si.artifact.Features(),
 		Classes:    si.artifact.Classes(),
@@ -1129,7 +881,8 @@ func (s *Server) handleLoad(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req loadRequest
-	if !s.decodeBody(w, r, &req) {
+	if status, err := s.decodeBody(w, r, &req); err != nil {
+		s.httpError(w, status, "%v", err)
 		return
 	}
 	if req.Path == "" {
@@ -1179,7 +932,8 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req reloadRequest
-	if !s.decodeBody(w, r, &req) {
+	if status, err := s.decodeBody(w, r, &req); err != nil {
+		s.httpError(w, status, "%v", err)
 		return
 	}
 	if req.Path == "" {

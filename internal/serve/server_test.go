@@ -95,41 +95,30 @@ func TestServerMatchesInProcessDetector(t *testing.T) {
 	}
 }
 
-// TestEngineSelection pins the A/B config: both engines serve the same
-// verdicts on the same records, /v1/model reports which one is loaded, and
-// an unknown engine name is rejected at construction.
-func TestEngineSelection(t *testing.T) {
+// TestServedVerdictsMatchF64Oracle pins what serving runs — the compiled
+// float32 plan, and nothing selectable — against the f64 graph the
+// artifact rebuilds with NewDetector: the parity oracle that tests,
+// pelican-nids and the adapt gate score with. Same class and attack flag
+// on every record, scores within the f32 parity bound.
+func TestServedVerdictsMatchF64Oracle(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains a model")
 	}
 	a, _, recs := trainTestArtifact(t, "mlp", 17, 2)
-
-	verdicts := map[string][]VerdictJSON{}
-	for _, engine := range []string{EngineF32, EngineF64} {
-		srv, ts := newTestServer(t, a, Config{Replicas: 1, MaxBatch: 8, MaxWait: time.Millisecond, Engine: engine})
-		if got := srv.Info().Engine; got != engine {
-			t.Fatalf("Info().Engine = %q, configured %q", got, engine)
-		}
-		resp, body := postJSON(t, ts.URL+"/v1/detect-batch", detectBatchRequest{Records: recordsJSON(recs)})
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("engine %s: status %d: %s", engine, resp.StatusCode, body)
-		}
-		var br detectBatchResponse
-		if err := json.Unmarshal(body, &br); err != nil {
-			t.Fatal(err)
-		}
-		verdicts[engine] = br.Verdicts
+	oracle, err := a.NewDetector()
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i := range recs {
-		f32, f64 := verdicts[EngineF32][i], verdicts[EngineF64][i]
-		if f32.Class != f64.Class || f32.IsAttack != f64.IsAttack {
-			t.Fatalf("record %d: f32 engine {class=%d attack=%v}, f64 {class=%d attack=%v}",
-				i, f32.Class, f32.IsAttack, f64.Class, f64.IsAttack)
-		}
-	}
+	want := make([]nids.Verdict, len(recs))
+	oracle.DetectBatch(recs, want)
 
-	if _, err := New(a, Config{Engine: "f16"}); err == nil {
-		t.Fatal("unknown engine accepted")
+	_, ts := newTestServer(t, a, Config{Replicas: 1, MaxBatch: 8, MaxWait: time.Millisecond})
+	got, _, err := NewClient(ts.URL).Score(recs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sameVerdicts(got, want); err != nil {
+		t.Fatalf("served f32 vs f64 oracle: %v", err)
 	}
 }
 
@@ -372,6 +361,24 @@ func TestBodyLimits(t *testing.T) {
 	for _, path := range []string{"/v1/detect", "/v1/detect-batch", "/v1/reload"} {
 		if code := rawPost(path, huge); code != http.StatusRequestEntityTooLarge {
 			t.Fatalf("%s oversized body: status %d, want 413", path, code)
+		}
+	}
+	// The trace of a refused scoring request carries the status the client
+	// got: 413 here, not a generic 400.
+	code, body := getBody(t, ts.URL+"/debug/traces?errors=1")
+	if code != http.StatusOK {
+		t.Fatalf("/debug/traces = %d", code)
+	}
+	var traced tracesResponse
+	if err := json.Unmarshal(body, &traced); err != nil {
+		t.Fatal(err)
+	}
+	if traced.Count != 2 {
+		t.Fatalf("%d error traces after two oversized scoring requests, want 2", traced.Count)
+	}
+	for _, tr := range traced.Traces {
+		if tr.Status != http.StatusRequestEntityTooLarge {
+			t.Fatalf("%s trace sealed with status %d, the client was answered 413", tr.Endpoint, tr.Status)
 		}
 	}
 

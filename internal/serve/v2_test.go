@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -16,6 +17,7 @@ import (
 	"repro/internal/nn"
 	"repro/internal/registry"
 	"repro/internal/synth"
+	"repro/internal/wire"
 )
 
 // trainArtifactOn trains a small MLP over an arbitrary synth config —
@@ -241,7 +243,9 @@ func TestLiveLoadRejectsFeatureSetChange(t *testing.T) {
 // TestShadowMirroring pins the mirroring path: live traffic is duplicated
 // onto a loaded shadow, both slots' counters move, and the agreement
 // split covers every mirrored record. A schema-evolving shadow is not
-// mirrored (the drop counter moves instead).
+// mirrored (the drop counter moves instead). Identically on both planes —
+// the wire plane's records live in pooled slabs, so its mirror scores a
+// copy.
 func TestShadowMirroring(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains models")
@@ -249,46 +253,24 @@ func TestShadowMirroring(t *testing.T) {
 	a1, _, recs := trainTestArtifact(t, "mlp", 79, 2)
 	a2, _, _ := trainTestArtifact(t, "mlp", 83, 1)
 	srv, ts := newTestServer(t, a1, Config{Replicas: 2, MaxBatch: 8, MaxWait: time.Millisecond})
-	c := NewClient(ts.URL)
+	planes := planesOf(t, srv, ts)
+	n := int64(len(recs))
 
-	if _, err := c.LoadTag(saveArtifact(t, a2), "shadow"); err != nil {
+	if _, err := NewClient(ts.URL).LoadTag(saveArtifact(t, a2), "shadow"); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 4; i++ {
-		if _, _, err := c.Score(recs); err != nil {
-			t.Fatal(err)
-		}
+	ans, delta := onBothPlanes(t, srv, planes, n, func(t *testing.T, p scorePlane) planeAnswer {
+		return p.score(t, planeRequest{recs: recs})
+	})
+	if ans.status != http.StatusOK {
+		t.Fatalf("live request with a shadow loaded got %d", ans.status)
 	}
-
-	// Mirrors are asynchronous; wait for them to land.
-	deadline := time.Now().Add(10 * time.Second)
-	var shadow *SlotInfo
-	for {
-		ms, err := c.Models()
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range ms.Slots {
-			if ms.Slots[i].Tag == registry.Shadow {
-				shadow = &ms.Slots[i]
-			}
-		}
-		if shadow != nil && shadow.Stats.Mirrored+shadow.Stats.MirrorDropped >= int64(4*len(recs)) {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("mirrors never landed: %+v", shadow)
-		}
-		time.Sleep(10 * time.Millisecond)
+	if delta["shadow.mirrored"] != n || delta["shadow.records"] != n || delta["shadow.mirror_dropped"] != 0 || delta["live.records"] != n {
+		t.Fatalf("%d live records mirrored onto an idle shadow moved the counters by %v", n, delta)
 	}
-	if shadow.Stats.Mirrored == 0 {
-		t.Fatalf("every mirror was dropped: %+v", shadow.Stats)
-	}
-	if got := shadow.Stats.Agreements + shadow.Stats.Disagreements; got != shadow.Stats.Mirrored {
-		t.Fatalf("agreement split %d covers %d mirrored records", got, shadow.Stats.Mirrored)
-	}
-	if shadow.Stats.Records < shadow.Stats.Mirrored {
-		t.Fatalf("shadow records %d < mirrored %d", shadow.Stats.Records, shadow.Stats.Mirrored)
+	shadow := srv.Registry().StatsFor(registry.Shadow)
+	if got := shadow.Agreements.Load() + shadow.Disagreements.Load(); got != shadow.Mirrored.Load() {
+		t.Fatalf("agreement split %d covers %d mirrored records", got, shadow.Mirrored.Load())
 	}
 
 	// A layout-changing shadow must not be mirrored onto.
@@ -299,12 +281,11 @@ func TestShadowMirroring(t *testing.T) {
 	if err := srv.LoadSlot("shadow", a3); err != nil {
 		t.Fatal(err)
 	}
-	before := srv.Registry().StatsFor(registry.Shadow).MirrorDropped.Load()
-	if _, _, err := c.Score(recs[:8]); err != nil {
-		t.Fatal(err)
-	}
-	if got := srv.Registry().StatsFor(registry.Shadow).MirrorDropped.Load(); got != before+8 {
-		t.Fatalf("layout-mismatched mirror: dropped %d -> %d, want +8", before, got)
+	_, delta = onBothPlanes(t, srv, planes, 8, func(t *testing.T, p scorePlane) planeAnswer {
+		return p.score(t, planeRequest{recs: recs[:8]})
+	})
+	if delta["shadow.mirror_dropped"] != 8 || delta["shadow.mirrored"] != 0 {
+		t.Fatalf("layout-mismatched mirror moved the counters by %v, want 8 dropped", delta)
 	}
 }
 
@@ -391,7 +372,9 @@ func TestClientBackwardCompat(t *testing.T) {
 // every verdict must match one of the two generations' precomputed
 // verdicts for that exact record (in-flight batches finish on their
 // generation, never torn), and the final rollback must restore the exact
-// prior version hash. Run under -race in CI.
+// prior version hash. Half the clients score over HTTP, half over the
+// wire; with nothing shed, every record sent must be counted scored
+// exactly once. Run under -race in CI.
 func TestPromoteRollbackUnderConcurrentScoring(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains models")
@@ -407,11 +390,14 @@ func TestPromoteRollbackUnderConcurrentScoring(t *testing.T) {
 
 	srv, ts := newTestServer(t, a1, Config{Replicas: 2, MaxBatch: 8, MaxWait: 500 * time.Microsecond, QueueDepth: 128})
 	c := NewClient(ts.URL)
+	wc := wire.NewClient(startWireListener(t, srv))
+	defer wc.Close()
 
 	stop := make(chan struct{})
 	var clientWG sync.WaitGroup
 	errCh := make(chan error, 4)
 	requests := make([]int, 4)
+	var sent atomic.Int64
 	for w := 0; w < 4; w++ {
 		clientWG.Add(1)
 		go func(w int) {
@@ -430,7 +416,14 @@ func TestPromoteRollbackUnderConcurrentScoring(t *testing.T) {
 					idx[i] = rng.Intn(len(recs))
 					sub[i] = recs[idx[i]]
 				}
-				got, _, err := c.ScoreTag("", sub)
+				var got []nids.Verdict
+				var err error
+				if w%2 == 0 {
+					got, _, err = c.ScoreTag("", sub)
+				} else {
+					got, _, err = wc.Score(sub)
+				}
+				sent.Add(int64(n))
 				if err != nil {
 					errCh <- fmt.Errorf("client %d: %v", w, err)
 					return
@@ -494,6 +487,10 @@ func TestPromoteRollbackUnderConcurrentScoring(t *testing.T) {
 	}
 	if total == 0 {
 		t.Fatal("no client requests completed during the cycles")
+	}
+	if scored := srv.m.records.Load(); scored != sent.Load() || srv.m.shed.Load() != 0 || srv.m.deadlineExpired.Load() != 0 {
+		t.Fatalf("%d records sent over both planes, %d scored (%d shed, %d expired)",
+			sent.Load(), scored, srv.m.shed.Load(), srv.m.deadlineExpired.Load())
 	}
 	if got := srv.Info().Version; got != a1.Version() {
 		t.Fatalf("final live version %s, want %s", got, a1.Version())

@@ -18,11 +18,12 @@ import (
 	"repro/internal/wire"
 )
 
-// This file is the binary scoring plane: a wire.Frame listener whose
-// decoded score requests feed the exact same per-slot batcher/scorer
-// path as the HTTP handlers — one admission controller, one deadline
-// policy, one set of stage histograms, one drain sequence. The wire
-// plane is a second front door, never a second scoring path.
+// This file is the binary scoring plane: a wire.Frame listener that
+// decodes score requests, hands them to the scoring core (score.go) the
+// HTTP handler also feeds, and encodes the answers — one admission
+// controller, one deadline policy, one set of stage histograms, one drain
+// sequence. The wire plane is a second front door, never a second scoring
+// path.
 //
 // Connection lifecycle: accept → Hello/Schema handshake → pipelined
 // Score frames fanned over a fixed per-connection worker pool →
@@ -73,20 +74,7 @@ func (s *Server) ServeWire(ctx context.Context, ln net.Listener) error {
 // listener has shut down and before Close (the scorers must outlive the
 // in-flight wire requests).
 func (s *Server) ShutdownWire(ctx context.Context) error {
-	s.wireMu.Lock()
-	lns := make([]net.Listener, 0, len(s.wireLns))
-	for ln := range s.wireLns {
-		lns = append(lns, ln)
-	}
-	conns := make([]*wireServerConn, 0, len(s.wireConns))
-	for cn := range s.wireConns {
-		conns = append(conns, cn)
-	}
-	s.wireMu.Unlock()
-	for _, ln := range lns {
-		ln.Close()
-	}
-	for _, cn := range conns {
+	for _, cn := range s.stopWireAccept() {
 		cn.beginDrain()
 	}
 	done := make(chan struct{})
@@ -109,6 +97,14 @@ func (s *Server) ShutdownWire(ctx context.Context) error {
 // but their responses may be lost — the crash-shaped path, used by
 // Close for embedded/test servers that never called ShutdownWire.
 func (s *Server) forceCloseWire() {
+	for _, cn := range s.stopWireAccept() {
+		cn.closeSocket()
+	}
+}
+
+// stopWireAccept closes every wire listener and returns the connections
+// open at that moment. No socket is touched under the lock.
+func (s *Server) stopWireAccept() []*wireServerConn {
 	s.wireMu.Lock()
 	lns := make([]net.Listener, 0, len(s.wireLns))
 	for ln := range s.wireLns {
@@ -122,9 +118,7 @@ func (s *Server) forceCloseWire() {
 	for _, ln := range lns {
 		ln.Close()
 	}
-	for _, cn := range conns {
-		cn.closeSocket()
-	}
+	return conns
 }
 
 func (s *Server) trackWireListener(ln net.Listener, add bool) {
@@ -274,13 +268,13 @@ func (cn *wireServerConn) readLoop() {
 				cn.protoError(perr)
 				return
 			}
-			wr.req = req
+			wr.req, wr.cn = req, cn
 			cn.active.Add(1)
 			if cn.draining.Load() || s.draining.Load() {
 				// Same answer the HTTP plane gives during drain; the reply
 				// is still delivered, so the client can account it as shed.
-				s.m.requestErrors5xx.Add(1)
-				cn.sendError(req.ID, http.StatusServiceUnavailable, "server is draining")
+				s.countError(http.StatusServiceUnavailable, wr.requestID(), "server is draining")
+				wr.reject(http.StatusServiceUnavailable, "server is draining")
 				cn.active.Done()
 				putWireRequest(wr)
 				continue
@@ -419,142 +413,21 @@ func (cn *wireServerConn) worker(ctx context.Context) {
 	}
 }
 
-// handleScore runs one score request end to end: trace, deadline,
-// shared scoring path, packed response. By return, the reply (result or
-// error) is enqueued — that pairs the active.Done with the reader's Add.
+// handleScore runs one score request end to end: trace, then the shared
+// scoring core, which calls back into wr to decode the records and to
+// encode the answer. By return, the reply (result or error) is enqueued
+// — that pairs the active.Done with the reader's Add.
 func (cn *wireServerConn) handleScore(ctx context.Context, wr *wireRequest) {
 	defer cn.active.Done()
 	defer putWireRequest(wr)
 	s := cn.s
 	start := time.Now()
-	id := wr.req.ID
 	var tr *obs.Trace
 	if s.traces != nil {
-		tr = obs.NewTrace(fmt.Sprintf("%016x", id), "/wire/score")
+		tr = obs.NewTrace(wr.requestID(), "/wire/score")
 		tr.Records = wr.req.Count
 	}
-	tag := internWireTag(wr.req.Tag)
-	rctx, cancel := s.wireScoreCtx(ctx, wr.req.DeadlineMS)
-	verdicts, si, status, err := s.scoreWire(rctx, wr, tag, tr)
-	cancel()
-	if err != nil {
-		if status >= 500 {
-			s.m.requestErrors5xx.Add(1)
-			s.log.Warn("wire request error", "status", status, "request_id", fmt.Sprintf("%016x", id), "error", err.Error())
-		} else {
-			s.m.requestErrors4xx.Add(1)
-			s.log.Debug("wire request rejected", "status", status, "request_id", fmt.Sprintf("%016x", id), "error", err.Error())
-		}
-		cn.sendError(id, status, err.Error())
-		s.putTrace(tr, status, err.Error())
-		return
-	}
-	s.m.records.Add(int64(len(verdicts)))
-	encStart := time.Now()
-	buf, aerr := wire.AppendScoreResponse(getReplyBuf(), id, si.artifact.Version(), verdicts)
-	if aerr != nil {
-		putReplyBuf(buf)
-		s.m.requestErrors5xx.Add(1)
-		cn.sendError(id, http.StatusInternalServerError, "encode response: "+aerr.Error())
-		s.putTrace(tr, http.StatusInternalServerError, aerr.Error())
-		return
-	}
-	cn.enqueueReply(wire.FrameResult, buf)
-	s.finishScored(tr, si, encStart, len(verdicts))
-	s.m.observeLatency(time.Since(start))
-}
-
-// wireScoreCtx derives the scoring deadline for one wire request: the
-// connection's context bounded by RequestTimeout, shortened — never
-// extended — by the request frame's deadline field. The exact twin of
-// scoreCtx's X-Timeout-Ms handling.
-func (s *Server) wireScoreCtx(ctx context.Context, deadlineMS uint32) (context.Context, context.CancelFunc) {
-	budget := s.cfg.RequestTimeout
-	if deadlineMS > 0 {
-		if d := time.Duration(deadlineMS) * time.Millisecond; budget < 0 || d < budget {
-			budget = d
-		}
-	}
-	if budget < 0 {
-		return context.WithCancel(ctx)
-	}
-	return context.WithTimeout(ctx, budget)
-}
-
-// scoreWire is scoreSlot for packed-binary requests: resolve the slot,
-// check the schema fingerprint, materialize the packed records against
-// that slot's own schema, and score on its replicas — with the same
-// admission watermark, deadline shedding, swap retry, stats, and
-// mirroring as the HTTP path. Records and verdicts live in wr's pooled
-// slabs, valid until wr is recycled.
-func (s *Server) scoreWire(ctx context.Context, wr *wireRequest, tag string, tr *obs.Trace) ([]nids.Verdict, *slotInstance, int, error) {
-	const maxAttempts = 4
-	for attempt := 0; attempt < maxAttempts; attempt++ {
-		admitStart := time.Now()
-		si, ok := s.slot(tag)
-		if !ok {
-			return nil, nil, http.StatusNotFound, fmt.Errorf("no model loaded under tag %q", tag)
-		}
-		if wr.req.Fingerprint != si.wireFP {
-			// The request was encoded against a schema this slot no longer
-			// serves (a promote changed the vocabulary). Decoding its
-			// indices would score garbage; the client re-handshakes.
-			return nil, nil, http.StatusConflict,
-				fmt.Errorf("schema fingerprint mismatch for slot %q (client %016x, server %016x); re-handshake", tag, wr.req.Fingerprint, si.wireFP)
-		}
-		recs, err := wr.rb.Decode(&wr.req, si.artifact.Schema)
-		if err != nil {
-			return nil, nil, http.StatusBadRequest, fmt.Errorf("decode records: %w", err)
-		}
-		tr.SetSlot(tag, si.artifact.Version())
-		st := s.reg.StatsFor(tag)
-		if wm := s.cfg.AdmitWatermark; wm > 0 && si.scorer.queueLen() >= wm {
-			st.Shed.Add(int64(len(recs)))
-			s.m.shed.Add(int64(len(recs)))
-			return nil, nil, http.StatusTooManyRequests,
-				fmt.Errorf("slot %q queue is over the admission watermark (%d queued, watermark %d); retry later", tag, si.scorer.queueLen(), wm)
-		}
-		if attempt == 0 {
-			tr.Span("admit", admitStart, time.Since(admitStart))
-		}
-		if cap(wr.verdicts) < len(recs) {
-			wr.verdicts = make([]nids.Verdict, len(recs))
-		}
-		verdicts := wr.verdicts[:len(recs)]
-		for i := range verdicts {
-			verdicts[i] = nids.Verdict{}
-		}
-		var expired atomic.Int64
-		switch si.scorer.score(ctx, recs, verdicts, &expired, tr) {
-		case submitClosed:
-			continue
-		case submitExpired:
-			n := expired.Load()
-			st.DeadlineExpired.Add(n)
-			s.m.deadlineExpired.Add(n)
-			return nil, nil, http.StatusServiceUnavailable,
-				fmt.Errorf("deadline expired while queued: %d of %d records shed; retry with more budget", n, len(recs))
-		}
-		st.Records.Add(int64(len(recs)))
-		attacks := int64(0)
-		for i := range verdicts {
-			if verdicts[i].IsAttack {
-				attacks++
-			}
-		}
-		st.Attacks.Add(attacks)
-		if tag == registry.Live && !s.cfg.MirrorOff {
-			if _, ok := s.slot(registry.Shadow); ok {
-				// The mirror consumes recs/verdicts asynchronously, but
-				// these live in pooled slabs recycled when this request's
-				// reply goes out — hand the mirror its own copy.
-				s.mirror(si, cloneRecords(recs), cloneVerdicts(verdicts), tr)
-			}
-		}
-		return verdicts, si, 0, nil
-	}
-	return nil, nil, http.StatusServiceUnavailable,
-		fmt.Errorf("slot %q was replaced %d times mid-request; retry", tag, maxAttempts)
+	s.serveScore(ctx, int64(wr.req.DeadlineMS), internWireTag(wr.req.Tag), wr, tr, start)
 }
 
 // internWireTag maps a request's tag bytes to the registry tag without
@@ -569,49 +442,70 @@ func internWireTag(b []byte) string {
 	return string(b)
 }
 
-// cloneRecords deep-copies pooled records into fresh backing storage
-// (the categorical strings themselves are immutable and shared).
-func cloneRecords(recs []data.Record) []data.Record {
-	out := make([]data.Record, len(recs))
-	nn, nc := 0, 0
-	for i := range recs {
-		nn += len(recs[i].Numeric)
-		nc += len(recs[i].Categorical)
-	}
-	nums := make([]float64, 0, nn)
-	cats := make([]string, 0, nc)
-	for i := range recs {
-		n0 := len(nums)
-		nums = append(nums, recs[i].Numeric...)
-		c0 := len(cats)
-		cats = append(cats, recs[i].Categorical...)
-		out[i] = data.Record{
-			Numeric:     nums[n0:len(nums):len(nums)],
-			Categorical: cats[c0:len(cats):len(cats)],
-			Label:       recs[i].Label,
-		}
-	}
-	return out
-}
-
-func cloneVerdicts(vs []nids.Verdict) []nids.Verdict {
-	out := make([]nids.Verdict, len(vs))
-	copy(out, vs)
-	return out
-}
-
-// wireRequest is the pooled per-request decode state: the copied frame
-// payload, the record slabs, and the verdict slab.
+// wireRequest is the pooled per-request state: the copied frame payload,
+// the record slabs, the verdict slab, and the connection to answer on. It
+// is the scoring core's scoreRequest.
 type wireRequest struct {
+	cn       *wireServerConn
 	req      wire.ScoreRequest
 	rb       wire.RecordBuffer
 	verdicts []nids.Verdict
 }
 
+// records checks the schema fingerprint and materialises the packed
+// records, into wr's pooled slabs, against si's schema.
+func (wr *wireRequest) records(si *slotInstance) ([]data.Record, int, error) {
+	if wr.req.Fingerprint != si.wireFP {
+		// The request was encoded against a schema this slot no longer
+		// serves (a promote changed the vocabulary). Decoding its indices
+		// would score garbage; the client re-handshakes.
+		return nil, http.StatusConflict,
+			fmt.Errorf("schema fingerprint mismatch (client %016x, server %016x); re-handshake", wr.req.Fingerprint, si.wireFP)
+	}
+	recs, err := wr.rb.Decode(&wr.req, si.artifact.Schema)
+	if err != nil {
+		return nil, http.StatusBadRequest, fmt.Errorf("decode records: %w", err)
+	}
+	return recs, 0, nil
+}
+
+func (wr *wireRequest) verdictSlab(n int) []nids.Verdict {
+	if cap(wr.verdicts) < n {
+		wr.verdicts = make([]nids.Verdict, n)
+	}
+	verdicts := wr.verdicts[:n]
+	for i := range verdicts {
+		verdicts[i] = nids.Verdict{}
+	}
+	return verdicts
+}
+
+// pooled: records and verdicts are recycled when the reply goes out.
+func (wr *wireRequest) pooled() bool { return true }
+
+func (wr *wireRequest) respond(si *slotInstance, verdicts []nids.Verdict) error {
+	buf, err := wire.AppendScoreResponse(getReplyBuf(), wr.req.ID, si.artifact.Version(), verdicts)
+	if err != nil {
+		putReplyBuf(buf)
+		return err
+	}
+	wr.cn.enqueueReply(wire.FrameResult, buf)
+	return nil
+}
+
+func (wr *wireRequest) reject(status int, msg string) { wr.cn.sendError(wr.req.ID, status, msg) }
+
+// requestID is the frame's request id as the 16 hex digits the trace ring
+// and the logs carry — the wire plane's X-Request-Id.
+func (wr *wireRequest) requestID() string { return fmt.Sprintf("%016x", wr.req.ID) }
+
 var wireRequestPool = sync.Pool{New: func() any { return new(wireRequest) }}
 
-func getWireRequest() *wireRequest   { return wireRequestPool.Get().(*wireRequest) }
-func putWireRequest(wr *wireRequest) { wireRequestPool.Put(wr) }
+func getWireRequest() *wireRequest { return wireRequestPool.Get().(*wireRequest) }
+func putWireRequest(wr *wireRequest) {
+	wr.cn = nil
+	wireRequestPool.Put(wr)
+}
 
 // replyBufPool recycles outbound frame payload buffers.
 var replyBufPool = sync.Pool{New: func() any { return []byte(nil) }}

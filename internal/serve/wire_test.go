@@ -3,10 +3,9 @@ package serve
 import (
 	"bufio"
 	"context"
-	"encoding/json"
-	"math"
 	"net"
 	"net/http"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -15,6 +14,8 @@ import (
 	"repro/internal/chaos"
 	"repro/internal/data"
 	"repro/internal/nids"
+	"repro/internal/registry"
+	"repro/internal/synth"
 	"repro/internal/wire"
 )
 
@@ -134,62 +135,84 @@ func (c *wireTestConn) expectError(t *testing.T, id uint64, status int) wire.Wir
 	return we
 }
 
-// TestWireMatchesHTTPPlane pins the tentpole acceptance: verdicts served
-// over the binary transport equal the HTTP plane's on the same records
-// (scores within f32 narrowing, which the wire format applies by design),
-// requests are traced through the same ring, and the wire metrics move.
+// TestWireMatchesHTTPPlane pins that the two planes are one scoring path:
+// for each outcome a request can have without any overload — scored,
+// unknown tag, wrong record shape — both planes answer the same status,
+// the same verdicts (which equal the f64 oracle's), and move the same
+// counters by the same amounts. (The overload outcomes — 429, 503,
+// mid-request swap, shadow mirroring — are the scenario tests in
+// overload_test.go and v2_test.go, run over both planes the same way.)
+// Wire requests are traced through the same ring, and the wire metrics
+// move.
 func TestWireMatchesHTTPPlane(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains a model")
 	}
 	a, _, recs := trainTestArtifact(t, "mlp", 11, 2)
 	srv, ts := newTestServer(t, a, Config{Replicas: 2, MaxBatch: 8, MaxWait: time.Millisecond})
-	addr := startWireListener(t, srv)
+	planes := planesOf(t, srv, ts)
 
-	wc := wire.NewClient(addr)
-	defer wc.Close()
-	got, version, err := wc.Score(recs)
+	oracle, err := a.NewDetector()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != len(recs) {
-		t.Fatalf("got %d verdicts for %d records", len(got), len(recs))
+	want := make([]nids.Verdict, len(recs))
+	oracle.DetectBatch(recs, want)
+	var attacks int64
+	for _, v := range want {
+		if v.IsAttack {
+			attacks++
+		}
 	}
-
-	resp, body := postJSON(t, ts.URL+"/v1/detect-batch", detectBatchRequest{Records: recordsJSON(recs)})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("/v1/detect-batch = %d (%s)", resp.StatusCode, body)
-	}
-	var httpResp detectBatchResponse
-	if err := json.Unmarshal(body, &httpResp); err != nil {
+	// Records of another dataset's shape: well-formed, wrong for this model.
+	gen, err := synth.New(synth.UNSWNB15Config())
+	if err != nil {
 		t.Fatal(err)
 	}
-	if version != httpResp.ModelVersion {
-		t.Fatalf("wire version %q != HTTP version %q", version, httpResp.ModelVersion)
-	}
-	if wc.ModelVersion() != version {
-		t.Fatalf("ModelVersion() = %q, want %q", wc.ModelVersion(), version)
-	}
-	for i, hv := range httpResp.Verdicts {
-		wv := got[i]
-		if wv.IsAttack != hv.IsAttack || wv.Class != hv.Class {
-			t.Fatalf("record %d: wire %+v vs http %+v", i, wv, hv)
+	foreign := gen.Schema()
+	odd := gen.Generate(2, 1)
+
+	n := int64(len(recs))
+	for _, tc := range []struct {
+		name     string
+		rq       planeRequest
+		status   int
+		admitted int64
+		delta    map[string]int64
+	}{
+		{"scored", planeRequest{recs: recs}, http.StatusOK, n,
+			map[string]int64{"records": n, "live.records": n, "live.attacks": attacks}},
+		{"unknown tag", planeRequest{tag: "nonesuch", recs: recs[:1]}, http.StatusNotFound, 0,
+			map[string]int64{"errors_4xx": 1}},
+		{"wrong record shape", planeRequest{recs: []*data.Record{&odd.Records[0], &odd.Records[1]}, schema: &foreign}, http.StatusBadRequest, 0,
+			map[string]int64{"errors_4xx": 1}},
+	} {
+		rq := tc.rq
+		ans, delta := onBothPlanes(t, srv, planes, tc.admitted, func(t *testing.T, p scorePlane) planeAnswer {
+			return p.score(t, rq)
+		})
+		if ans.status != tc.status {
+			t.Fatalf("%s: both planes answered %d, want %d", tc.name, ans.status, tc.status)
 		}
-		// Scores agree to f32 precision; batch composition differs between
-		// the two calls, so allow a few ulps on top of the f32 narrowing.
-		if diff := math.Abs(wv.Score - hv.Score); diff > 1e-4*math.Max(1, math.Abs(hv.Score)) {
-			t.Fatalf("record %d score: wire %v vs http %v", i, wv.Score, hv.Score)
+		if !reflect.DeepEqual(delta, tc.delta) {
+			t.Fatalf("%s: counters moved by %v, want %v", tc.name, delta, tc.delta)
 		}
-		if wv.Failed {
-			t.Fatalf("record %d: wire verdict marked Failed on a successful call", i)
+		if tc.status != http.StatusOK {
+			continue
+		}
+		if ans.version != a.Version() {
+			t.Fatalf("%s: answered by version %q, want %q", tc.name, ans.version, a.Version())
+		}
+		if err := sameVerdicts(ans.verdicts, want); err != nil {
+			t.Fatalf("%s: served vs f64 oracle: %v", tc.name, err)
 		}
 	}
 
-	// Tracing: the wire request went through the same ring, tagged with
-	// the wire endpoint and its hex request id.
+	// Tracing: the scored wire request went through the same ring, tagged
+	// with the wire endpoint and its hex request id.
 	var wireTrace bool
 	for _, tr := range srv.traces.Snapshot() {
-		if tr.Endpoint == "/wire/score" {
+		if tr.Endpoint == "/wire/score" && tr.Status == http.StatusOK {
 			wireTrace = true
 			if len(tr.ID) != 16 {
 				t.Fatalf("wire trace id %q, want 16 hex digits", tr.ID)
@@ -200,10 +223,11 @@ func TestWireMatchesHTTPPlane(t *testing.T) {
 		}
 	}
 	if !wireTrace {
-		t.Fatal("no /wire/score trace captured")
+		t.Fatal("no scored /wire/score trace captured")
 	}
 
-	// Metrics: the four wire families render and move.
+	// Metrics: the four wire families render and move. A refused request
+	// (404, 400) is an answer, not a protocol error.
 	code, metrics := getBody(t, ts.URL+"/metrics")
 	if code != http.StatusOK {
 		t.Fatalf("/metrics = %d", code)
@@ -223,6 +247,21 @@ func TestWireMatchesHTTPPlane(t *testing.T) {
 	if srv.m.wireFramesIn.Load() < 2 || srv.m.wireFramesOut.Load() < 2 {
 		t.Fatalf("wire frame counters in=%d out=%d, want >= 2 each",
 			srv.m.wireFramesIn.Load(), srv.m.wireFramesOut.Load())
+	}
+
+	// wire.Client over the same listener answers the same verdicts and
+	// tracks the answering version.
+	wc := wire.NewClient(startWireListener(t, srv))
+	defer wc.Close()
+	got, version, err := wc.Score(recs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if version != a.Version() || wc.ModelVersion() != version {
+		t.Fatalf("wire.Client answered version %q (ModelVersion %q), want %q", version, wc.ModelVersion(), a.Version())
+	}
+	if err := sameVerdicts(got, want); err != nil {
+		t.Fatalf("wire.Client vs f64 oracle: %v", err)
 	}
 }
 
@@ -352,6 +391,42 @@ func TestWireFingerprintMismatch409(t *testing.T) {
 	resp, err := wire.ParseScoreResponse(p)
 	if err != nil || resp.ID != 8 || resp.Count != 2 {
 		t.Fatalf("post-409 response %+v, %v", resp, err)
+	}
+}
+
+// TestWireClientRehandshakesAfterSchemaChange pins wire.Client's one
+// retryable answer beyond the shared policy: when a promote changes the
+// live schema under an established connection, the next request is
+// refused 409, the client retires that connection, re-handshakes on a
+// fresh one, and the call succeeds against the new model.
+func TestWireClientRehandshakesAfterSchemaChange(t *testing.T) {
+	if testing.Short() {
+		t.Skip("trains models")
+	}
+	a1, recs := trainArtifactOn(t, synth.NSLKDDConfig(), 71, 1)
+	renamed := synth.NSLKDDConfig()
+	renamed.NumericName = append([]string(nil), renamed.NumericName...)
+	renamed.NumericName[0] = "renamed_" + renamed.NumericName[0]
+	a2, _ := trainArtifactOn(t, renamed, 73, 1)
+
+	srv, _ := newTestServer(t, a1, Config{Replicas: 1, MaxBatch: 8, MaxWait: time.Millisecond})
+	wc := &wire.Client{Addr: startWireListener(t, srv), RetryBase: time.Millisecond}
+	defer wc.Close()
+	if _, version, err := wc.Score(recs[:4]); err != nil || version != a1.Version() {
+		t.Fatalf("before the promote: version %q, err %v", version, err)
+	}
+
+	if err := srv.LoadSlot(registry.Shadow, a2); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Promote(); err != nil {
+		t.Fatal(err)
+	}
+	if _, version, err := wc.Score(recs[:4]); err != nil || version != a2.Version() {
+		t.Fatalf("after the promote: version %q, err %v; want a re-handshake and %q", version, err, a2.Version())
+	}
+	if wc.Errors() != 0 {
+		t.Fatalf("the re-handshake surfaced %d call errors", wc.Errors())
 	}
 }
 

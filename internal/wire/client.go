@@ -5,12 +5,14 @@ import (
 	"errors"
 	"math/rand"
 	"net"
+	"net/http"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/data"
 	"repro/internal/nids"
+	"repro/internal/resilience"
 )
 
 // Client-side transport errors.
@@ -19,9 +21,6 @@ var (
 	// not be established right now (dial failed, or the reconnect backoff
 	// window is still open). Retryable; eligible for HTTP fallback.
 	ErrUnavailable = errors.New("wire: no connection available")
-	// ErrBreakerOpen means the client's circuit breaker fast-failed the
-	// call without touching the network.
-	ErrBreakerOpen = errors.New("wire: circuit breaker open")
 	// ErrTimeout means the request was written but no response arrived
 	// within the client timeout.
 	ErrTimeout = errors.New("wire: request timed out")
@@ -31,15 +30,6 @@ var (
 	// does not match the request's record count.
 	errVerdictCount = errors.New("wire: verdict count mismatch")
 )
-
-// Breaker is the circuit-breaker surface the client needs; *serve.Breaker
-// satisfies it, so both transports share one breaker implementation and
-// its closed/open/half-open semantics. Every Allow() == true is paired
-// with exactly one Record(outcome).
-type Breaker interface {
-	Allow() bool
-	Record(ok bool)
-}
 
 // Scorer is the scoring surface of serve.Client — the HTTP fallback's
 // shape. A *serve.Client satisfies it directly.
@@ -57,10 +47,6 @@ const (
 	DefaultConns = 2
 	// defaultDialTimeout bounds connection establishment + handshake.
 	defaultDialTimeout = 3 * time.Second
-	// defaultRetryBase seeds the reconnect/retry backoff, as in serve.Client.
-	defaultRetryBase = 50 * time.Millisecond
-	// maxBackoff caps the exponential backoff, as in serve.Client.
-	maxBackoff = 2 * time.Second
 	// connBufSize sizes each connection's buffered reader/writer.
 	connBufSize = 64 << 10
 )
@@ -88,10 +74,11 @@ type Client struct {
 	MaxAttempts int
 	// RetryBase seeds the retry/reconnect backoff. 0 means 50ms.
 	RetryBase time.Duration
-	// Breaker, when non-nil, guards every call (pass a *serve.Breaker).
-	// Transport failures count against it; server shed answers (429/503)
-	// do not — same policy as the HTTP client.
-	Breaker Breaker
+	// Breaker, when non-nil, guards every call: while open, calls fail
+	// with resilience.ErrBreakerOpen without touching the network.
+	// Transport failures and hard 5xx answers count against it; server
+	// shed answers (429/503) do not — the policy serve.Client shares.
+	Breaker *resilience.Breaker
 	// Fallback, when non-nil, answers calls the wire transport cannot
 	// deliver (dial failures, open breaker, dead connections — never
 	// deliberate server answers like shedding). Pass a *serve.Client
@@ -149,23 +136,6 @@ func (c *Client) attempts() int {
 		return c.MaxAttempts
 	}
 	return 3
-}
-
-func (c *Client) retryBase() time.Duration {
-	if c.RetryBase > 0 {
-		return c.RetryBase
-	}
-	return defaultRetryBase
-}
-
-// backoffFor mirrors serve.Client's retry delay: base doubled per attempt
-// with ±50% jitter, capped at maxBackoff.
-func backoffFor(base time.Duration, attempt int) time.Duration {
-	d := base << (attempt - 1)
-	if d > maxBackoff || d <= 0 {
-		d = maxBackoff
-	}
-	return d/2 + time.Duration(rand.Int63n(int64(d)))
 }
 
 // Draining reports whether any connection has received a GoAway — the
@@ -258,7 +228,7 @@ func (c *Client) addConn() (*wireConn, error) {
 	cn, err := c.dial()
 	if err != nil {
 		fails := c.dialFails.Add(1)
-		c.nextDial.Store(time.Now().Add(backoffFor(c.retryBase(), int(fails))).UnixNano())
+		c.nextDial.Store(time.Now().Add(resilience.Backoff(c.RetryBase, int(fails), nil)).UnixNano())
 		c.dialing.Store(false)
 		return nil, err
 	}
@@ -528,6 +498,12 @@ func (cn *wireConn) readLoop() {
 				cn.teardown(&we)
 				return
 			}
+			if we.Status == http.StatusConflict {
+				// Schema fingerprint mismatch: this connection's encoder is
+				// stale. Retire it like a drained one — no new requests, closed
+				// once idle — so the caller's retry re-handshakes on a new one.
+				cn.draining.Store(true)
+			}
 			if ca, ok := cn.take(we.ID); ok {
 				ca.done <- callResult{err: &we}
 			}
@@ -575,7 +551,7 @@ func (c *Client) score(recs []*data.Record, out []nids.Verdict) (string, error) 
 	var last error
 	for i := 0; i < c.attempts(); i++ {
 		if i > 0 {
-			time.Sleep(backoffFor(c.retryBase(), i))
+			time.Sleep(resilience.Backoff(c.RetryBase, i, last))
 		}
 		version, err := c.scoreOnce(recs, out)
 		if err == nil {
@@ -583,7 +559,11 @@ func (c *Client) score(recs []*data.Record, out []nids.Verdict) (string, error) 
 			return version, nil
 		}
 		last = err
-		if !wireRetryable(err) {
+		// Beyond the shared policy the wire has one retryable answer of
+		// its own: 409, the slot's schema changed under this connection
+		// (a promote). The reader has already retired that connection, so
+		// the next attempt dials afresh and re-handshakes.
+		if !resilience.Retryable(err) && !staleSchema(err) {
 			break
 		}
 	}
@@ -599,18 +579,18 @@ func (c *Client) score(recs []*data.Record, out []nids.Verdict) (string, error) 
 	return "", last
 }
 
-// scoreOnce performs one request over one connection, with breaker
-// accounting mirroring the HTTP client: transport failures and hard
-// server errors are breaker failures; shed answers (429/503) and other
+// scoreOnce performs one request over one connection, with the breaker
+// accounting serve.Client uses: transport failures and hard server
+// errors are breaker failures; shed answers (429/503) and other
 // deliberate statuses are not.
 func (c *Client) scoreOnce(recs []*data.Record, out []nids.Verdict) (string, error) {
 	b := c.Breaker
 	if b != nil && !b.Allow() {
-		return "", ErrBreakerOpen
+		return "", resilience.ErrBreakerOpen
 	}
 	version, err := c.scoreConn(recs, out)
 	if b != nil {
-		b.Record(err == nil || !wireBreakerFailure(err))
+		b.Record(err == nil || !resilience.BreakerFailure(err))
 	}
 	return version, err
 }
@@ -663,37 +643,11 @@ func (c *Client) scoreConn(recs []*data.Record, out []nids.Verdict) (string, err
 	}
 }
 
-// wireRetryable mirrors serve's retryable(): transport failures and
-// overload/transient statuses retry; other server answers don't. A 409
-// (schema fingerprint mismatch — the model was promoted under us) retries
-// after tearing the connection down so the redial re-handshakes.
-func wireRetryable(err error) bool {
-	if errors.Is(err, ErrBreakerOpen) {
-		return false
-	}
+// staleSchema reports whether err is the server's 409: the request was
+// encoded against a schema the slot no longer serves.
+func staleSchema(err error) bool {
 	var we *WireError
-	if errors.As(err, &we) {
-		switch we.Status {
-		case 429, 500, 502, 503, 504, 409:
-			return true
-		}
-		return false
-	}
-	return true
-}
-
-// wireBreakerFailure mirrors serve's breakerFailure(): evidence the
-// server is down, as opposed to a deliberate answer from a live one.
-func wireBreakerFailure(err error) bool {
-	var we *WireError
-	if errors.As(err, &we) {
-		switch we.Status {
-		case 500, 502, 504:
-			return true
-		}
-		return false
-	}
-	return true
+	return errors.As(err, &we) && we.Status == http.StatusConflict
 }
 
 // fallbackEligible limits HTTP fallback to wire-transport unavailability.
@@ -712,7 +666,7 @@ func fallbackEligible(err error) bool {
 // loadgen accounting uses it to separate shed from failure.
 func ShedStatus(err error) (int, bool) {
 	var we *WireError
-	if errors.As(err, &we) && (we.Status == 429 || we.Status == 503) {
+	if errors.As(err, &we) && (we.Status == http.StatusTooManyRequests || we.Status == http.StatusServiceUnavailable) {
 		return we.Status, true
 	}
 	return 0, false

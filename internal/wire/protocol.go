@@ -422,6 +422,10 @@ type WireError struct {
 // Error implements error.
 func (e *WireError) Error() string { return "wire: remote error " + e.Msg }
 
+// StatusCode is what internal/resilience classifies retries and breaker
+// failures on.
+func (e *WireError) StatusCode() int { return e.Status }
+
 // ParseError decodes an error payload. The message is copied (error
 // frames are off the hot path — something already went wrong).
 func ParseError(p []byte) (WireError, error) {
