@@ -4,9 +4,9 @@
 // regenerates every artifact's machinery in minutes, plus kernel
 // micro-benchmarks for the layers Pelican is built from.
 //
-// The default profile (used for the recorded EXPERIMENTS.md numbers) is
-// reached through cmd/pelican-bench; these benchmarks verify the same code
-// paths end-to-end and measure their cost.
+// The default profile is reached through cmd/pelican-bench (no results
+// file is checked in: `pelican-bench -exp all` prints them); these
+// benchmarks verify the same code paths end-to-end and measure their cost.
 package repro_test
 
 import (
@@ -66,12 +66,14 @@ func benchFourNets(b *testing.B, id experiments.DatasetID) {
 	}
 }
 
-// BenchmarkFig5UNSWLossCurves regenerates Fig. 5(a)/(b): train and test
-// loss curves of the four networks on UNSW-NB15.
-func BenchmarkFig5UNSWLossCurves(b *testing.B) { benchFourNets(b, experiments.UNSW) }
+// BenchmarkFourNetsUNSWNB15 is one run for two artifacts: Fig. 5(a)/(b),
+// the four networks' train and test loss curves on UNSW-NB15, and Table IV,
+// their DR/ACC/FAR there.
+func BenchmarkFourNetsUNSWNB15(b *testing.B) { benchFourNets(b, experiments.UNSW) }
 
-// BenchmarkFig5NSLLossCurves regenerates Fig. 5(c)/(d) on NSL-KDD.
-func BenchmarkFig5NSLLossCurves(b *testing.B) { benchFourNets(b, experiments.NSL) }
+// BenchmarkFourNetsNSLKDD is the same on NSL-KDD: Fig. 5(c)/(d) and
+// Table III.
+func BenchmarkFourNetsNSLKDD(b *testing.B) { benchFourNets(b, experiments.NSL) }
 
 // BenchmarkTable2TruePositivesFalseAlarms regenerates Table II: total TP
 // and FP of the four networks on both datasets.
@@ -91,12 +93,6 @@ func BenchmarkTable2TruePositivesFalseAlarms(b *testing.B) {
 		}
 	}
 }
-
-// BenchmarkTable3NSLKDD regenerates Table III: DR/ACC/FAR on NSL-KDD.
-func BenchmarkTable3NSLKDD(b *testing.B) { benchFourNets(b, experiments.NSL) }
-
-// BenchmarkTable4UNSWNB15 regenerates Table IV: DR/ACC/FAR on UNSW-NB15.
-func BenchmarkTable4UNSWNB15(b *testing.B) { benchFourNets(b, experiments.UNSW) }
 
 // BenchmarkTable5ComparativeStudy regenerates Table V: Pelican against
 // AdaBoost, SVM (RBF), HAST-IDS, CNN, LSTM, MLP, RF and LuNet.

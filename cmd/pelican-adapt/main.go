@@ -118,9 +118,9 @@ func run(args []string, out io.Writer) error {
 		return fmt.Errorf("artifact encodes %d features, dataset %s encodes %d — use the matching -dataset", got, *dataset, want)
 	}
 	client := serve.NewClient(*target)
-	info, err := client.Model()
+	info, err := client.ModelTag("live")
 	if err != nil {
-		return fmt.Errorf("query %s/v1/model: %w", *target, err)
+		return fmt.Errorf("query %s/v2/models/live: %w", *target, err)
 	}
 	if info.Version != art.Version() {
 		fmt.Fprintf(out, "warning: server serves version %s, -model is %s; retraining warm-starts from -model\n",
@@ -334,9 +334,9 @@ func run(args []string, out io.Writer) error {
 	}
 
 	st := pipe.Stats()
-	final, err := client.Model()
+	final, err := client.ModelTag("live")
 	if err != nil {
-		return fmt.Errorf("query final /v1/model: %w", err)
+		return fmt.Errorf("query final /v2/models/live: %w", err)
 	}
 	fmt.Fprintf(out, "done: %s\n", st)
 	fmt.Fprintf(out, "retrains=%d gate-rejections=%d served-version=%s scoring-errors=%d\n",

@@ -83,9 +83,13 @@ func run(args []string, out io.Writer) error {
 	ctx := context.Background()
 	go src.Run(ctx, flowCh, *flows)
 
+	// What the security team reviews is incidents, not raw alerts (the
+	// paper's Fig. 1): bursts from one source and class fold into one case.
+	triage := nids.NewTriage(0)
 	shown := 0
 	start := time.Now()
 	err = pipe.Run(ctx, flowCh, func(a nids.Alert) {
+		triage.Observe(a)
 		if shown < *showAlerts {
 			shown++
 			fmt.Fprintf(out, "ALERT %s -> %s:%d class=%d score=%.3f rule=%d\n",
@@ -98,6 +102,8 @@ func run(args []string, out io.Writer) error {
 	elapsed := time.Since(start)
 	st := pipe.Stats()
 	fmt.Fprintf(out, "%s\n", st)
+	incidents := triage.Flush()
+	fmt.Fprintf(out, "incidents: %d (%.1f alerts folded into each)\n", len(incidents), nids.CompressionRatio(incidents))
 	fmt.Fprintf(out, "throughput: %.0f flows/s\n", float64(st.Processed)/elapsed.Seconds())
 	return nil
 }

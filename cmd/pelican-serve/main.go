@@ -3,8 +3,8 @@
 // shadow, canary tags) each with their own batcher and replica shard,
 // shadow-mode traffic mirroring with agreement counters, atomic
 // shadow→live promotion, and rollback — plus dynamic micro-batching,
-// Prometheus metrics, and the /v1 single-model surface as thin delegates
-// onto the live slot. With -loadgen it instead drives such a service and
+// Prometheus metrics, and the /v1 single-model surface as aliases of the
+// /v2 handlers pinned to the live slot. With -loadgen it instead drives such a service and
 // reports achieved QPS and latency percentiles.
 //
 // Usage:
@@ -66,7 +66,6 @@ func run(args []string, out io.Writer) error {
 		pprofAddr  = fs.String("pprof", "", "serve net/http/pprof on this side address (e.g. 127.0.0.1:6060; empty disables)")
 		logLevel   = fs.String("log-level", "info", "structured log level: debug, info, warn, error")
 		traceCap   = fs.Int("trace-cap", 512, "completed request traces retained for /debug/traces")
-		obsOff     = fs.Bool("obs-off", false, "disable request tracing and stage timing (the observability-overhead A/B switch)")
 
 		loadgen     = fs.Bool("loadgen", false, "run as load generator instead of server")
 		target      = fs.String("target", "http://127.0.0.1:8080", "loadgen: server base URL (model check + stage scrape even under -transport=wire)")
@@ -99,8 +98,8 @@ func run(args []string, out io.Writer) error {
 		Replicas: *replicas, MaxBatch: *maxBatch, MaxWait: *maxWait, QueueDepth: *queue,
 		MaxBodyBytes: *maxBody, MirrorOff: *noMirror,
 		RequestTimeout: *reqTimeout, AdmitWatermark: *watermark,
-		TraceCap: *traceCap, ObsOff: *obsOff,
-		Logger: obs.NewLogger(os.Stderr, obs.ParseLevel(*logLevel)),
+		TraceCap: *traceCap,
+		Logger:   obs.NewLogger(os.Stderr, obs.ParseLevel(*logLevel)),
 	}
 	if *chaosDelay > 0 {
 		inj := &chaos.Injector{}
@@ -172,20 +171,19 @@ func runServer(out io.Writer, model, shadow, addr, wireAddr string, cfg serve.Co
 	if err != nil {
 		return err
 	}
-	if info := srv.Info(); info.Version != "" {
+	if info, err := srv.InfoTag("live"); err == nil {
 		fmt.Fprintf(out, "serving %s (version %s, %d features, %d classes) on http://%s\n",
 			info.Model, info.Version, info.Features, info.Classes, ln.Addr())
 	} else {
 		fmt.Fprintf(out, "serving (no live model) on http://%s\n", ln.Addr())
 	}
-	info := srv.Info()
-	fmt.Fprintf(out, "replicas=%d max-batch=%d max-wait=%s\n", info.Replicas, info.MaxBatch, cfg.MaxWait)
+	fmt.Fprintf(out, "replicas=%d max-batch=%d max-wait=%s\n", cfg.Replicas, cfg.MaxBatch, cfg.MaxWait)
 	fmt.Fprintf(out, "registry: /v2/models (list), /v2/load?tag= (stage), /v2/promote, /v2/rollback\n")
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	httpSrv := &http.Server{Handler: srv.Handler()}
+	httpSrv := newHTTPServer(srv.Handler(), cfg.RequestTimeout)
 	errCh := make(chan error, 1)
 	go func() { errCh <- httpSrv.Serve(ln) }()
 
@@ -228,6 +226,26 @@ func runServer(out io.Writer, model, shadow, addr, wireAddr string, cfg serve.Co
 	srv.Close()
 	fmt.Fprintln(out, "shutdown complete")
 	return nil
+}
+
+// newHTTPServer bounds how long a peer may take to deliver a request. The
+// scoring deadline starts only once the body is decoded, so without these
+// a connection that stalls mid-headers or mid-body pins a goroutine (and
+// up to MaxBodyBytes) forever. Both derive from the scoring budget: the
+// headers get one budget to arrive, and the whole request — whose read
+// deadline net/http keeps armed while the handler runs — gets one to
+// arrive plus one to be scored. A disabled budget (negative) disables
+// them too.
+func newHTTPServer(h http.Handler, requestTimeout time.Duration) *http.Server {
+	hs := &http.Server{Handler: h}
+	if requestTimeout > 0 {
+		hs.ReadHeaderTimeout = requestTimeout
+		hs.ReadTimeout = 2 * requestTimeout
+		// Idle keep-alive connections would otherwise inherit ReadTimeout;
+		// serve.Client pools them for 90s and must be the one to hang up.
+		hs.IdleTimeout = 2 * time.Minute
+	}
+	return hs
 }
 
 type loadgenConfig struct {
@@ -287,8 +305,8 @@ var stageFamilies = []struct{ stage, family string }{
 }
 
 // scrapeStages fetches the target's live-slot stage histograms. A missing
-// /metrics or missing stage families (server running -obs-off) returns
-// nil — the stage breakdown is then simply omitted.
+// /metrics or missing stage families (not a pelican-serve, or one with no
+// live slot) returns nil — the stage breakdown is then simply omitted.
 func scrapeStages(target string) map[string]*obs.PromHist {
 	resp, err := http.Get(target + "/metrics")
 	if err != nil {
@@ -517,8 +535,7 @@ func runLoadgen(out io.Writer, cfg loadgenConfig) error {
 
 	// Per-stage breakdown, from the server's own stage histograms: the
 	// delta between the pre- and post-run scrapes is this run's share, so
-	// earlier traffic against the same server never pollutes it. Absent
-	// when the server runs -obs-off.
+	// earlier traffic against the same server never pollutes it.
 	stages := make(map[string]stageSummary)
 	if after := scrapeStages(cfg.target); after != nil {
 		fmt.Fprintf(out, "stage breakdown (live slot, server-side):\n")

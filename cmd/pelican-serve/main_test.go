@@ -2,7 +2,10 @@ package main
 
 import (
 	"bytes"
+	"io"
 	"math/rand"
+	"net"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -92,6 +95,51 @@ func TestLoadgenAgainstLiveServer(t *testing.T) {
 	for _, want := range []string{"throughput:", "records/s", "latency: p50=", "attacks="} {
 		if !strings.Contains(s, want) {
 			t.Fatalf("loadgen report missing %q:\n%s", want, s)
+		}
+	}
+}
+
+// TestStalledRequestIsCutOff pins the bounded request read: a peer that
+// stops mid-headers, or sends its headers and then stalls mid-body, is
+// hung up on within the read bounds derived from the request timeout,
+// instead of pinning a goroutine for as long as it cares to stay.
+func TestStalledRequestIsCutOff(t *testing.T) {
+	bodyErr := make(chan error, 1)
+	hs := newHTTPServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		_, err := io.ReadAll(r.Body)
+		bodyErr <- err
+	}), 50*time.Millisecond)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go hs.Serve(ln)
+	defer hs.Close()
+
+	for name, half := range map[string]string{
+		"mid-headers": "POST /v1/detect-batch HTTP/1.1\r\nHost: pelican\r\n",
+		"mid-body":    "POST /v1/detect-batch HTTP/1.1\r\nHost: pelican\r\nContent-Length: 100\r\n\r\n{\"records\":",
+	} {
+		conn, err := net.Dial("tcp", ln.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := conn.Write([]byte(half)); err != nil {
+			t.Fatal(err)
+		}
+		// The server must end the conversation; this deadline is only so a
+		// server that does not fails the test instead of hanging it.
+		conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+		start := time.Now()
+		_, err = io.Copy(io.Discard, conn)
+		conn.Close()
+		if err != nil {
+			t.Fatalf("%s: the server never hung up on half a request (%v after %s)", name, err, time.Since(start))
+		}
+		if name == "mid-body" {
+			if err := <-bodyErr; err == nil {
+				t.Fatalf("%s: the handler read a complete body out of half a request", name)
+			}
 		}
 	}
 }

@@ -1,15 +1,17 @@
 // Command pelican-vet runs the project-specific static analyzers over the
 // module: noalloc (hot-path allocation contract), lockscope (no blocking
 // under a serving-plane mutex), ctxflow (context threading and goroutine
-// discipline), and metricreg (pelican_* metric registry hygiene). It is
-// stdlib-only, like everything else in the module.
+// discipline), metricreg (pelican_* metric registry hygiene), and unused
+// (no exported internal/ name without a caller, no serving Config field
+// without a setter). It is stdlib-only, like everything else in the
+// module.
 //
 // Usage:
 //
 //	pelican-vet [flags] [packages]
 //
 //	pelican-vet ./...                      # whole module (the CI gate)
-//	pelican-vet -json ./internal/serve     # machine-readable findings
+//	pelican-vet -json -unused=false ./internal/serve  # machine-readable; unused needs the whole module
 //	pelican-vet -noalloc=false ./...       # disable one analyzer
 //	pelican-vet -metrics-doc SERVING.md ./...  # also fail on catalog drift
 //

@@ -6,8 +6,9 @@
 // tap. Mid-stream, every attack class mutates into a new variant: detection
 // rate collapses, the drift monitor trips, the current model is warm-start
 // retrained on a sliding buffer of recent flows, and the new generation is
-// hot-reloaded into the server through /v1/reload — after which detection
-// recovers, with the server answering throughout.
+// staged into the server's shadow slot and promoted live (/v2/load,
+// /v2/promote) — after which detection recovers, with the server answering
+// throughout.
 package main
 
 import (

@@ -1,7 +1,8 @@
 package adapt
 
 import (
-	"math/rand"
+	"net/http"
+	"net/http/httptest"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -11,35 +12,46 @@ import (
 	"repro/internal/synth"
 )
 
-// flakyPublisher is a Publisher whose Publish consults a chaos.FailPoint
-// before shipping, counting the publishes that actually land.
+// flakyPublisher is a Publisher whose Stage and Promote both consult one
+// chaos.FailPoint before acting, counting the promotions that actually
+// land and serving the last one as its live version.
 type flakyPublisher struct {
 	fail      *chaos.FailPoint
+	staged    string
+	live      string
 	published atomic.Int64
 }
 
-func (p *flakyPublisher) Publish(path string, a *serve.Artifact) error {
+func (p *flakyPublisher) Stage(_ string, a *serve.Artifact) error {
 	if err := p.fail.Check(); err != nil {
 		return err
 	}
+	p.staged = a.Version()
+	return nil
+}
+
+func (p *flakyPublisher) Promote() error {
+	if err := p.fail.Check(); err != nil {
+		return err
+	}
+	p.live, p.staged = p.staged, ""
 	p.published.Add(1)
 	return nil
 }
 
+func (p *flakyPublisher) LiveVersion() (string, error) { return p.live, nil }
+
 // TestRetryPublishBackoffConverges pins the retry helper in isolation: a
 // publisher failing its first two calls converges on the third inside
-// PublishAttempts, the tries are accounted on the event, and a publisher
+// publishAttempts, the tries are accounted on the event, and a publisher
 // failing every call exhausts the budget and reports the last error.
 func TestRetryPublishBackoffConverges(t *testing.T) {
-	l := &Loop{
-		cfg: Config{PublishAttempts: 3, PublishBackoff: time.Millisecond}.withDefaults(),
-		rng: rand.New(rand.NewSource(1)),
-	}
+	l := &Loop{cfg: Config{publishBackoff: time.Millisecond}.withDefaults()}
 
 	p := &flakyPublisher{fail: &chaos.FailPoint{}}
 	p.fail.FailNext(2)
 	var ev Event
-	if err := l.retryPublish(&ev, func() error { return p.Publish("", nil) }); err != nil {
+	if err := l.retryPublish(&ev, p.Promote); err != nil {
 		t.Fatalf("publish did not converge past 2 injected failures: %v", err)
 	}
 	if ev.PublishTries != 3 {
@@ -53,7 +65,7 @@ func TestRetryPublishBackoffConverges(t *testing.T) {
 	p2 := &flakyPublisher{fail: &chaos.FailPoint{}}
 	p2.fail.FailNext(10)
 	var ev2 Event
-	if err := l.retryPublish(&ev2, func() error { return p2.Publish("", nil) }); err == nil {
+	if err := l.retryPublish(&ev2, p2.Promote); err == nil {
 		t.Fatal("publish against a dead publisher reported success")
 	}
 	if ev2.PublishTries != 3 {
@@ -65,9 +77,10 @@ func TestRetryPublishBackoffConverges(t *testing.T) {
 }
 
 // TestAdaptPublishRetryConverges is the chaos e2e for the adaptation loop:
-// a drift-triggered retrain whose publisher fails transiently (first two
-// calls) is retried with backoff and converges — the retrain counts, the
-// artifact ships exactly once, and the event records the absorbed tries.
+// a drift-triggered retrain whose publisher fails transiently (the first
+// two stage calls) is retried with backoff and converges — the retrain
+// counts, the artifact ships exactly once, and the event records the
+// absorbed tries.
 func TestAdaptPublishRetryConverges(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains a model")
@@ -83,8 +96,8 @@ func TestAdaptPublishRetryConverges(t *testing.T) {
 	loop, err := NewLoop(art, Config{
 		BufferCap: 256, MinRetrain: 64, RetrainEpochs: 1,
 		GateOff: true, ArtifactDir: t.TempDir(),
-		Publisher:       pub,
-		PublishAttempts: 3, PublishBackoff: time.Millisecond,
+		Publisher:      pub,
+		publishBackoff: time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -98,8 +111,8 @@ func TestAdaptPublishRetryConverges(t *testing.T) {
 	if ev.Err != nil {
 		t.Fatalf("adapt failed: %v", ev.Err)
 	}
-	if ev.PublishTries != 3 {
-		t.Fatalf("PublishTries = %d, want 3 (2 transient failures absorbed)", ev.PublishTries)
+	if ev.PublishTries != 4 {
+		t.Fatalf("PublishTries = %d, want 4 (2 transient stage failures absorbed, then stage + promote)", ev.PublishTries)
 	}
 	if got := pub.published.Load(); got != 1 {
 		t.Fatalf("published %d times, want exactly 1", got)
@@ -107,8 +120,8 @@ func TestAdaptPublishRetryConverges(t *testing.T) {
 	if got := loop.Retrains(); got != 1 {
 		t.Fatalf("Retrains() = %d, want 1", got)
 	}
-	if loop.Version() == art.Version() {
-		t.Fatal("published generation has the seed version")
+	if loop.Version() == art.Version() || pub.live != loop.Version() {
+		t.Fatalf("loop is on %s, publisher serves %s, seed was %s", loop.Version(), pub.live, art.Version())
 	}
 
 	// A publisher that stays dead fails the attempt — and leaves the
@@ -127,5 +140,84 @@ func TestAdaptPublishRetryConverges(t *testing.T) {
 	}
 	if loop.Version() != prev {
 		t.Fatal("failed publish advanced the deployed generation")
+	}
+}
+
+// lostAnswers is a RoundTripper that lets a request through and then, when
+// its fail point says so, throws the answer away: the server acted, the
+// client hears a transport error. chaos.Transport fails a request before
+// it is sent; this is the other half of an unreliable network.
+type lostAnswers struct {
+	path string // only answers to this path are at risk
+	fail *chaos.FailPoint
+}
+
+func (t lostAnswers) RoundTrip(req *http.Request) (*http.Response, error) {
+	resp, err := http.DefaultTransport.RoundTrip(req)
+	if err == nil && req.URL.Path == t.path {
+		if ferr := t.fail.Check(); ferr != nil {
+			resp.Body.Close()
+			return nil, ferr
+		}
+	}
+	return resp, err
+}
+
+// TestAdaptPublishSurvivesLostPromoteResponse pins the non-idempotent
+// promote: the first /v2/promote lands on the server and only its response
+// is lost. A blind retry finds an empty shadow (409) and would discard a
+// retrain the server now serves; the loop must instead notice live already
+// is the candidate, count the retrain, and move its own lineage forward.
+func TestAdaptPublishSurvivesLostPromoteResponse(t *testing.T) {
+	if testing.Short() {
+		t.Skip("trains a model")
+	}
+	gen, err := synth.New(tinyCfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	art := trainTinyArtifact(t, gen, 400, 2, 41)
+	srv, err := serve.New(art, serve.Config{Replicas: 1, MaxBatch: 16, MaxWait: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(func() {
+		ts.Close()
+		srv.Close()
+	})
+
+	lost := &chaos.FailPoint{}
+	lost.FailNext(1)
+	client := &serve.Client{
+		BaseURL: ts.URL,
+		HTTP:    &http.Client{Transport: lostAnswers{path: "/v2/promote", fail: lost}},
+	}
+	loop, err := NewLoop(art, Config{
+		BufferCap: 256, MinRetrain: 64, RetrainEpochs: 1,
+		GateOff: true, ArtifactDir: t.TempDir(),
+		Publisher:      HTTPPublisher{Client: client},
+		publishBackoff: time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds := gen.Generate(256, 43)
+	for i := range ds.Records {
+		loop.buf.Add(ds.Records[i], ds.Records[i].Label)
+	}
+
+	ev := loop.adapt(Trigger{Signal: "test", Z: 9})
+	if ev.Err != nil {
+		t.Fatalf("a promote whose answer was lost failed the retrain: %v", ev.Err)
+	}
+	if ev.PublishTries != 2 {
+		t.Fatalf("PublishTries = %d, want 2: the promote landed the first time and must not be sent again", ev.PublishTries)
+	}
+	if got := liveVersion(srv); got != ev.Version || loop.Version() != got {
+		t.Fatalf("server serves %s, event published %s, loop is on %s", got, ev.Version, loop.Version())
+	}
+	if loop.Retrains() != 1 {
+		t.Fatalf("Retrains() = %d, want 1", loop.Retrains())
 	}
 }

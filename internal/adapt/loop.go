@@ -16,71 +16,69 @@ import (
 	"repro/internal/nn"
 	"repro/internal/obs"
 	"repro/internal/registry"
+	"repro/internal/resilience"
 	"repro/internal/serve"
 	"repro/internal/tensor"
 )
 
-// Publisher ships a retrained artifact into serving. Publish receives the
-// artifact and the path of its saved .plcn file; implementations reload it
-// into a scoring server (in-process or over HTTP).
+// Publisher ships a retrained artifact into serving through the registry's
+// staged deployment: Stage loads the candidate (and the path of its saved
+// .plcn file) into the shadow slot, Promote atomically makes it live
+// (retaining the displaced generation for /v2/rollback). The candidate is
+// visible (and mirrored against) in shadow before it ever takes live
+// traffic, and a gate rejection leaves it parked there for inspection.
 type Publisher interface {
-	Publish(path string, a *serve.Artifact) error
-}
-
-// StagedPublisher is a Publisher that can route a retrain through the
-// serving registry's staged deployment: Stage loads the candidate into the
-// shadow slot, Promote atomically makes it live (retaining the displaced
-// generation for /v2/rollback). The loop prefers this flow when available
-// — the candidate is visible (and mirrored against) in shadow before it
-// ever takes live traffic, and a gate rejection leaves it parked there for
-// inspection instead of publishing it.
-type StagedPublisher interface {
-	Publisher
 	Stage(path string, a *serve.Artifact) error
 	Promote() error
+	// LiveVersion reports the version the live slot serves: how the loop
+	// tells a promote that landed but whose answer was lost from one that
+	// failed.
+	LiveVersion() (string, error)
 }
 
 // ServerPublisher deploys retrained artifacts into an in-process scoring
 // server through its model registry.
 type ServerPublisher struct{ Srv *serve.Server }
 
-var _ StagedPublisher = ServerPublisher{}
+var _ Publisher = ServerPublisher{}
 
-// Publish implements Publisher: a direct live-slot swap.
-func (p ServerPublisher) Publish(_ string, a *serve.Artifact) error { return p.Srv.Reload(a) }
-
-// Stage implements StagedPublisher: load the candidate into shadow.
+// Stage implements Publisher: load the candidate into shadow.
 func (p ServerPublisher) Stage(_ string, a *serve.Artifact) error {
 	return p.Srv.LoadSlot(registry.Shadow, a)
 }
 
-// Promote implements StagedPublisher: shadow becomes live atomically.
+// Promote implements Publisher: shadow becomes live atomically.
 func (p ServerPublisher) Promote() error { return p.Srv.Promote() }
 
-// HTTPPublisher deploys retrained artifacts into a remote pelican-serve
-// via the /v2 registry API (staged) or POST /v1/reload (direct). The
-// artifact path must be readable by the server (same host or shared
-// filesystem).
-type HTTPPublisher struct{ Client *serve.Client }
-
-var _ StagedPublisher = HTTPPublisher{}
-
-// Publish implements Publisher: a direct live-slot swap via /v1/reload.
-func (p HTTPPublisher) Publish(path string, _ *serve.Artifact) error {
-	_, err := p.Client.Reload(path)
-	return err
+// LiveVersion implements Publisher.
+func (p ServerPublisher) LiveVersion() (string, error) {
+	info, err := p.Srv.InfoTag(registry.Live)
+	return info.Version, err
 }
 
-// Stage implements StagedPublisher via POST /v2/load?tag=shadow.
+// HTTPPublisher deploys retrained artifacts into a remote pelican-serve
+// via the /v2 registry API. The artifact path must be readable by the
+// server (same host or shared filesystem).
+type HTTPPublisher struct{ Client *serve.Client }
+
+var _ Publisher = HTTPPublisher{}
+
+// Stage implements Publisher via POST /v2/load?tag=shadow.
 func (p HTTPPublisher) Stage(path string, _ *serve.Artifact) error {
 	_, err := p.Client.LoadTag(path, registry.Shadow)
 	return err
 }
 
-// Promote implements StagedPublisher via POST /v2/promote.
+// Promote implements Publisher via POST /v2/promote.
 func (p HTTPPublisher) Promote() error {
 	_, err := p.Client.Promote()
 	return err
+}
+
+// LiveVersion implements Publisher via GET /v2/models/live.
+func (p HTTPPublisher) LiveVersion() (string, error) {
+	info, err := p.Client.ModelTag(registry.Live)
+	return info.Version, err
 }
 
 // Config tunes the adaptation loop.
@@ -101,54 +99,26 @@ type Config struct {
 	// RetrainEpochs is how many warm-start epochs each retrain runs over
 	// the buffer. Default 3.
 	RetrainEpochs int
-	// BatchSize is the retraining minibatch size. Default 128.
-	BatchSize int
 	// LR is the warm-start learning rate — deliberately below a cold
 	// start's, since retraining refines deployed weights. Default 0.003.
 	LR float64
-	// BalanceOff disables the default sqrt-oversampling of minority
-	// classes in the retraining set (the compensation for the heavy
-	// normal-traffic skew of a live buffer).
-	BalanceOff bool
-	// UseVerdictLabels trains on the detector's own predicted classes
-	// (pseudo-labels) instead of ground-truth flow labels — the
-	// self-training fallback for deployments without a labeling oracle.
-	// Risky under heavy drift (the mislabeled flows are exactly the
-	// drifted ones); off by default.
-	UseVerdictLabels bool
 	// ArtifactDir is where retrained artifacts are written, one
 	// content-addressed file per generation. Default os.TempDir().
 	ArtifactDir string
-	// Publisher ships each retrained artifact; nil means save-only. A
-	// StagedPublisher routes candidates through the serving registry's
-	// shadow slot (stage → gate → promote).
+	// Publisher ships each retrained artifact through the serving
+	// registry's shadow slot (stage → gate → promote); nil means save-only.
 	Publisher Publisher
 	// HoldoutFrac is the fraction of the snapshot — its most recent flows,
 	// the ones that best reflect post-drift traffic — excluded from
 	// retraining and used to gate promotion: the candidate must score a
 	// held-out detection rate no worse than the currently deployed model
 	// (and not raise the held-out false-alarm rate by more than
-	// GateFARSlack), or the retrain is rejected and never becomes live.
+	// gateFARSlack), or the retrain is rejected and never becomes live.
 	// Default 0.2.
 	HoldoutFrac float64
-	// GateFARSlack is how much absolute held-out false-alarm-rate increase
-	// a candidate may show and still promote — the guard against a
-	// degenerate retrain "winning" on detection rate by alerting on
-	// everything. Default 0.05.
-	GateFARSlack float64
-	// GateOff disables held-out gating, restoring the pre-registry
-	// behavior: every successful retrain publishes unconditionally.
+	// GateOff disables held-out gating: every successful retrain is staged
+	// and promoted unconditionally.
 	GateOff bool
-	// PublishAttempts caps total tries per publisher call (stage, promote,
-	// or direct publish): transient failures — a mid-reload server, a
-	// network blip between sidecar and scoring plane — are retried with
-	// jittered exponential backoff before the retrain is abandoned (and
-	// the drift monitors left primed to re-trip). Default 3; 1 disables
-	// retries.
-	PublishAttempts int
-	// PublishBackoff is the first retry delay; each retry doubles it with
-	// ±50% jitter. Default 200ms.
-	PublishBackoff time.Duration
 	// OnEvent, when non-nil, observes every adaptation attempt (from the
 	// Run goroutine).
 	OnEvent func(Event)
@@ -163,7 +133,27 @@ type Config struct {
 	TraceIDFn func() string
 	// Seed drives retraining shuffles and balancing draws. Default 1.
 	Seed int64
+
+	// publishBackoff is the first publish retry delay (see retryPublish).
+	// 200ms, unless an in-package test shortens it.
+	publishBackoff time.Duration
 }
+
+const (
+	// retrainBatch is the retraining minibatch size.
+	retrainBatch = 128
+	// gateFARSlack is how much absolute held-out false-alarm-rate increase
+	// a candidate may show and still promote — the guard against a
+	// degenerate retrain "winning" on detection rate by alerting on
+	// everything.
+	gateFARSlack = 0.05
+	// publishAttempts caps total tries per publisher call (stage or
+	// promote): transient failures — a mid-reload server, a network blip
+	// between sidecar and scoring plane — are retried with jittered
+	// exponential backoff before the retrain is abandoned (and the drift
+	// monitors left primed to re-trip).
+	publishAttempts = 3
+)
 
 func (c Config) withDefaults() Config {
 	if c.BufferCap <= 0 {
@@ -174,9 +164,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.RetrainEpochs <= 0 {
 		c.RetrainEpochs = 3
-	}
-	if c.BatchSize <= 0 {
-		c.BatchSize = 128
 	}
 	if c.LR <= 0 {
 		c.LR = 0.003
@@ -190,14 +177,8 @@ func (c Config) withDefaults() Config {
 	if c.HoldoutFrac > 0.5 {
 		c.HoldoutFrac = 0.5
 	}
-	if c.GateFARSlack <= 0 {
-		c.GateFARSlack = 0.05
-	}
-	if c.PublishAttempts <= 0 {
-		c.PublishAttempts = 3
-	}
-	if c.PublishBackoff <= 0 {
-		c.PublishBackoff = 200 * time.Millisecond
+	if c.publishBackoff <= 0 {
+		c.publishBackoff = 200 * time.Millisecond
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
@@ -242,13 +223,11 @@ type Event struct {
 	CandidateFAR float64
 	LiveFAR      float64
 	// PublishTries is how many publisher calls the deployment took in
-	// total (stage + promote or direct publish, including retried ones);
-	// anything above the minimum means transient publish failures were
-	// absorbed by backoff.
+	// total (stage + promote, including retried ones); anything above two
+	// means transient publish failures were absorbed by backoff.
 	PublishTries int
 	// Rejected is set when the gate refused to promote the candidate: it
-	// stays staged in the shadow slot (under a StagedPublisher) and the
-	// live model is untouched. The next retrain warm-starts from the live
+	// stays staged in the shadow slot and the live model is untouched. The next retrain warm-starts from the live
 	// weights again, not the rejected ones.
 	Rejected bool
 	// Version/Path identify the published artifact.
@@ -361,14 +340,7 @@ func (l *Loop) Observe(f *flow.Flow, v nids.Verdict) {
 		// into the monitors would read a scorer outage as drift.
 		return
 	}
-	label := f.TrueClass
-	if l.cfg.UseVerdictLabels {
-		if v.Class < 0 {
-			return // class-blind detector: nothing to train on
-		}
-		label = v.Class
-	}
-	l.buf.Add(f.Record, label)
+	l.buf.Add(f.Record, f.TrueClass)
 
 	isAttack := 0.0
 	if v.IsAttack {
@@ -503,10 +475,7 @@ func (l *Loop) adapt(trig Trigger) Event {
 	}
 	trainRecs, trainLabels := recs[:n-holdN], labels[:n-holdN]
 
-	idx := allIndices(len(trainRecs))
-	if !l.cfg.BalanceOff {
-		idx = balancedIndices(l.rng, trainLabels, art.Classes())
-	}
+	idx := balancedIndices(l.rng, trainLabels, art.Classes())
 	f := l.pipe.Width()
 	x := tensor.New(len(idx), f)
 	y := make([]int, len(idx))
@@ -516,7 +485,7 @@ func (l *Loop) adapt(trig Trigger) Event {
 	}
 
 	stats := l.net.PartialFit(x.Reshape(len(idx), 1, f), y, nn.FitConfig{
-		Epochs: l.cfg.RetrainEpochs, BatchSize: l.cfg.BatchSize,
+		Epochs: l.cfg.RetrainEpochs, BatchSize: retrainBatch,
 		Shuffle: true, RNG: l.rng,
 	})
 	ev.TrainFlows = len(idx)
@@ -565,18 +534,18 @@ func (l *Loop) adapt(trig Trigger) Event {
 		ev.HoldoutFlows = holdN
 		ev.CandidateDR, ev.CandidateFAR = cand.dr, cand.far
 		ev.LiveDR, ev.LiveFAR = live.dr, live.far
-		pass = cand.dr >= live.dr && cand.far <= live.far+l.cfg.GateFARSlack
+		pass = cand.dr >= live.dr && cand.far <= live.far+gateFARSlack
 		l.cfg.Logger.Info("gate verdict", "pass", pass, "version", ev.Version,
 			"trace_id", trig.TraceID, "candidate_dr", cand.dr, "candidate_far", cand.far,
 			"live_dr", live.dr, "live_far", live.far, "holdout_flows", holdN)
 	}
 
-	staged, isStaged := l.cfg.Publisher.(StagedPublisher)
-	if isStaged {
+	pub := l.cfg.Publisher
+	if pub != nil {
 		// Stage first: pass or fail, the candidate lands in the shadow
 		// slot, where mirroring accumulates live-vs-candidate agreement
 		// counters and operators can inspect (or manually promote) it.
-		if err := l.retryPublish(&ev, func() error { return staged.Stage(path, next) }); err != nil {
+		if err := l.retryPublish(&ev, func() error { return pub.Stage(path, next) }); err != nil {
 			ev.Err = fmt.Errorf("stage artifact: %w", err)
 			l.discardRetrain(&ev)
 			return ev
@@ -592,13 +561,20 @@ func (l *Loop) adapt(trig Trigger) Event {
 		ev.Duration = time.Since(start)
 		return ev
 	}
-	if l.cfg.Publisher != nil {
-		var err error
-		if isStaged {
-			err = l.retryPublish(&ev, staged.Promote)
-		} else {
-			err = l.retryPublish(&ev, func() error { return l.cfg.Publisher.Publish(path, next) })
-		}
+	if pub != nil {
+		err := l.retryPublish(&ev, func() error {
+			err := pub.Promote()
+			if err == nil {
+				return nil
+			}
+			// Promote twice is not promote once: if this one landed and
+			// only its answer was lost, a blind retry finds an empty shadow
+			// and the loop would discard a retrain the server now serves.
+			if live, lerr := pub.LiveVersion(); lerr == nil && live == next.Version() {
+				return nil
+			}
+			return err
+		})
 		if err != nil {
 			// Publication failed: keep the old monitors' reference so a
 			// persisting drift re-trips after cooldown and retries.
@@ -620,25 +596,23 @@ func (l *Loop) adapt(trig Trigger) Event {
 	return ev
 }
 
-// retryPublish runs one publisher call with up to PublishAttempts tries,
-// sleeping a jittered exponential backoff between them, and accumulates
-// the tries on ev. It runs on Run's goroutine (l.rng is safe) and blocks
-// the loop, deliberately: a retrain is worthless if it cannot ship, and
-// the monitors stay quiet until this attempt resolves either way.
+// retryPublish runs one publisher call with up to publishAttempts tries,
+// sleeping the shared resilience.Backoff between them, and accumulates the
+// tries on ev. It blocks the loop, deliberately: a retrain is worthless if
+// it cannot ship, and the monitors stay quiet until this attempt resolves
+// either way.
 func (l *Loop) retryPublish(ev *Event, fn func() error) error {
 	var err error
-	for i := 0; i < l.cfg.PublishAttempts; i++ {
+	for i := 0; i < publishAttempts; i++ {
 		if i > 0 {
-			d := l.cfg.PublishBackoff << (i - 1)
-			d = d/2 + time.Duration(l.rng.Int63n(int64(d))) // ±50% jitter
-			time.Sleep(d)
+			time.Sleep(resilience.Backoff(l.cfg.publishBackoff, i, err))
 		}
 		ev.PublishTries++
 		if err = fn(); err == nil {
 			return nil
 		}
 		l.cfg.Logger.Warn("publish attempt failed", "attempt", i+1,
-			"of", l.cfg.PublishAttempts, "version", ev.Version,
+			"of", publishAttempts, "version", ev.Version,
 			"trace_id", ev.Trigger.TraceID, "error", err)
 	}
 	return err
@@ -743,14 +717,6 @@ func (l *Loop) Stat() (signal string, z float64) {
 		}
 	}
 	return signal, z
-}
-
-func allIndices(n int) []int {
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	return idx
 }
 
 // balancedIndices sqrt-oversamples minority classes: each class present in

@@ -58,6 +58,12 @@ func trainTinyArtifact(t *testing.T, gen *synth.Generator, records, epochs int, 
 
 // runPhase streams n flows from src through a fresh pipeline wired to the
 // loop's tap and returns the phase's realized stats.
+// liveVersion is the version srv's live slot serves.
+func liveVersion(srv *serve.Server) string {
+	info, _ := srv.InfoTag("live")
+	return info.Version
+}
+
 func runPhase(t *testing.T, src *flow.Source, det nids.Detector, l *Loop, n int) nids.StatsSnapshot {
 	t.Helper()
 	p := nids.New(det, nids.Config{Workers: 2, MicroBatch: 8, Tap: l.Observe})
@@ -186,7 +192,7 @@ func TestClosedLoopDriftRetrainHotReload(t *testing.T) {
 	}
 
 	// The published generation must actually be served now.
-	info, err := client.Model()
+	info, err := client.ModelTag("live")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,7 +307,7 @@ func TestGatedPromotionRejectsWorseRetrain(t *testing.T) {
 	if ev.HoldoutFlows < minHoldout || ev.Version == "" {
 		t.Fatalf("rejection event incomplete: %+v", ev)
 	}
-	if got := srv.Info().Version; got != art.Version() {
+	if got := liveVersion(srv); got != art.Version() {
 		t.Fatalf("rejected retrain became live: serving %s, want %s", got, art.Version())
 	}
 	if bad.Version() != art.Version() || bad.Retrains() != 0 {
@@ -330,7 +336,7 @@ func TestGatedPromotionRejectsWorseRetrain(t *testing.T) {
 	if ev.HoldoutFlows < minHoldout {
 		t.Fatalf("gate did not run on the sane retrain: %+v", ev)
 	}
-	if got := srv.Info().Version; got != ev.Version || bad.Retrains() != 1 {
+	if got := liveVersion(srv); got != ev.Version || bad.Retrains() != 1 {
 		t.Fatalf("promotion did not land: serving %s, event %s, retrains %d", got, ev.Version, bad.Retrains())
 	}
 	// The promotion went through the registry: the displaced generation is
@@ -338,14 +344,16 @@ func TestGatedPromotionRejectsWorseRetrain(t *testing.T) {
 	if err := srv.Rollback(); err != nil {
 		t.Fatal(err)
 	}
-	if got := srv.Info().Version; got != art.Version() {
+	if got := liveVersion(srv); got != art.Version() {
 		t.Fatalf("rollback after gated promotion restored %s, want %s", got, art.Version())
 	}
 }
 
 // TestGateOffRestoresUnconditionalPublish pins the escape hatch: with
-// GateOff even a destructive retrain publishes (the pre-registry
-// behavior), so deployments that cannot afford a holdout keep working.
+// GateOff even a destructive retrain ships — no holdout, no verdict — so
+// deployments that cannot afford a holdout keep working. It ships the one
+// way there is: staged into shadow, then promoted, with the displaced
+// generation one rollback away.
 func TestGateOffRestoresUnconditionalPublish(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains models")
@@ -375,8 +383,17 @@ func TestGateOffRestoresUnconditionalPublish(t *testing.T) {
 	if ev.Err != nil || ev.Rejected || ev.HoldoutFlows != 0 {
 		t.Fatalf("GateOff adapt = %+v, want ungated publish", ev)
 	}
-	if got := srv.Info().Version; got != ev.Version {
+	if got := liveVersion(srv); got != ev.Version {
 		t.Fatalf("ungated publish did not land: serving %s, want %s", got, ev.Version)
+	}
+	if ev.PublishTries != 2 {
+		t.Fatalf("PublishTries = %d, want 2 (stage + promote)", ev.PublishTries)
+	}
+	if info, err := srv.InfoTag("shadow"); err == nil {
+		t.Fatalf("shadow still holds %s after the promote", info.Version)
+	}
+	if err := srv.Rollback(); err != nil || liveVersion(srv) != art.Version() {
+		t.Fatalf("rollback after an ungated publish serves %s (%v), want %s", liveVersion(srv), err, art.Version())
 	}
 }
 

@@ -36,10 +36,10 @@ type MonitorConfig struct {
 	// whose mixture weights campaigns cannot move, as the adaptation Loop
 	// does by monitoring scores separately per verdict.
 	Threshold float64
-	// Cooldown is how many observations the monitor stays quiet after a
+	// cooldown is how many observations the monitor stays quiet after a
 	// trip before it may trip again, bounding the retrain rate when drift
-	// persists. Default Window.
-	Cooldown int
+	// persists. Window, unless an in-package test stretches it.
+	cooldown int
 }
 
 func (c MonitorConfig) withDefaults() MonitorConfig {
@@ -52,8 +52,8 @@ func (c MonitorConfig) withDefaults() MonitorConfig {
 	if c.Threshold <= 0 {
 		c.Threshold = DefaultThreshold
 	}
-	if c.Cooldown <= 0 {
-		c.Cooldown = c.Window
+	if c.cooldown <= 0 {
+		c.cooldown = c.Window
 	}
 	return c
 }
@@ -130,7 +130,7 @@ func (m *Monitor) Observe(v float64) (z float64, tripped bool) {
 	}
 	if math.Abs(z) > m.cfg.Threshold {
 		m.trips++
-		m.quiet = m.cfg.Cooldown
+		m.quiet = m.cfg.cooldown
 		return z, true
 	}
 	return z, false
@@ -163,20 +163,6 @@ func (m *Monitor) Stat() float64 {
 		return 0
 	}
 	return m.stat()
-}
-
-// Ready reports whether both windows are full, i.e. the statistic is live.
-func (m *Monitor) Ready() bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.refN >= m.cfg.RefWindow && m.n >= len(m.ring)
-}
-
-// Trips returns how many times the monitor has tripped since construction.
-func (m *Monitor) Trips() int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.trips
 }
 
 // Reset discards the reference and current windows so the monitor
@@ -241,17 +227,4 @@ func (m *Monitor) RestoreState(st MonitorState) error {
 	m.head, m.n, m.sum, m.sumsq = st.Head, st.N, st.Sum, st.SumSq
 	m.quiet, m.trips = st.Quiet, st.Trips
 	return nil
-}
-
-// String summarizes monitor state for logs.
-func (m *Monitor) String() string {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	state := "ready"
-	if m.refN < m.cfg.RefWindow {
-		state = "referencing"
-	} else if m.n < len(m.ring) {
-		state = "filling"
-	}
-	return fmt.Sprintf("monitor(%s ref=%d win=%d trips=%d)", state, m.refN, m.n, m.trips)
 }

@@ -7,6 +7,20 @@ import (
 	"repro/internal/data"
 )
 
+// Ready reports whether both windows are full, i.e. the statistic is live.
+func (m *Monitor) Ready() bool {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.refN >= m.cfg.RefWindow && m.n >= len(m.ring)
+}
+
+// Trips returns how many times the monitor has tripped since construction.
+func (m *Monitor) Trips() int64 {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.trips
+}
+
 func feed(m *Monitor, rng *rand.Rand, n int, mean, std float64) (tripped bool, lastZ float64) {
 	for i := 0; i < n; i++ {
 		z, t := m.Observe(mean + rng.NormFloat64()*std)
@@ -73,7 +87,7 @@ func TestMonitorTripsOnRateShift(t *testing.T) {
 }
 
 func TestMonitorCooldownBoundsTripRate(t *testing.T) {
-	m := NewMonitor(MonitorConfig{RefWindow: 128, Window: 128, Threshold: 6, Cooldown: 1000})
+	m := NewMonitor(MonitorConfig{RefWindow: 128, Window: 128, Threshold: 6, cooldown: 1000})
 	rng := rand.New(rand.NewSource(4))
 	feed(m, rng, 1000, 0, 0.3)
 	// Persistent hard drift: without cooldown this would trip constantly.

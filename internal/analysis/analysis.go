@@ -16,6 +16,9 @@
 //   - metricreg: every pelican_* metric is declared exactly once, named by
 //     Prometheus conventions, and emitted with one consistent
 //     label set; doc mode cross-checks the SERVING.md catalog.
+//   - unused:    every exported name under internal/ has a caller other
+//     than its own package's tests, and every exported field of
+//     a serving-stack Config struct is set by some binary.
 //
 // Runtime tests only catch an invariant violation on the paths they happen
 // to exercise; these analyzers check every path on every build, which is
@@ -46,6 +49,11 @@ type Package struct {
 	Types *types.Package
 	// Info carries the use/def/type maps the analyzers query.
 	Info *types.Info
+	// Tests holds the directory's _test.go files as packages of their own
+	// (in-package tests, then an external foo_test package), set by
+	// Loader.Load on the packages it was asked for. Only unused reads it:
+	// test files assert on hot paths, they are not hot paths.
+	Tests []*Package
 }
 
 // Diagnostic is one analyzer finding, anchored to a source position.
@@ -71,15 +79,16 @@ type Pass struct {
 
 // Reportf records a diagnostic at pos.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
-	position := p.Pkg.Fset.Position(pos)
-	p.report(Diagnostic{
-		Pos:      position,
-		File:     position.Filename,
-		Line:     position.Line,
-		Col:      position.Column,
-		Analyzer: p.analyzer.Name,
-		Message:  fmt.Sprintf(format, args...),
-	})
+	p.report(newDiagnostic(p.analyzer.Name, p.Pkg.Fset.Position(pos), format, args...))
+}
+
+// newDiagnostic builds a finding at an already-resolved position, which is
+// what a Finish hook holds once the packages are gone.
+func newDiagnostic(analyzer string, pos token.Position, format string, args ...any) Diagnostic {
+	return Diagnostic{
+		Pos: pos, File: pos.Filename, Line: pos.Line, Col: pos.Column,
+		Analyzer: analyzer, Message: fmt.Sprintf(format, args...),
+	}
 }
 
 // Analyzer is one named rule set.
@@ -97,8 +106,8 @@ type Analyzer struct {
 	// Run inspects one package and reports findings through the pass.
 	Run func(*Pass)
 	// Finish, when set, runs once after every in-scope package has been
-	// visited — the hook whole-module analyzers (metricreg) use to report
-	// on state accumulated across packages.
+	// visited — the hook whole-module analyzers (metricreg, unused) use to
+	// report on state accumulated across packages.
 	Finish func(report func(Diagnostic))
 }
 
@@ -117,7 +126,7 @@ func (a *Analyzer) InScope(pkgPath string) bool {
 
 // All returns the full analyzer suite in stable order.
 func All() []*Analyzer {
-	return []*Analyzer{NoAlloc(), LockScope(), CtxFlow(), MetricReg()}
+	return []*Analyzer{NoAlloc(), LockScope(), CtxFlow(), MetricReg(), Unused()}
 }
 
 // Run applies each analyzer to each package it is in scope for and returns

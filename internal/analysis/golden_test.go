@@ -63,30 +63,38 @@ func collectWants(t *testing.T, dir string) []*expectation {
 			}
 		}
 	}
-	if len(wants) == 0 {
-		t.Fatalf("no // want comments under %s", dir)
-	}
 	return wants
 }
 
-// runGolden loads testdata/src/<name>, applies the analyzer, and matches
-// findings against the want comments.
-func runGolden(t *testing.T, a *Analyzer, name string) {
+// runGolden loads testdata/src/<name> for each name (with their _test.go
+// files, as Load does for any target), applies the analyzer to all of them,
+// and matches findings against the want comments.
+func runGolden(t *testing.T, a *Analyzer, names ...string) {
 	t.Helper()
-	dir := filepath.Join("testdata", "src", name)
-	pkg, err := testdataLoader(t).LoadDir(dir)
+	var dirs []string
+	var wants []*expectation
+	for _, name := range names {
+		dir, err := filepath.Abs(filepath.Join("testdata", "src", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		dirs = append(dirs, dir)
+		wants = append(wants, collectWants(t, dir)...)
+	}
+	pkgs, err := testdataLoader(t).Load(dirs...)
 	if err != nil {
-		t.Fatalf("LoadDir(%s): %v", dir, err)
+		t.Fatalf("Load(%v): %v", names, err)
 	}
 	var diags []Diagnostic
 	report := func(d Diagnostic) { diags = append(diags, d) }
-	RunOne(a, pkg, report)
+	for _, pkg := range pkgs {
+		RunOne(a, pkg, report)
+	}
 	if a.Finish != nil {
 		a.Finish(report)
 	}
 	Sort(diags)
 
-	wants := collectWants(t, dir)
 	for _, d := range diags {
 		matched := false
 		for _, w := range wants {
@@ -100,6 +108,9 @@ func runGolden(t *testing.T, a *Analyzer, name string) {
 			t.Errorf("unexpected diagnostic: %s", d)
 		}
 	}
+	if len(wants) == 0 {
+		t.Fatalf("no // want comments under testdata/src for %v", names)
+	}
 	for _, w := range wants {
 		if !w.hit {
 			t.Errorf("%s:%d: expected diagnostic containing %q, got none", w.file, w.line, w.msg)
@@ -111,3 +122,4 @@ func TestNoAllocGolden(t *testing.T)   { runGolden(t, NoAlloc(), "noalloc") }
 func TestLockScopeGolden(t *testing.T) { runGolden(t, LockScope(), "lockscope") }
 func TestCtxFlowGolden(t *testing.T)   { runGolden(t, CtxFlow(), "ctxflow") }
 func TestMetricRegGolden(t *testing.T) { runGolden(t, MetricReg(), "metricreg") }
+func TestUnusedGolden(t *testing.T)    { runGolden(t, Unused(), "unused", "unused/user") }

@@ -27,11 +27,6 @@ type Loader struct {
 	typed map[string]*Package
 	// checking guards against import cycles inside the module.
 	checking map[string]bool
-	// IncludeTests, when set, also parses _test.go files of the target
-	// packages (external test packages excluded). The analyzers default to
-	// production code only: test files assert on hot paths, they are not
-	// hot paths.
-	IncludeTests bool
 }
 
 // NewLoader finds the enclosing module of dir (walking up to go.mod) and
@@ -82,16 +77,10 @@ func modulePath(gomod string) (string, error) {
 	return "", fmt.Errorf("analysis: no module directive in %s", gomod)
 }
 
-// ModulePath returns the loaded module's path.
-func (l *Loader) ModulePath() string { return l.modPath }
-
-// Fset returns the loader's shared file set.
-func (l *Loader) Fset() *token.FileSet { return l.fset }
-
 // Load resolves patterns ("./...", "./internal/serve", import paths) into
-// parsed, type-checked packages. Directories without non-test .go files are
-// skipped; testdata, hidden, and underscore-prefixed directories are never
-// walked.
+// parsed, type-checked packages, each with its _test.go files checked apart
+// in Package.Tests. Directories without .go files are skipped; testdata,
+// hidden, and underscore-prefixed directories are never walked.
 func (l *Loader) Load(patterns ...string) ([]*Package, error) {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
@@ -133,6 +122,13 @@ func (l *Loader) Load(patterns ...string) ([]*Package, error) {
 	}
 	if len(pkgs) == 0 {
 		return nil, fmt.Errorf("analysis: no Go packages matched %v", patterns)
+	}
+	// Tests load after every target is checked and cached: a test may
+	// import a package that imports the package under test.
+	for _, pkg := range pkgs {
+		if err := l.loadTests(pkg); err != nil {
+			return nil, err
+		}
 	}
 	return pkgs, nil
 }
@@ -176,7 +172,7 @@ func hasGoFiles(dir string) bool {
 		return false
 	}
 	for _, e := range ents {
-		if !e.IsDir() && strings.HasSuffix(e.Name(), ".go") && !strings.HasSuffix(e.Name(), "_test.go") {
+		if !e.IsDir() && strings.HasSuffix(e.Name(), ".go") {
 			return true
 		}
 	}
@@ -218,6 +214,9 @@ func (l *Loader) Import(path string) (*types.Package, error) {
 // from the module tree, everything else falls through to the stdlib
 // source importer.
 func (l *Loader) ImportFrom(path, dir string, mode types.ImportMode) (*types.Package, error) {
+	if pkg, ok := l.typed[path]; ok {
+		return pkg.Types, nil // includes testdata packages loaded earlier
+	}
 	if path == l.modPath || strings.HasPrefix(path, l.modPath+"/") {
 		rel := strings.TrimPrefix(strings.TrimPrefix(path, l.modPath), "/")
 		pkg, err := l.LoadDir(filepath.Join(l.modRoot, rel))
@@ -229,7 +228,8 @@ func (l *Loader) ImportFrom(path, dir string, mode types.ImportMode) (*types.Pac
 	return l.std.ImportFrom(path, dir, mode)
 }
 
-// check parses and type-checks one directory.
+// check parses and type-checks the non-test files of one directory. A
+// directory holding only tests yields an empty package for them to hang off.
 func (l *Loader) check(pkgPath, dir string) (*Package, error) {
 	if l.checking[pkgPath] {
 		return nil, fmt.Errorf("analysis: import cycle through %s", pkgPath)
@@ -237,35 +237,47 @@ func (l *Loader) check(pkgPath, dir string) (*Package, error) {
 	l.checking[pkgPath] = true
 	defer func() { l.checking[pkgPath] = false }()
 
+	files, err := l.parseDir(dir, false)
+	if err != nil {
+		return nil, err
+	}
+	if len(files) == 0 && !hasGoFiles(dir) {
+		return nil, fmt.Errorf("analysis: no Go files in %s", dir)
+	}
+	pkg, err := l.typeCheck(pkgPath, dir, nil, files)
+	if err != nil {
+		return nil, err
+	}
+	l.typed[pkgPath] = pkg
+	return pkg, nil
+}
+
+// parseDir parses dir's _test.go files (tests) or its other .go files.
+func (l *Loader) parseDir(dir string, tests bool) ([]*ast.File, error) {
 	ents, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, err
 	}
 	var files []*ast.File
-	pkgName := ""
 	for _, e := range ents {
 		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".go") {
-			continue
-		}
-		if strings.HasSuffix(name, "_test.go") && !l.IncludeTests {
+		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") != tests {
 			continue
 		}
 		f, err := parser.ParseFile(l.fset, filepath.Join(dir, name), nil, parser.ParseComments)
 		if err != nil {
 			return nil, err
 		}
-		if strings.HasSuffix(name, "_test.go") && f.Name.Name != pkgName && pkgName != "" {
-			continue // external test package (foo_test): out of scope
-		}
-		if !strings.HasSuffix(name, "_test.go") {
-			pkgName = f.Name.Name
-		}
 		files = append(files, f)
 	}
-	if len(files) == 0 {
-		return nil, fmt.Errorf("analysis: no Go files in %s", dir)
-	}
+	return files, nil
+}
+
+// typeCheck checks seen+own as one package whose Syntax is own alone: a
+// test unit is checked together with the production files it sees into,
+// but the analyzers walk only the files it owns.
+func (l *Loader) typeCheck(pkgPath, dir string, seen, own []*ast.File) (*Package, error) {
+	files := append(append([]*ast.File(nil), seen...), own...)
 	info := &types.Info{
 		Types:      map[ast.Expr]types.TypeAndValue{},
 		Defs:       map[*ast.Ident]types.Object{},
@@ -278,7 +290,41 @@ func (l *Loader) check(pkgPath, dir string) (*Package, error) {
 	if err != nil {
 		return nil, fmt.Errorf("analysis: type-checking %s: %w", pkgPath, err)
 	}
-	pkg := &Package{Path: pkgPath, Dir: dir, Fset: l.fset, Syntax: files, Types: tpkg, Info: info}
-	l.typed[pkgPath] = pkg
-	return pkg, nil
+	return &Package{Path: pkgPath, Dir: dir, Fset: l.fset, Syntax: own, Types: tpkg, Info: info}, nil
+}
+
+// loadTests type-checks pkg's _test.go files into pkg.Tests: the
+// in-package ones together with pkg.Syntax (they see unexported names), an
+// external foo_test package on its own. The production package is never
+// re-exported from here, so the four analyzers that police production code
+// do not see test files.
+func (l *Loader) loadTests(pkg *Package) error {
+	files, err := l.parseDir(pkg.Dir, true)
+	if err != nil {
+		return err
+	}
+	var internal, external []*ast.File
+	for _, f := range files {
+		if strings.HasSuffix(f.Name.Name, "_test") {
+			external = append(external, f)
+		} else {
+			internal = append(internal, f)
+		}
+	}
+	pkg.Tests = nil
+	if len(internal) > 0 {
+		unit, err := l.typeCheck(pkg.Path, pkg.Dir, pkg.Syntax, internal)
+		if err != nil {
+			return err
+		}
+		pkg.Tests = append(pkg.Tests, unit)
+	}
+	if len(external) > 0 {
+		unit, err := l.typeCheck(pkg.Path+"_test", pkg.Dir, nil, external)
+		if err != nil {
+			return err
+		}
+		pkg.Tests = append(pkg.Tests, unit)
+	}
+	return nil
 }

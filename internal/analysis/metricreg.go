@@ -1,7 +1,6 @@
 package analysis
 
 import (
-	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
@@ -404,10 +403,7 @@ func labelKeysFromArg(info *types.Info, arg ast.Expr) []string {
 func (r *metricRegistry) finish() []Diagnostic {
 	var diags []Diagnostic
 	add := func(pos token.Position, format string, args ...any) {
-		diags = append(diags, Diagnostic{
-			Pos: pos, File: pos.Filename, Line: pos.Line, Col: pos.Column,
-			Analyzer: "metricreg", Message: fmt.Sprintf(format, args...),
-		})
+		diags = append(diags, newDiagnostic("metricreg", pos, format, args...))
 	}
 
 	names := map[string]bool{}

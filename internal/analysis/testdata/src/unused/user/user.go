@@ -1,0 +1,13 @@
+// Package user is unused's other package: what its production code sets
+// counts as a Config setter, what its test calls counts as a caller.
+package user
+
+import "vet.test/unused"
+
+func init() {
+	cfg := unused.ServeConfig{Replicas: 2}
+	cfg.Assigned = 3
+	bind(&cfg.Flagged)
+}
+
+func bind(*int) {}

@@ -161,13 +161,3 @@ func (d *Dataset) Validate() error {
 	}
 	return nil
 }
-
-// Subset returns a new dataset containing the records at idx (records are
-// shared, not copied).
-func (d *Dataset) Subset(idx []int) *Dataset {
-	out := &Dataset{Schema: d.Schema, Records: make([]Record, len(idx))}
-	for i, j := range idx {
-		out.Records[i] = d.Records[j]
-	}
-	return out
-}

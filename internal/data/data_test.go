@@ -218,7 +218,8 @@ func TestScalerTransformRecordMatchesMatrix(t *testing.T) {
 func TestKFoldPartition(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	n, k := 103, 10
-	folds := KFold(rng, n, k)
+	// One class: the stratified split is the plain k-fold.
+	folds := StratifiedKFold(rng, make([]int, n), k)
 	if len(folds) != k {
 		t.Fatalf("got %d folds, want %d", len(folds), k)
 	}
@@ -369,4 +370,27 @@ func TestSubset(t *testing.T) {
 	if sub.Len() != 2 || sub.Records[0].Label != 2 || sub.Records[1].Label != 0 {
 		t.Fatalf("Subset wrong: %+v", sub.Records)
 	}
+}
+
+// Subset returns a new dataset containing the records at idx (records are
+// shared, not copied).
+func (d *Dataset) Subset(idx []int) *Dataset {
+	out := &Dataset{Schema: d.Schema, Records: make([]Record, len(idx))}
+	for i, j := range idx {
+		out.Records[i] = d.Records[j]
+	}
+	return out
+}
+
+// FeatureNames returns the encoded column names in order: numeric names,
+// then "<feature>=<value>" per one-hot column.
+func (e *Encoder) FeatureNames() []string {
+	out := make([]string, 0, e.width)
+	out = append(out, e.schema.NumericNames...)
+	for _, c := range e.schema.Categorical {
+		for _, v := range c.Values {
+			out = append(out, c.Name+"="+v)
+		}
+	}
+	return out
 }

@@ -44,19 +44,6 @@ func NewEncoder(schema Schema) *Encoder {
 // Width returns the encoded feature count.
 func (e *Encoder) Width() int { return e.width }
 
-// FeatureNames returns the encoded column names in order: numeric names,
-// then "<feature>=<value>" per one-hot column.
-func (e *Encoder) FeatureNames() []string {
-	out := make([]string, 0, e.width)
-	out = append(out, e.schema.NumericNames...)
-	for _, c := range e.schema.Categorical {
-		for _, v := range c.Values {
-			out = append(out, c.Name+"="+v)
-		}
-	}
-	return out
-}
-
 // EncodeRecord writes one record into dst (length Width). Unknown
 // categorical values leave their block all-zero.
 func (e *Encoder) EncodeRecord(r *Record, dst []float64) {

@@ -11,31 +11,6 @@ type Fold struct {
 	Test  []int
 }
 
-// KFold splits n records into k cross-validation folds (paper §V-A Step 3,
-// k = 10): fold i's test set is the i-th shard, its training set the other
-// k−1 shards. Indices are shuffled with rng first.
-func KFold(rng *rand.Rand, n, k int) []Fold {
-	if k < 2 || k > n {
-		panic(fmt.Sprintf("data: KFold k=%d invalid for n=%d", k, n))
-	}
-	idx := rand.Perm(n)
-	if rng != nil {
-		idx = rng.Perm(n)
-	}
-	folds := make([]Fold, k)
-	for f := 0; f < k; f++ {
-		lo := f * n / k
-		hi := (f + 1) * n / k
-		test := make([]int, hi-lo)
-		copy(test, idx[lo:hi])
-		train := make([]int, 0, n-(hi-lo))
-		train = append(train, idx[:lo]...)
-		train = append(train, idx[hi:]...)
-		folds[f] = Fold{Train: train, Test: test}
-	}
-	return folds
-}
-
 // StratifiedKFold splits records into k folds preserving per-class
 // proportions, which matters for the rare attack classes (U2R is 0.3% of
 // NSL-KDD; Worms is 0.07% of UNSW-NB15).

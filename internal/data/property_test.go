@@ -104,7 +104,11 @@ func TestPropKFoldTrainTestDisjoint(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		n := 20 + rng.Intn(200)
 		k := 2 + rng.Intn(8)
-		folds := KFold(rng, n, k)
+		labels := make([]int, n)
+		for i := range labels {
+			labels[i] = rng.Intn(3)
+		}
+		folds := StratifiedKFold(rng, labels, k)
 		for _, fd := range folds {
 			seen := make(map[int]int, n)
 			for _, i := range fd.Train {

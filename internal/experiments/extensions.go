@@ -200,7 +200,8 @@ var AblationVariants = []AblationVariant{
 }
 
 // RunAblation trains each ResBlk variant at depth 10 on UNSW-NB15 and
-// reports the paper metrics — the design-choice study DESIGN.md calls out.
+// reports the paper metrics — the design-choice study behind the paper's
+// shortcut placement (§IV).
 func RunAblation(p Profile, log io.Writer) ([]metrics.Summary, error) {
 	prep, err := prepare(p, UNSW)
 	if err != nil {

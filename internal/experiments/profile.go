@@ -1,14 +1,15 @@
 // Package experiments reproduces every table and figure of the paper's
 // evaluation (§V): Fig. 2 (depth-degradation sweep), Fig. 5 (loss curves),
 // Table II (TP/FP), Tables III/IV (DR/ACC/FAR for the four networks) and
-// Table V (the comparative study), plus the extension experiments DESIGN.md
-// calls out (anomaly-detection FAR comparison, shortcut-placement
+// Table V (the comparative study), plus the extension experiments in
+// extensions.go (anomaly-detection FAR comparison, shortcut-placement
 // ablation).
 //
 // Experiments run under a Profile that scales the workload: "paper"
 // replicates Table I exactly (full record counts, 50/100 epochs — hours of
-// CPU time in pure Go), "default" is the scaled profile EXPERIMENTS.md
-// records results from, and "smoke" is a tiny shape used by unit tests and
+// CPU time in pure Go), "default" is the scaled profile `pelican-bench`
+// runs unless told otherwise (its output is the record; no results file is
+// checked in), and "smoke" is a tiny shape used by unit tests and
 // testing.B benchmarks.
 package experiments
 

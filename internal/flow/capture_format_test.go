@@ -9,7 +9,8 @@ import (
 // Capture records flow streams to an io.Writer and replays them later —
 // the repository's pcap analogue. Captures make incidents reproducible:
 // a stream that triggered alerts can be stored, attached to an incident,
-// and re-run against a new detector build.
+// and re-run against a new detector build. No binary writes or reads a
+// capture yet, so the format lives with its tests until one does.
 
 // captureHeader identifies the stream format.
 type captureHeader struct {

@@ -190,17 +190,6 @@ func (p *Plan) WeightBytes() int64 {
 	return n
 }
 
-// ArenaBytes returns the arena size an Engine uses for the given batch
-// size — the activation *working set*, which buffer recycling keeps far
-// smaller than the traffic ActivationBytes reports.
-func (p *Plan) ArenaBytes(rows int) int64 {
-	var w int64
-	for _, wd := range p.widths {
-		w += int64(wd)
-	}
-	return w * int64(rows) * 4
-}
-
 // ActivationBytes returns the activation bytes streamed per forward pass
 // at the given batch size: every step's operand reads plus output write.
 func (p *Plan) ActivationBytes(rows int) int64 {

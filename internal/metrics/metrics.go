@@ -40,18 +40,6 @@ func (c *Confusion) AddAll(actual, predicted []int) {
 	}
 }
 
-// Merge accumulates another confusion matrix (e.g., across CV folds).
-func (c *Confusion) Merge(o *Confusion) {
-	if c.K != o.K {
-		panic(fmt.Sprintf("metrics: merging %d-class into %d-class confusion", o.K, c.K))
-	}
-	for i := range c.Counts {
-		for j := range c.Counts[i] {
-			c.Counts[i][j] += o.Counts[i][j]
-		}
-	}
-}
-
 // Total returns the number of recorded observations.
 func (c *Confusion) Total() int {
 	n := 0
@@ -172,19 +160,6 @@ func (c *Confusion) PerClass() []ClassReport {
 		out[k] = r
 	}
 	return out
-}
-
-// String renders the matrix with optional class names.
-func (c *Confusion) String() string {
-	var b strings.Builder
-	for i, row := range c.Counts {
-		fmt.Fprintf(&b, "%3d |", i)
-		for _, v := range row {
-			fmt.Fprintf(&b, " %7d", v)
-		}
-		b.WriteByte('\n')
-	}
-	return b.String()
 }
 
 // Summary bundles the three paper metrics for one evaluated design.

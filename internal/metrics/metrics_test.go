@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"strings"
@@ -185,5 +186,17 @@ func TestPropPerClassRecallMatchesDiagonal(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
+	}
+}
+
+// Merge accumulates another confusion matrix (e.g., across CV folds).
+func (c *Confusion) Merge(o *Confusion) {
+	if c.K != o.K {
+		panic(fmt.Sprintf("metrics: merging %d-class into %d-class confusion", o.K, c.K))
+	}
+	for i := range c.Counts {
+		for j := range c.Counts[i] {
+			c.Counts[i][j] += o.Counts[i][j]
+		}
 	}
 }

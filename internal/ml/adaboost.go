@@ -125,6 +125,3 @@ func (a *AdaBoost) Predict(x *tensor.Tensor) []int {
 	}
 	return out
 }
-
-// Rounds returns the number of weak learners actually kept.
-func (a *AdaBoost) Rounds() int { return len(a.stumps) }

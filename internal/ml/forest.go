@@ -126,6 +126,3 @@ func (f *Forest) Predict(x *tensor.Tensor) []int {
 	}
 	return out
 }
-
-// TreeCount returns the number of fitted trees.
-func (f *Forest) TreeCount() int { return len(f.trees) }

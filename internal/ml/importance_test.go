@@ -82,3 +82,70 @@ func TestImportanceOnLeafOnlyTree(t *testing.T) {
 		}
 	}
 }
+
+// FeatureImportance returns the gini-importance of every feature in a
+// fitted tree: the total weighted impurity decrease contributed by splits
+// on that feature, normalized to sum to 1.
+func (t *Tree) FeatureImportance(numFeatures int) []float64 {
+	imp := make([]float64, numFeatures)
+	accumulateImportance(t.root, imp)
+	normalizeImportance(imp)
+	return imp
+}
+
+// accumulateImportance walks the tree adding each split's impurity
+// decrease (weighted by the node's sample mass) to its feature.
+func accumulateImportance(n *treeNode, imp []float64) {
+	if n == nil || n.feature < 0 {
+		return
+	}
+	total := sumF(n.dist)
+	leftTotal := sumF(n.left.dist)
+	rightTotal := sumF(n.right.dist)
+	if total > 0 && n.feature < len(imp) {
+		parent := giniOf(n.dist, total)
+		child := 0.0
+		if leftTotal > 0 {
+			child += leftTotal / total * giniOf(n.left.dist, leftTotal)
+		}
+		if rightTotal > 0 {
+			child += rightTotal / total * giniOf(n.right.dist, rightTotal)
+		}
+		if dec := parent - child; dec > 0 {
+			imp[n.feature] += total * dec
+		}
+	}
+	accumulateImportance(n.left, imp)
+	accumulateImportance(n.right, imp)
+}
+
+// FeatureImportance returns the forest-averaged gini importance.
+func (f *Forest) FeatureImportance(numFeatures int) []float64 {
+	imp := make([]float64, numFeatures)
+	for _, tree := range f.trees {
+		ti := tree.FeatureImportance(numFeatures)
+		for i, v := range ti {
+			imp[i] += v
+		}
+	}
+	normalizeImportance(imp)
+	return imp
+}
+
+func sumF(v []float64) float64 {
+	s := 0.0
+	for _, x := range v {
+		s += x
+	}
+	return s
+}
+
+func normalizeImportance(imp []float64) {
+	s := sumF(imp)
+	if s <= 0 {
+		return
+	}
+	for i := range imp {
+		imp[i] /= s
+	}
+}

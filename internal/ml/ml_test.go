@@ -304,3 +304,37 @@ func TestRBFKernelProperties(t *testing.T) {
 		t.Fatalf("distant kernel %v, want ≈0", v)
 	}
 }
+
+// Depth returns the fitted tree's depth (0 for a single leaf).
+func (t *Tree) Depth() int { return nodeDepth(t.root) }
+
+// Rounds returns the number of weak learners actually kept.
+func (a *AdaBoost) Rounds() int { return len(a.stumps) }
+
+// TreeCount returns the number of fitted trees.
+func (f *Forest) TreeCount() int { return len(f.trees) }
+
+// SupportVectorCount returns, per class, how many training points carry
+// non-zero dual coefficients.
+func (s *SVM) SupportVectorCount() []int {
+	out := make([]int, len(s.coef))
+	for c, coef := range s.coef {
+		for _, v := range coef {
+			if v != 0 {
+				out[c]++
+			}
+		}
+	}
+	return out
+}
+
+func nodeDepth(n *treeNode) int {
+	if n == nil || n.feature < 0 {
+		return 0
+	}
+	l, r := nodeDepth(n.left), nodeDepth(n.right)
+	if l > r {
+		return l + 1
+	}
+	return r + 1
+}

@@ -299,17 +299,3 @@ func (s *SVM) Predict(x *tensor.Tensor) []int {
 	wg.Wait()
 	return out
 }
-
-// SupportVectorCount returns, per class, how many training points carry
-// non-zero dual coefficients.
-func (s *SVM) SupportVectorCount() []int {
-	out := make([]int, len(s.coef))
-	for c, coef := range s.coef {
-		for _, v := range coef {
-			if v != 0 {
-				out[c]++
-			}
-		}
-	}
-	return out
-}

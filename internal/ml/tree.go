@@ -273,27 +273,3 @@ func (t *Tree) predictRow(row []float64) int {
 	}
 	return node.class
 }
-
-// Depth returns the fitted tree's depth (0 for a single leaf).
-func (t *Tree) Depth() int { return nodeDepth(t.root) }
-
-func nodeDepth(n *treeNode) int {
-	if n == nil || n.feature < 0 {
-		return 0
-	}
-	l, r := nodeDepth(n.left), nodeDepth(n.right)
-	if l > r {
-		return l + 1
-	}
-	return r + 1
-}
-
-// NodeCount returns the number of nodes in the fitted tree.
-func (t *Tree) NodeCount() int { return countNodes(t.root) }
-
-func countNodes(n *treeNode) int {
-	if n == nil {
-		return 0
-	}
-	return 1 + countNodes(n.left) + countNodes(n.right)
-}

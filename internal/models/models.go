@@ -75,9 +75,6 @@ func NewResidualBlock(rng, dropRNG *rand.Rand, cfg BlockConfig) nn.Layer {
 // 5 blocks → 21, 10 blocks → 41, matching §V-C.
 func ParamLayersForBlocks(blocks int) int { return 4*blocks + 1 }
 
-// BlocksForParamLayers inverts ParamLayersForBlocks (rounding down).
-func BlocksForParamLayers(layers int) int { return (layers - 1) / 4 }
-
 // BuildBlockNet assembles blocks + GlobalAvgPool + Dense(classes), the
 // paper's network skeleton. residual selects ResBlk vs plain blocks.
 func BuildBlockNet(rng, dropRNG *rand.Rand, blocks int, residual bool, cfg BlockConfig, classes int) *nn.Sequential {

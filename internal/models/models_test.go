@@ -174,3 +174,6 @@ func sameShape(a, b []int) bool {
 	}
 	return true
 }
+
+// BlocksForParamLayers inverts ParamLayersForBlocks (rounding down).
+func BlocksForParamLayers(layers int) int { return (layers - 1) / 4 }

@@ -256,9 +256,6 @@ func (s StatsSnapshot) String() string {
 type Config struct {
 	// Workers is the number of concurrent detector goroutines (default 4).
 	Workers int
-	// QueueDepth bounds the alert queue (default 1; alerts block when the
-	// security team falls behind, which is deliberate backpressure).
-	QueueDepth int
 	// MicroBatch caps how many queued flows a worker drains into one
 	// detector call. Batching amortizes one network pass (one GEMM) over
 	// the batch instead of a per-flow matvec; the first flow of a batch is
@@ -295,9 +292,6 @@ func New(det Detector, cfg Config) *Pipeline {
 	if cfg.Workers <= 0 {
 		cfg.Workers = 4
 	}
-	if cfg.QueueDepth <= 0 {
-		cfg.QueueDepth = 1
-	}
 	if cfg.MicroBatch <= 0 {
 		if _, ok := det.(BatchDetector); ok {
 			cfg.MicroBatch = 32
@@ -311,14 +305,13 @@ func New(det Detector, cfg Config) *Pipeline {
 // Stats exposes the live counters.
 func (p *Pipeline) Stats() StatsSnapshot { return p.stats.Snapshot() }
 
-// Detector returns the wrapped detector.
-func (p *Pipeline) Detector() Detector { return p.det }
-
 // Run consumes flows until in closes or ctx is cancelled, invoking onAlert
 // for every alert (from the single collector goroutine — onAlert needs no
 // locking). It blocks until all workers have drained.
 func (p *Pipeline) Run(ctx context.Context, in <-chan flow.Flow, onAlert func(Alert)) error {
-	alerts := make(chan Alert, p.cfg.QueueDepth)
+	// One slot: alerts block when the security team falls behind, which is
+	// deliberate backpressure.
+	alerts := make(chan Alert, 1)
 
 	var wg sync.WaitGroup
 	for w := 0; w < p.cfg.Workers; w++ {

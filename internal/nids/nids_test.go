@@ -305,7 +305,7 @@ func TestAlertCountedOnlyAfterDelivery(t *testing.T) {
 func TestCancelledRunAlertAccounting(t *testing.T) {
 	g := tinyGen(t)
 	det := &SignatureDetector{Engine: mustEngine(t, g)}
-	p := New(det, Config{Workers: 4, QueueDepth: 1})
+	p := New(det, Config{Workers: 4})
 
 	ctx, cancel := context.WithCancel(context.Background())
 	src, err := flow.NewSource(g, flow.DefaultSourceConfig())

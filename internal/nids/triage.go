@@ -83,9 +83,6 @@ func (t *Triage) Flush() []Incident {
 	return out
 }
 
-// OpenCount returns the number of currently-open incidents.
-func (t *Triage) OpenCount() int { return len(t.open) }
-
 // CompressionRatio reports how many raw alerts were folded per incident —
 // the workload reduction delivered to the security team.
 func CompressionRatio(incidents []Incident) float64 {

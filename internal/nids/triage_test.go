@@ -134,3 +134,6 @@ func TestTriageEndToEndWithPipeline(t *testing.T) {
 		t.Fatalf("incident alerts %d != pipeline alerts %d", total, st.Alerts)
 	}
 }
+
+// OpenCount returns the number of currently-open incidents.
+func (t *Triage) OpenCount() int { return len(t.open) }

@@ -63,100 +63,12 @@ func (l *ReLU) Params() []*Param { return nil }
 // LayerName implements Named.
 func (l *ReLU) LayerName() string { return "ReLU" }
 
-// Tanh is the hyperbolic-tangent activation.
-type Tanh struct {
-	out *tensor.Tensor // reused output, also the backward cache
-	dx  *tensor.Tensor
-}
-
-// NewTanh returns a Tanh activation layer.
-func NewTanh() *Tanh { return &Tanh{} }
-
-var _ Layer = (*Tanh)(nil)
-
-// Forward implements Layer.
-//
-//pelican:noalloc
-func (l *Tanh) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
-	out := ensureLike(&l.out, x)
-	xd, od := x.Data(), out.Data()
-	for i, v := range xd {
-		od[i] = math.Tanh(v)
-	}
-	return out
-}
-
-// Backward implements Layer.
-//
-//pelican:noalloc
-func (l *Tanh) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	out := ensureLike(&l.dx, grad)
-	gd, od, yd := grad.Data(), out.Data(), l.out.Data()
-	for i, g := range gd {
-		od[i] = g * (1 - yd[i]*yd[i])
-	}
-	return out
-}
-
-// Params implements Layer.
-func (l *Tanh) Params() []*Param { return nil }
-
-// LayerName implements Named.
-func (l *Tanh) LayerName() string { return "Tanh" }
-
-// Sigmoid is the logistic activation 1/(1+e^-x).
-type Sigmoid struct {
-	out *tensor.Tensor // reused output, also the backward cache
-	dx  *tensor.Tensor
-}
-
-// NewSigmoid returns a Sigmoid activation layer.
-func NewSigmoid() *Sigmoid { return &Sigmoid{} }
-
-var _ Layer = (*Sigmoid)(nil)
-
+// sigmoid is the logistic function 1/(1+e^-x), the LSTM's gate activation.
 func sigmoid(v float64) float64 { return 1.0 / (1.0 + math.Exp(-v)) }
 
-// Forward implements Layer.
-func (l *Sigmoid) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
-	out := ensureLike(&l.out, x)
-	xd, od := x.Data(), out.Data()
-	for i, v := range xd {
-		od[i] = sigmoid(v)
-	}
-	return out
-}
-
-// Backward implements Layer.
-func (l *Sigmoid) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	out := ensureLike(&l.dx, grad)
-	gd, od, yd := grad.Data(), out.Data(), l.out.Data()
-	for i, g := range gd {
-		od[i] = g * yd[i] * (1 - yd[i])
-	}
-	return out
-}
-
-// Params implements Layer.
-func (l *Sigmoid) Params() []*Param { return nil }
-
-// LayerName implements Named.
-func (l *Sigmoid) LayerName() string { return "Sigmoid" }
-
-// HardSigmoid is Keras's piecewise-linear sigmoid approximation,
+// hardSigmoid is Keras's piecewise-linear sigmoid approximation,
 // max(0, min(1, 0.2x + 0.5)) — the recurrent activation the paper's GRU
 // uses.
-type HardSigmoid struct {
-	in  *tensor.Tensor
-	out *tensor.Tensor
-	dx  *tensor.Tensor
-}
-
-// NewHardSigmoid returns a HardSigmoid activation layer.
-func NewHardSigmoid() *HardSigmoid { return &HardSigmoid{} }
-
-var _ Layer = (*HardSigmoid)(nil)
-
 func hardSigmoid(v float64) float64 {
 	y := 0.2*v + 0.5
 	if y < 0 {
@@ -177,62 +89,6 @@ func hardSigmoidGrad(v float64) float64 {
 	return 0
 }
 
-// Forward implements Layer.
-func (l *HardSigmoid) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
-	l.in = x
-	out := ensureLike(&l.out, x)
-	xd, od := x.Data(), out.Data()
-	for i, v := range xd {
-		od[i] = hardSigmoid(v)
-	}
-	return out
-}
-
-// Backward implements Layer.
-func (l *HardSigmoid) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	out := ensureLike(&l.dx, grad)
-	gd, od, xd := grad.Data(), out.Data(), l.in.Data()
-	for i, g := range gd {
-		od[i] = g * hardSigmoidGrad(xd[i])
-	}
-	return out
-}
-
-// Params implements Layer.
-func (l *HardSigmoid) Params() []*Param { return nil }
-
-// LayerName implements Named.
-func (l *HardSigmoid) LayerName() string { return "HardSigmoid" }
-
-// Softmax normalizes each row of a rank-2 input into a probability
-// distribution. When training a classifier prefer SoftmaxCrossEntropy,
-// which fuses the loss gradient; this standalone layer exists for
-// inference-time probability output and for models that need explicit
-// probabilities mid-network.
-type Softmax struct {
-	out *tensor.Tensor // reused output, also the backward cache
-	dx  *tensor.Tensor
-}
-
-// NewSoftmax returns a Softmax layer.
-func NewSoftmax() *Softmax { return &Softmax{} }
-
-var _ Layer = (*Softmax)(nil)
-
-// Forward implements Layer.
-func (l *Softmax) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
-	mustRank("Softmax", x, 2)
-	out := ensureLike(&l.out, x)
-	out.CopyFrom(x)
-	rows, cols := out.Dim(0), out.Dim(1)
-	od := out.Data()
-	for r := 0; r < rows; r++ {
-		row := od[r*cols : (r+1)*cols]
-		softmaxRow(row)
-	}
-	return out
-}
-
 // softmaxRow computes a numerically-stable softmax in place.
 func softmaxRow(row []float64) {
 	maxV := math.Inf(-1)
@@ -251,30 +107,3 @@ func softmaxRow(row []float64) {
 		row[i] /= sum
 	}
 }
-
-// Backward implements Layer.
-func (l *Softmax) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	// dx_i = y_i * (g_i - sum_j g_j y_j) per row.
-	out := ensureLike(&l.dx, grad)
-	rows, cols := grad.Dim(0), grad.Dim(1)
-	gd, od, yd := grad.Data(), out.Data(), l.out.Data()
-	for r := 0; r < rows; r++ {
-		g := gd[r*cols : (r+1)*cols]
-		y := yd[r*cols : (r+1)*cols]
-		o := od[r*cols : (r+1)*cols]
-		dot := 0.0
-		for i, gi := range g {
-			dot += gi * y[i]
-		}
-		for i := range o {
-			o[i] = y[i] * (g[i] - dot)
-		}
-	}
-	return out
-}
-
-// Params implements Layer.
-func (l *Softmax) Params() []*Param { return nil }
-
-// LayerName implements Named.
-func (l *Softmax) LayerName() string { return "Softmax" }

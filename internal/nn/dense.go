@@ -31,13 +31,6 @@ func NewDense(rng *rand.Rand, in, out int) *Dense {
 	}
 }
 
-// NewDenseNoBias constructs a Dense layer without a bias term.
-func NewDenseNoBias(rng *rand.Rand, in, out int) *Dense {
-	d := NewDense(rng, in, out)
-	d.useBias = false
-	return d
-}
-
 var _ Layer = (*Dense)(nil)
 
 // Forward implements Layer.

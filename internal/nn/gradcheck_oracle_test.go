@@ -97,3 +97,10 @@ func relErr(a, b float64) float64 {
 	}
 	return diff / scale
 }
+
+// ZeroGrads clears the gradient of every parameter in params.
+func ZeroGrads(params []*Param) {
+	for _, p := range params {
+		p.ZeroGrad()
+	}
+}

@@ -76,57 +76,6 @@ func (l *SoftmaxCrossEntropy) Backward() *tensor.Tensor {
 	return grad
 }
 
-// Probs returns the class probabilities computed by the last Forward.
-func (l *SoftmaxCrossEntropy) Probs() *tensor.Tensor { return l.probs }
-
-// MSE is the mean-squared-error loss over one-hot targets; provided for
-// regression-style experiments and for testing layers against a smooth
-// objective.
-type MSE struct {
-	diff *tensor.Tensor // reused residual buffer (valid until next Forward)
-	grad *tensor.Tensor // reused gradient buffer
-	n    int
-}
-
-// NewMSE returns a mean-squared-error loss.
-func NewMSE() *MSE { return &MSE{} }
-
-// ForwardDense computes mean((pred-target)²) over all elements.
-func (l *MSE) ForwardDense(pred, target *tensor.Tensor) float64 {
-	diff := ensureLike(&l.diff, pred)
-	tensor.SubInto(diff, pred, target)
-	l.n = pred.Len()
-	s := 0.0
-	for _, d := range l.diff.Data() {
-		s += d * d
-	}
-	return s / float64(l.n)
-}
-
-// Forward implements Loss by one-hot encoding the labels.
-func (l *MSE) Forward(pred *tensor.Tensor, labels []int) float64 {
-	mustRank("MSE", pred, 2)
-	cols := pred.Dim(1)
-	target := tensor.Scratch.GetZeroed(pred.Dim(0), cols)
-	td := target.Data()
-	for r, y := range labels {
-		td[r*cols+y] = 1
-	}
-	loss := l.ForwardDense(pred, target)
-	tensor.Scratch.Put(target)
-	return loss
-}
-
-// Backward implements Loss.
-func (l *MSE) Backward() *tensor.Tensor {
-	grad := ensureLike(&l.grad, l.diff)
-	grad.CopyFrom(l.diff)
-	grad.Scale(2.0 / float64(l.n))
-	return grad
-}
-
-var _ Loss = (*MSE)(nil)
-
 // Accuracy returns the fraction of rows of logits whose argmax equals the
 // label.
 func Accuracy(logits *tensor.Tensor, labels []int) float64 {

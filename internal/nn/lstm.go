@@ -70,18 +70,6 @@ func NewLSTM(rng *rand.Rand, inC, h int, returnSequences bool) *LSTM {
 
 var _ Layer = (*LSTM)(nil)
 
-func (l *LSTM) addUGateGrad(g int, dU *tensor.Tensor) {
-	h := l.H
-	gd, dd := l.u.Grad.Data(), dU.Data()
-	for i := 0; i < h; i++ {
-		row := gd[i*4*h+g*h : i*4*h+(g+1)*h]
-		src := dd[i*h : (i+1)*h]
-		for j, v := range src {
-			row[j] += v
-		}
-	}
-}
-
 // The gate-column helpers (gateColsInto, setGateCols) are shared with the
 // GRU: they read the gate count from the matrix width at runtime.
 

@@ -65,13 +65,6 @@ func ParamCount(params []*Param) int {
 	return n
 }
 
-// ZeroGrads clears the gradient of every parameter in params.
-func ZeroGrads(params []*Param) {
-	for _, p := range params {
-		p.ZeroGrad()
-	}
-}
-
 // GlobalGradNorm returns the L2 norm of all gradients in params viewed as
 // one flat vector.
 func GlobalGradNorm(params []*Param) float64 {
@@ -95,19 +88,6 @@ func ClipGradNorm(params []*Param, maxNorm float64) float64 {
 		}
 	}
 	return norm
-}
-
-// shapeEq reports whether the tensor's shape equals want.
-func shapeEq(t *tensor.Tensor, want ...int) bool {
-	if t.Rank() != len(want) {
-		return false
-	}
-	for i, d := range want {
-		if t.Dim(i) != d {
-			return false
-		}
-	}
-	return true
 }
 
 // mustRank panics with a descriptive message unless t has the given rank.

@@ -136,39 +136,3 @@ func (o *Adam) Step(params []*Param) {
 		p.ZeroGrad()
 	}
 }
-
-// AdaDelta is the parameter-free-learning-rate optimizer mentioned in the
-// paper's discussion of gradient-descent algorithms (§III).
-type AdaDelta struct {
-	Rho     float64
-	Eps     float64
-	MaxNorm float64
-
-	accGrad  paramState
-	accDelta paramState
-}
-
-// NewAdaDelta constructs an AdaDelta optimizer with standard defaults.
-func NewAdaDelta() *AdaDelta {
-	return &AdaDelta{Rho: 0.95, Eps: 1e-6, accGrad: paramState{}, accDelta: paramState{}}
-}
-
-var _ Optimizer = (*AdaDelta)(nil)
-
-// Step implements Optimizer.
-func (o *AdaDelta) Step(params []*Param) {
-	ClipGradNorm(params, o.MaxNorm)
-	for _, p := range params {
-		ag := o.accGrad.get(p)
-		ad := o.accDelta.get(p)
-		agd, add, gd, wd := ag.Data(), ad.Data(), p.Grad.Data(), p.Value.Data()
-		for i := range agd {
-			g := gd[i]
-			agd[i] = o.Rho*agd[i] + (1-o.Rho)*g*g
-			delta := -math.Sqrt(add[i]+o.Eps) / math.Sqrt(agd[i]+o.Eps) * g
-			add[i] = o.Rho*add[i] + (1-o.Rho)*delta*delta
-			wd[i] += delta
-		}
-		p.ZeroGrad()
-	}
-}

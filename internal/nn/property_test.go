@@ -17,9 +17,11 @@ func TestPropSoftmaxShiftInvariant(t *testing.T) {
 		x := tensor.RandNormal(rng, 0, 3, b, c)
 		shift := rng.NormFloat64() * 50
 		shifted := x.Map(func(v float64) float64 { return v + shift })
-		a := NewSoftmax().Forward(x, false)
-		bOut := NewSoftmax().Forward(shifted, false)
-		return tensor.ApproxEqual(a, bOut, 1e-9)
+		for r := 0; r < b; r++ {
+			softmaxRow(x.Row(r))
+			softmaxRow(shifted.Row(r))
+		}
+		return tensor.ApproxEqual(x, shifted, 1e-9)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)

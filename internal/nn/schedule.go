@@ -13,26 +13,6 @@ type LRSchedule interface {
 	Factor(epoch, totalEpochs int) float64
 }
 
-// ConstantLR keeps the base rate throughout.
-type ConstantLR struct{}
-
-// Factor implements LRSchedule.
-func (ConstantLR) Factor(int, int) float64 { return 1 }
-
-// StepDecay multiplies the rate by Gamma every StepEpochs.
-type StepDecay struct {
-	StepEpochs int
-	Gamma      float64
-}
-
-// Factor implements LRSchedule.
-func (s StepDecay) Factor(epoch, _ int) float64 {
-	if s.StepEpochs <= 0 || s.Gamma <= 0 {
-		return 1
-	}
-	return math.Pow(s.Gamma, float64((epoch-1)/s.StepEpochs))
-}
-
 // CosineDecay anneals the rate from 1 to Floor over the full run.
 type CosineDecay struct {
 	Floor float64
@@ -45,25 +25,6 @@ func (c CosineDecay) Factor(epoch, totalEpochs int) float64 {
 	}
 	progress := float64(epoch-1) / float64(totalEpochs-1)
 	return c.Floor + (1-c.Floor)*0.5*(1+math.Cos(math.Pi*progress))
-}
-
-// WarmupThenCosine ramps linearly for WarmupEpochs then cosine-anneals.
-type WarmupThenCosine struct {
-	WarmupEpochs int
-	Floor        float64
-}
-
-// Factor implements LRSchedule.
-func (w WarmupThenCosine) Factor(epoch, totalEpochs int) float64 {
-	if w.WarmupEpochs > 0 && epoch <= w.WarmupEpochs {
-		return float64(epoch) / float64(w.WarmupEpochs)
-	}
-	rest := totalEpochs - w.WarmupEpochs
-	if rest <= 1 {
-		return 1
-	}
-	progress := float64(epoch-w.WarmupEpochs-1) / float64(rest-1)
-	return w.Floor + (1-w.Floor)*0.5*(1+math.Cos(math.Pi*progress))
 }
 
 // scalable is implemented by optimizers whose base rate a schedule can

@@ -70,9 +70,6 @@ func (h *Histogram) Observe(v float64) {
 // ObserveDuration records d in seconds.
 func (h *Histogram) ObserveDuration(d time.Duration) { h.Observe(d.Seconds()) }
 
-// Count returns how many values have been observed.
-func (h *Histogram) Count() int64 { return h.total.Load() }
-
 // Sum returns the sum of observed values.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sumBits.Load()) }
 
@@ -104,33 +101,4 @@ func (h *Histogram) WriteProm(w io.Writer, name, labels string) {
 		return
 	}
 	fmt.Fprintf(w, "%s_sum{%s} %g\n%s_count{%s} %d\n", name, labels, h.Sum(), name, labels, h.total.Load())
-}
-
-// Quantile estimates the q-quantile (0..1) from the bucket counts by
-// linear interpolation within the winning bucket — the same estimate
-// Prometheus's histogram_quantile computes. Returns 0 with no
-// observations; values in the +Inf bucket clamp to the largest bound.
-func (h *Histogram) Quantile(q float64) float64 {
-	total := h.total.Load()
-	if total == 0 {
-		return 0
-	}
-	rank := q * float64(total)
-	cum := int64(0)
-	for i, ub := range h.bounds {
-		c := h.counts[i].Load()
-		cum += c
-		if float64(cum) >= rank {
-			lo := 0.0
-			if i > 0 {
-				lo = h.bounds[i-1]
-			}
-			if c == 0 {
-				return ub
-			}
-			frac := (rank - float64(cum-c)) / float64(c)
-			return lo + (ub-lo)*frac
-		}
-	}
-	return h.bounds[len(h.bounds)-1]
 }

@@ -244,3 +244,47 @@ func TestWriteRuntimeProm(t *testing.T) {
 		}
 	}
 }
+
+// Count returns how many values have been observed.
+func (h *Histogram) Count() int64 { return h.total.Load() }
+
+// Quantile estimates the q-quantile (0..1) from the bucket counts by
+// linear interpolation within the winning bucket — the same estimate
+// Prometheus's histogram_quantile computes. Returns 0 with no
+// observations; values in the +Inf bucket clamp to the largest bound.
+func (h *Histogram) Quantile(q float64) float64 {
+	total := h.total.Load()
+	if total == 0 {
+		return 0
+	}
+	rank := q * float64(total)
+	cum := int64(0)
+	for i, ub := range h.bounds {
+		c := h.counts[i].Load()
+		cum += c
+		if float64(cum) >= rank {
+			lo := 0.0
+			if i > 0 {
+				lo = h.bounds[i-1]
+			}
+			if c == 0 {
+				return ub
+			}
+			frac := (rank - float64(cum-c)) / float64(c)
+			return lo + (ub-lo)*frac
+		}
+	}
+	return h.bounds[len(h.bounds)-1]
+}
+
+// Len reports how many traces the ring currently holds.
+func (r *TraceRing) Len() int {
+	if r == nil {
+		return 0
+	}
+	n := int(r.next.Load())
+	if n > len(r.slots) {
+		n = len(r.slots)
+	}
+	return n
+}

@@ -164,18 +164,6 @@ func (r *TraceRing) Put(t *Trace) {
 	r.slots[i&uint64(len(r.slots)-1)].Store(t)
 }
 
-// Len reports how many traces the ring currently holds.
-func (r *TraceRing) Len() int {
-	if r == nil {
-		return 0
-	}
-	n := int(r.next.Load())
-	if n > len(r.slots) {
-		n = len(r.slots)
-	}
-	return n
-}
-
 // Snapshot returns the held traces, newest first.
 func (r *TraceRing) Snapshot() []*Trace {
 	if r == nil {

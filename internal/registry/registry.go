@@ -347,12 +347,6 @@ func (r *Registry) Get(tag string) (Instance, time.Time, bool) {
 	return s.inst, s.loadedAt, true
 }
 
-// LiveInstance returns the live generation, or nil if none is loaded.
-func (r *Registry) LiveInstance() Instance {
-	inst, _, _ := r.Get(Live)
-	return inst
-}
-
 // PreviousVersion returns the retained rollback generation's version ("" if
 // none).
 func (r *Registry) PreviousVersion() string {

@@ -253,3 +253,9 @@ func TestConcurrentLifecycle(t *testing.T) {
 		t.Fatal("no live instance after concurrent lifecycle")
 	}
 }
+
+// LiveInstance returns the live generation, or nil if none is loaded.
+func (r *Registry) LiveInstance() Instance {
+	inst, _, _ := r.Get(Live)
+	return inst
+}

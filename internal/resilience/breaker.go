@@ -189,9 +189,6 @@ func (b *Breaker) State() BreakerState {
 	return b.state
 }
 
-// Opens reports how many times the breaker has tripped open.
-func (b *Breaker) Opens() int64 { return b.opens.Load() }
-
 // ShortCircuits reports how many calls were fast-failed without reaching
 // the server.
 func (b *Breaker) ShortCircuits() int64 { return b.shortCircs.Load() }

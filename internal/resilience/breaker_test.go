@@ -107,3 +107,6 @@ func TestBreakerZeroValueDefaults(t *testing.T) {
 		t.Fatalf("state %s after 5 failures, want open", st)
 	}
 }
+
+// Opens reports how many times the breaker has tripped open.
+func (b *Breaker) Opens() int64 { return b.opens.Load() }

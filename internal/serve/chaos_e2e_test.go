@@ -175,7 +175,7 @@ func TestChaosCorruptArtifactNeverDisturbsLive(t *testing.T) {
 	a, _, recs := trainTestArtifact(t, "mlp", 29, 1)
 	a2, _, _ := trainTestArtifact(t, "mlp", 31, 1)
 	srv, ts := newTestServer(t, a, Config{Replicas: 1, MaxBatch: 8, MaxWait: time.Millisecond})
-	liveVersion := srv.Info().Version
+	before := liveVersion(srv)
 
 	good := saveArtifact(t, a2)
 	bad := good + ".corrupt"
@@ -190,7 +190,7 @@ func TestChaosCorruptArtifactNeverDisturbsLive(t *testing.T) {
 	if resp.StatusCode != http.StatusUnprocessableEntity {
 		t.Fatalf("corrupt artifact load got %d (%s), want 422", resp.StatusCode, body)
 	}
-	if got := srv.Info().Version; got != liveVersion {
+	if got := liveVersion(srv); got != before {
 		t.Fatalf("live version changed to %s after a corrupt load", got)
 	}
 	if _, ok := srv.slot(registry.Shadow); ok {

@@ -44,8 +44,8 @@ var defaultHTTPClient = &http.Client{
 }
 
 // Client is a typed HTTP client for the scoring server: the consumer side
-// of the /v1 and /v2 APIs for Go callers (load generators, adaptation
-// sidecars, tests). It is safe for concurrent use.
+// of the /v2 API (plus Score on its /v1 alias) for Go callers (load
+// generators, adaptation sidecars, tests). It is safe for concurrent use.
 //
 // Resilience: requests time out after DefaultClientTimeout (override by
 // supplying HTTP — set Timeout: 0 there to opt out entirely); idempotent
@@ -55,8 +55,8 @@ var defaultHTTPClient = &http.Client{
 // fast-fails calls while the server is down so a wedged scoring plane
 // degrades to counted errors instead of piled-up goroutines — the policy
 // internal/resilience defines once for this client and wire.Client. Mutating
-// control-plane calls (reload, load, promote, rollback) are never
-// retried — promote twice is not promote once.
+// control-plane calls (load, promote, rollback) are never retried — promote
+// twice is not promote once.
 type Client struct {
 	// BaseURL is the server root, e.g. "http://127.0.0.1:8080".
 	BaseURL string
@@ -236,13 +236,6 @@ func (c *Client) getJSON(path string, out any) error {
 	return c.call(http.MethodGet, path, nil, out, true)
 }
 
-// Model fetches the currently served (live) model's description.
-func (c *Client) Model() (ModelInfo, error) {
-	var info ModelInfo
-	err := c.getJSON("/v1/model", &info)
-	return info, err
-}
-
 // tagQuery renders the ?tag= suffix ("" means the server default, live).
 func tagQuery(tag string) string {
 	if tag == "" {
@@ -298,15 +291,6 @@ func (c *Client) scoreAt(path string, recs []*data.Record) ([]nids.Verdict, stri
 	return out, resp.ModelVersion, nil
 }
 
-// Reload asks the server to hot-load the artifact at path (a path on the
-// server's filesystem) into the live slot and returns the newly served
-// model info. The registry-aware form is LoadTag.
-func (c *Client) Reload(path string) (ModelInfo, error) {
-	var info ModelInfo
-	err := c.postJSON("/v1/reload", reloadRequest{Path: path}, &info, false)
-	return info, err
-}
-
 // LoadTag asks the server to load the artifact at path (a path on the
 // server's filesystem) into the slot named tag ("" means shadow, the
 // staging slot) and returns the slot's new model info.
@@ -345,9 +329,9 @@ func (c *Client) Rollback() (ModelInfo, error) {
 // flows with a counter, never to a hang.
 type RemoteDetector struct {
 	Client *Client
-	// Tag pins scoring to one registry slot via /v2 ("shadow", a canary
-	// tag, ...). Empty means the live slot via /v1 — a pipeline per slot is
-	// how competing detectors run side by side over the same traffic.
+	// Tag pins scoring to one registry slot ("shadow", a canary tag, ...);
+	// empty means live. A pipeline per slot is how competing detectors run
+	// side by side over the same traffic.
 	Tag string
 
 	errs    atomic.Int64
@@ -371,19 +355,9 @@ func (d *RemoteDetector) Detect(rec *data.Record) nids.Verdict {
 	return v[0]
 }
 
-// DetectBatch implements nids.BatchDetector over one detect-batch call
-// (/v1 for the live default, /v2 when Tag pins a slot).
+// DetectBatch implements nids.BatchDetector over one /v2/detect-batch call.
 func (d *RemoteDetector) DetectBatch(recs []*data.Record, verdicts []nids.Verdict) {
-	var (
-		got     []nids.Verdict
-		version string
-		err     error
-	)
-	if d.Tag != "" {
-		got, version, err = d.Client.ScoreTag(d.Tag, recs)
-	} else {
-		got, version, err = d.Client.Score(recs)
-	}
+	got, version, err := d.Client.ScoreTag(d.Tag, recs)
 	if err != nil {
 		d.errs.Add(1)
 		for i := range verdicts[:len(recs)] {

@@ -46,7 +46,7 @@ func (ss *scriptedServer) handler() http.Handler {
 			return
 		}
 		switch r.URL.Path {
-		case "/v1/model":
+		case "/v2/models/live":
 			json.NewEncoder(w).Encode(ModelInfo{Model: "scripted", Version: "v1"})
 		case "/v1/detect-batch", "/v2/detect-batch":
 			var req detectBatchRequest
@@ -102,7 +102,7 @@ func TestClientRetriesTransportErrors(t *testing.T) {
 		MaxAttempts: 3,
 		RetryBase:   time.Millisecond,
 	}
-	info, err := c.Model()
+	info, err := c.ModelTag("live")
 	if err != nil {
 		t.Fatalf("GET did not survive 2 injected transport faults: %v", err)
 	}
@@ -147,7 +147,7 @@ func TestClientBreakerFastFailsAndRecovers(t *testing.T) {
 	c := &Client{BaseURL: ts.URL, MaxAttempts: 1, RetryBase: time.Millisecond, Breaker: br}
 
 	for i := 0; i < 3; i++ {
-		if _, err := c.Model(); err == nil {
+		if _, err := c.ModelTag("live"); err == nil {
 			t.Fatalf("call %d against a failing server succeeded", i)
 		}
 	}
@@ -155,7 +155,7 @@ func TestClientBreakerFastFailsAndRecovers(t *testing.T) {
 		t.Fatalf("breaker %s after %d hard failures, want open", st, 3)
 	}
 	sent := ss.hits.Load()
-	if _, err := c.Model(); !errors.Is(err, resilience.ErrBreakerOpen) {
+	if _, err := c.ModelTag("live"); !errors.Is(err, resilience.ErrBreakerOpen) {
 		t.Fatalf("open-breaker call error = %v, want ErrBreakerOpen", err)
 	}
 	if n := ss.hits.Load(); n != sent {
@@ -169,7 +169,7 @@ func TestClientBreakerFastFailsAndRecovers(t *testing.T) {
 	// and must both succeed and re-close the breaker.
 	ss.failing.Store(false)
 	time.Sleep(60 * time.Millisecond)
-	if _, err := c.Model(); err != nil {
+	if _, err := c.ModelTag("live"); err != nil {
 		t.Fatalf("half-open probe failed against a healthy server: %v", err)
 	}
 	if st := br.State(); st != resilience.BreakerClosed {
@@ -188,7 +188,7 @@ func TestBreakerIgnoresSheddingStatuses(t *testing.T) {
 		br := &resilience.Breaker{FailureThreshold: 2, OpenFor: time.Hour}
 		c := &Client{BaseURL: ts.URL, MaxAttempts: 1, RetryBase: time.Millisecond, Breaker: br}
 		for i := 0; i < 5; i++ {
-			if _, err := c.Model(); err == nil {
+			if _, err := c.ModelTag("live"); err == nil {
 				t.Fatalf("status %d: call %d succeeded", status, i)
 			}
 		}

@@ -269,11 +269,11 @@ func (s *Server) statsCheckpoint() map[string]store.StatsRecord {
 }
 
 // statsFlusher periodically checkpoints per-slot counters into the
-// journal so a crash rewinds them at most StatsInterval, preserving
+// journal so a crash rewinds them at most statsInterval, preserving
 // monotonicity for scrapers across the restart.
 func (s *Server) statsFlusher() {
 	defer s.statsWG.Done()
-	t := time.NewTicker(s.cfg.StatsInterval)
+	t := time.NewTicker(s.cfg.statsInterval)
 	defer t.Stop()
 	for {
 		select {

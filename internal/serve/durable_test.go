@@ -32,7 +32,7 @@ func openStore(t *testing.T, dir string) *store.Store {
 // and a leaked flusher must not keep appending to a journal a recovered
 // server has since taken over.
 func durableConfig(st *store.Store) Config {
-	return Config{Replicas: 1, MaxBatch: 8, MaxWait: time.Millisecond, Store: st, StatsInterval: -1}
+	return Config{Replicas: 1, MaxBatch: 8, MaxWait: time.Millisecond, Store: st, statsInterval: -1}
 }
 
 // crashServer builds a store-backed server whose cleanup closes only the
@@ -135,7 +135,7 @@ func TestRecoverExactTopologyAfterCrash(t *testing.T) {
 		t.Fatalf("unexpected degraded slots: %+v", rep.Degraded)
 	}
 	// The promote's piggybacked checkpoint preserved the pre-crash counters.
-	if got := srv2.Registry().StatsFor(registry.Live).Records.Load(); got < int64(len(recs)) {
+	if got := srv2.reg.StatsFor(registry.Live).Records.Load(); got < int64(len(recs)) {
 		t.Fatalf("recovered live records counter = %d, want >= %d", got, len(recs))
 	}
 	if code, _ := getStatus(t, ts2.URL+"/readyz"); code != http.StatusOK {

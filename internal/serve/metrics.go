@@ -51,19 +51,11 @@ func newServerMetrics() *serverMetrics {
 	return &serverMetrics{latency: obs.NewHistogram(obs.LatencyBuckets)}
 }
 
-// observeLatency records one accepted request's end-to-end latency.
-func (m *serverMetrics) observeLatency(d time.Duration) {
-	if m != nil && m.latency != nil {
-		m.latency.ObserveDuration(d)
-	}
-}
-
 // stageMetrics are one slot's per-stage latency decomposition: fixed-bucket
 // histograms for each stage of the request path plus the realized batch
 // size distribution. They live on the slot's scorer, so — like the queue
 // gauge — they travel with the generation through promotions and are
-// rendered under whichever tag currently serves it. Nil when the server
-// runs with ObsOff.
+// rendered under whichever tag currently serves it.
 type stageMetrics struct {
 	queueWait *obs.Histogram // enqueue → worker pickup (includes assembly + worker wait)
 	assembly  *obs.Histogram // batch open (first record at dispatcher) → flush
@@ -184,40 +176,28 @@ func (m *serverMetrics) writeProm(w io.Writer, snap promSnapshot) {
 	obs.WritePromHeader(w, "pelican_serve_request_seconds", "histogram", "Scoring request latency.")
 	m.latency.WriteProm(w, "pelican_serve_request_seconds", "")
 
-	// Stage-level latency decomposition, per slot. Absent entirely under
-	// ObsOff (the stage timers are off, not silently zero).
-	writeStages := false
-	for _, sl := range snap.slots {
-		if sl.stages != nil {
-			writeStages = true
+	// Stage-level latency decomposition, per slot.
+	stageHist := func(name, help string, pick func(*stageMetrics) *obs.Histogram) {
+		obs.WritePromHeader(w, name, "histogram", help)
+		for _, sl := range snap.slots {
+			pick(sl.stages).WriteProm(w, name, fmt.Sprintf("slot=%q", sl.tag))
 		}
 	}
-	if writeStages {
-		stageHist := func(name, help string, pick func(*stageMetrics) *obs.Histogram) {
-			obs.WritePromHeader(w, name, "histogram", help)
-			for _, sl := range snap.slots {
-				if sl.stages == nil {
-					continue
-				}
-				pick(sl.stages).WriteProm(w, name, fmt.Sprintf("slot=%q", sl.tag))
-			}
-		}
-		stageHist("pelican_serve_queue_wait_seconds",
-			"Stage: record enqueue to worker pickup (queueing, co-traveler wait, and replica wait).",
-			func(st *stageMetrics) *obs.Histogram { return st.queueWait })
-		stageHist("pelican_serve_batch_assembly_seconds",
-			"Stage: batch open (first record at the dispatcher) to flush.",
-			func(st *stageMetrics) *obs.Histogram { return st.assembly })
-		stageHist("pelican_serve_infer_seconds",
-			"Stage: replica engine run per flushed batch (includes any injected chaos delay).",
-			func(st *stageMetrics) *obs.Histogram { return st.infer })
-		stageHist("pelican_serve_encode_seconds",
-			"Stage: response JSON encode per request.",
-			func(st *stageMetrics) *obs.Histogram { return st.encode })
-		stageHist("pelican_serve_batch_size",
-			"Records per flushed batch.",
-			func(st *stageMetrics) *obs.Histogram { return st.batchSize })
-	}
+	stageHist("pelican_serve_queue_wait_seconds",
+		"Stage: record enqueue to worker pickup (queueing, co-traveler wait, and replica wait).",
+		func(st *stageMetrics) *obs.Histogram { return st.queueWait })
+	stageHist("pelican_serve_batch_assembly_seconds",
+		"Stage: batch open (first record at the dispatcher) to flush.",
+		func(st *stageMetrics) *obs.Histogram { return st.assembly })
+	stageHist("pelican_serve_infer_seconds",
+		"Stage: replica engine run per flushed batch (includes any injected chaos delay).",
+		func(st *stageMetrics) *obs.Histogram { return st.infer })
+	stageHist("pelican_serve_encode_seconds",
+		"Stage: response JSON encode per request.",
+		func(st *stageMetrics) *obs.Histogram { return st.encode })
+	stageHist("pelican_serve_batch_size",
+		"Records per flushed batch.",
+		func(st *stageMetrics) *obs.Histogram { return st.batchSize })
 
 	// Durable-control-plane families: present only when the server runs
 	// with an artifact store (and, for the recovery set, only after a

@@ -312,47 +312,3 @@ func TestTracingEndToEnd(t *testing.T) {
 		t.Fatal("the 400 request's trace is missing from /debug/traces?errors=1")
 	}
 }
-
-// TestObsOff pins the kill switch: with observability off the server
-// still scores, /debug/traces is 404, and no stage histogram families
-// appear in /metrics — the hot path carries no per-request telemetry.
-func TestObsOff(t *testing.T) {
-	if testing.Short() {
-		t.Skip("trains a model")
-	}
-	a, _, recs := trainTestArtifact(t, "mlp", 11, 1)
-	_, ts := newTestServer(t, a, Config{
-		Replicas: 1, MaxBatch: 8, MaxWait: time.Millisecond, ObsOff: true,
-	})
-
-	resp, body := postJSON(t, ts.URL+"/v1/detect-batch", detectBatchRequest{Records: recordsJSON(recs)})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("scoring with -obs-off: status %d: %s", resp.StatusCode, body)
-	}
-	// The request ID still flows: correlation survives the kill switch.
-	if resp.Header.Get(obs.RequestIDHeader) == "" {
-		t.Fatal("no X-Request-Id echoed with observability off")
-	}
-
-	code, _ := getBody(t, ts.URL+"/debug/traces")
-	if code != http.StatusNotFound {
-		t.Fatalf("/debug/traces = %d with observability off, want 404", code)
-	}
-
-	fams := scrapeProm(t, ts.URL)
-	for _, name := range []string{
-		"pelican_serve_queue_wait_seconds",
-		"pelican_serve_batch_assembly_seconds",
-		"pelican_serve_infer_seconds",
-		"pelican_serve_encode_seconds",
-		"pelican_serve_batch_size",
-	} {
-		if fams[name] != nil {
-			t.Fatalf("stage family %s exported despite -obs-off", name)
-		}
-	}
-	// Core counters survive the kill switch.
-	if fams["pelican_serve_records_total"] == nil {
-		t.Fatal("pelican_serve_records_total missing with observability off")
-	}
-}

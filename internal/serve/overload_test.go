@@ -257,7 +257,7 @@ func TestSwapMidRequestRetriesOnSuccessor(t *testing.T) {
 }
 
 // TestMirrorDropAccountingExact is the satellite coverage for the
-// mirror-drop path: under concurrent live traffic with MirrorConcurrency=1
+// mirror-drop path: under concurrent live traffic with mirrorConcurrency=1
 // and slowed replicas, mirrors are dropped rather than blocking live — and
 // the per-slot counters account every record exactly:
 // mirrored + mirror_dropped == live records, with the shadow slot's own
@@ -272,7 +272,7 @@ func TestMirrorDropAccountingExact(t *testing.T) {
 	inj := &chaos.Injector{}
 	srv, ts := newTestServer(t, a, Config{
 		Replicas: 2, MaxBatch: 8, MaxWait: time.Millisecond,
-		QueueDepth: 64, MirrorConcurrency: 1, Chaos: inj,
+		QueueDepth: 64, mirrorConcurrency: 1, Chaos: inj,
 	})
 	if err := srv.LoadSlot(registry.Shadow, a2); err != nil {
 		t.Fatal(err)
@@ -315,8 +315,8 @@ func TestMirrorDropAccountingExact(t *testing.T) {
 	ts.Close()
 	srv.Close()
 
-	liveSt := srv.Registry().StatsFor(registry.Live)
-	shSt := srv.Registry().StatsFor(registry.Shadow)
+	liveSt := srv.reg.StatsFor(registry.Live)
+	shSt := srv.reg.StatsFor(registry.Shadow)
 	liveRecords := liveSt.Records.Load()
 	mirrored, dropped := shSt.Mirrored.Load(), shSt.MirrorDropped.Load()
 	if want := int64(clients * reqs * 8); liveRecords != want {
@@ -327,7 +327,7 @@ func TestMirrorDropAccountingExact(t *testing.T) {
 			mirrored, dropped, mirrored+dropped, liveRecords)
 	}
 	if dropped == 0 {
-		t.Fatalf("no mirrors dropped with MirrorConcurrency=1 under %d concurrent clients", clients)
+		t.Fatalf("no mirrors dropped with mirrorConcurrency=1 under %d concurrent clients", clients)
 	}
 	if got := shSt.Records.Load(); got != mirrored {
 		t.Fatalf("shadow records = %d, want mirrored %d", got, mirrored)

@@ -154,19 +154,15 @@ func (s *Server) finish(rq scoreRequest, tr *obs.Trace, start time.Time, verdict
 		encStart := time.Now()
 		if err = rq.respond(si, verdicts); err == nil {
 			encDur := time.Since(encStart)
-			if st := si.scorer.stages; st != nil {
-				st.encode.ObserveDuration(encDur)
+			si.scorer.stages.encode.ObserveDuration(encDur)
+			tr.Span("encode", encStart, encDur)
+			s.putTrace(tr, http.StatusOK, "")
+			if s.log.Enabled(obs.LevelDebug) {
+				s.log.Debug("request scored", "request_id", tr.ID, "endpoint", tr.Endpoint,
+					"slot", tr.Slot, "version", tr.Version, "records", len(verdicts),
+					"dur", time.Since(tr.Start))
 			}
-			if tr != nil {
-				tr.Span("encode", encStart, encDur)
-				s.putTrace(tr, http.StatusOK, "")
-				if s.log.Enabled(obs.LevelDebug) {
-					s.log.Debug("request scored", "request_id", tr.ID, "endpoint", tr.Endpoint,
-						"slot", tr.Slot, "version", tr.Version, "records", len(verdicts),
-						"dur", time.Since(tr.Start))
-				}
-			}
-			s.m.observeLatency(time.Since(start))
+			s.m.latency.ObserveDuration(time.Since(start))
 			return
 		}
 		status, err = http.StatusInternalServerError, fmt.Errorf("encode response: %w", err)
@@ -191,24 +187,21 @@ func (s *Server) countError(status int, requestID, msg string) {
 }
 
 // putTrace seals tr with the request's outcome and publishes it to the
-// /debug/traces ring. Nil traces (ObsOff) are ignored.
+// /debug/traces ring.
 func (s *Server) putTrace(tr *obs.Trace, status int, errMsg string) {
-	if tr == nil {
-		return
-	}
 	tr.Finish(status, errMsg)
 	s.traces.Put(tr)
 }
 
 // mirror duplicates a live request onto the shadow slot, asynchronously
 // and best-effort: a missing shadow, a different feature layout, a full
-// shadow queue, or more than MirrorConcurrency mirrors already in flight
+// shadow queue, or more than mirrorConcurrency mirrors already in flight
 // all drop the mirror (counted) rather than delay anything. Completed
 // mirrors accumulate the shadow slot's records/attacks counters and the
 // per-record agreement split against live's verdicts — the side-by-side
 // evidence a promotion decision reads. pooled means recs and liveVerdicts
 // are recycled when the live request is answered, which the mirror
-// outlives, so it takes copies. With tracing on, each mirror gets its own
+// outlives, so it takes copies. Each mirror gets its own
 // trace child-linked (ParentID) to the live request that spawned it: the
 // mirror outlives the parent's response, so it cannot share the parent's
 // sealed trace.
@@ -243,15 +236,10 @@ func (s *Server) mirror(live *slotInstance, recs []data.Record, liveVerdicts []n
 	// attack/normal agreement — always comparable — unless the class lists
 	// match exactly.
 	classComparable := sameClasses(live.artifact.Schema.ClassNames, sh.artifact.Schema.ClassNames)
-	var child *obs.Trace
-	if s.traces != nil {
-		child = obs.NewTrace(obs.NewID(), "mirror")
-		if parent != nil {
-			child.ParentID = parent.ID
-		}
-		child.Records = len(recs)
-		child.SetSlot(registry.Shadow, sh.artifact.Version())
-	}
+	child := obs.NewTrace(obs.NewID(), "mirror")
+	child.ParentID = parent.ID
+	child.Records = len(recs)
+	child.SetSlot(registry.Shadow, sh.artifact.Version())
 	s.mirrorWG.Add(1)
 	go func() {
 		defer func() {

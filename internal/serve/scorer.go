@@ -26,10 +26,7 @@ type scorer struct {
 	detectors []nids.BatchDetector
 	maxBatch  int
 	gm        *serverMetrics
-	// stages holds this slot's per-stage latency histograms and drives the
-	// per-record timestamping; nil disables all stage timing and span
-	// recording (Config.ObsOff).
-	stages    *stageMetrics
+	stages    *stageMetrics // this slot's per-stage latency histograms
 	chaos     chaosDelayer
 	workerWG  sync.WaitGroup
 	closeOnce sync.Once
@@ -59,15 +56,13 @@ const (
 )
 
 // newScorer builds the replicas for a — each a compiled float32 inference
-// engine over the artifact's shared plan — and starts the scoring workers. gm (may be nil in tests) receives the server-wide batch
-// aggregates; per-slot counters are the handlers' business — they know
-// which tag a request resolved to, the scorer deliberately does not (a
-// promotion re-tags this scorer without touching it).
+// engine over the artifact's shared plan — and starts the scoring workers.
+// gm (may be nil in tests) receives the server-wide batch aggregates;
+// per-slot counters are the handlers' business — they know which tag a
+// request resolved to, the scorer deliberately does not (a promotion
+// re-tags this scorer without touching it).
 func newScorer(a *Artifact, cfg Config, gm *serverMetrics) (*scorer, error) {
-	sc := &scorer{maxBatch: cfg.MaxBatch, gm: gm, chaos: cfg.Chaos}
-	if !cfg.ObsOff {
-		sc.stages = newStageMetrics()
-	}
+	sc := &scorer{maxBatch: cfg.MaxBatch, gm: gm, stages: newStageMetrics(), chaos: cfg.Chaos}
 	for i := 0; i < cfg.Replicas; i++ {
 		// The first replica triggers the one-time lowering; the rest (and
 		// any pre-validation done before publish) share the cached plan.
@@ -98,11 +93,10 @@ type traceAgg struct {
 // requests. Shedding happens here — at the last moment before the
 // network pass — because that is when queueing delay has actually been
 // paid: a record that waited out its budget gets a shed tally instead of
-// a stale verdict nobody is waiting for. With stage metrics enabled the
-// worker also feeds the queue_wait/batch_assembly/infer histograms and
-// appends the matching spans to each request's trace — before releasing
-// the request's WaitGroup, so a trace is complete by the time its handler
-// can finish it.
+// a stale verdict nobody is waiting for. The worker also feeds the
+// queue_wait/batch_assembly/infer histograms and appends the matching
+// spans to each request's trace — before releasing the request's
+// WaitGroup, so a trace is complete by the time its handler can finish it.
 //
 //pelican:noalloc
 func (sc *scorer) worker(i int) {
@@ -119,12 +113,9 @@ func (sc *scorer) worker(i int) {
 	for fb := range sc.b.batches {
 		batch := fb.items
 		st := sc.stages
-		var pickup time.Time
-		if st != nil {
-			pickup = time.Now()
-			st.assembly.ObserveDuration(fb.flushedAt.Sub(fb.openedAt))
-			st.batchSize.Observe(float64(len(batch)))
-		}
+		pickup := time.Now()
+		st.assembly.ObserveDuration(fb.flushedAt.Sub(fb.openedAt))
+		st.batchSize.Observe(float64(len(batch)))
 		recs, live, aggs = recs[:0], live[:0], aggs[:0]
 		for j := range batch {
 			it := &batch[j]
@@ -135,31 +126,26 @@ func (sc *scorer) worker(i int) {
 			}
 			recs = append(recs, it.rec)
 			live = append(live, it)
-			if st != nil {
-				st.queueWait.ObserveDuration(pickup.Sub(it.enqueuedAt))
-				if it.trace != nil {
-					found := false
-					for k := range aggs {
-						if aggs[k].tr == it.trace {
-							if it.enqueuedAt.Before(aggs[k].firstEnq) {
-								aggs[k].firstEnq = it.enqueuedAt
-							}
-							found = true
-							break
+			st.queueWait.ObserveDuration(pickup.Sub(it.enqueuedAt))
+			if it.trace != nil {
+				found := false
+				for k := range aggs {
+					if aggs[k].tr == it.trace {
+						if it.enqueuedAt.Before(aggs[k].firstEnq) {
+							aggs[k].firstEnq = it.enqueuedAt
 						}
+						found = true
+						break
 					}
-					if !found {
-						aggs = append(aggs, traceAgg{tr: it.trace, firstEnq: it.enqueuedAt})
-					}
+				}
+				if !found {
+					aggs = append(aggs, traceAgg{tr: it.trace, firstEnq: it.enqueuedAt})
 				}
 			}
 		}
 		if len(recs) > 0 {
 			var chaosDelay time.Duration
 			inferStart := pickup
-			if st != nil && inferStart.IsZero() {
-				inferStart = time.Now()
-			}
 			if sc.chaos != nil {
 				// The injected stall is charged to the infer stage: chaos
 				// models a slow replica, and stage attribution is exactly what
@@ -174,11 +160,8 @@ func (sc *scorer) worker(i int) {
 			}
 			out := verdicts[:len(recs)]
 			sc.detectors[i].DetectBatch(recs, out)
-			var inferDur time.Duration
-			if st != nil {
-				inferDur = time.Since(inferStart)
-				st.infer.ObserveDuration(inferDur)
-			}
+			inferDur := time.Since(inferStart)
+			st.infer.ObserveDuration(inferDur)
 			attacks := int64(0)
 			for j, it := range live {
 				*it.out = out[j]
@@ -241,10 +224,7 @@ func (sc *scorer) submit(ctx context.Context, recs []data.Record, verdicts []nid
 	wg.Add(len(recs))
 	enqueued := len(recs)
 	res := submitOK
-	var enqAt time.Time
-	if sc.stages != nil {
-		enqAt = time.Now()
-	}
+	enqAt := time.Now()
 	for i := range recs {
 		if !sc.b.enqueue(item{rec: &recs[i], out: &verdicts[i], wg: &wg, ctx: ctx, expired: expired, enqueuedAt: enqAt, trace: tr}, block) {
 			// The unenqueued tail must release its WaitGroup slots, and the

@@ -47,10 +47,6 @@ type Config struct {
 	// duplicated onto the shadow slot when one is loaded with a matching
 	// feature layout, accumulating per-slot agreement counters.
 	MirrorOff bool
-	// MirrorConcurrency bounds how many mirrored requests may be in flight
-	// at once; beyond it mirrors are dropped (and counted), never queued —
-	// shadow evaluation must not be able to stall live serving. Default 16.
-	MirrorConcurrency int
 	// RequestTimeout is the scoring deadline budget: each scoring request
 	// runs under a context that expires this long after the handler
 	// accepts it (clients may shorten — never extend — it per request via
@@ -76,12 +72,6 @@ type Config struct {
 	// at /debug/traces (oldest overwritten once full; rounded up to a power
 	// of two). Default 512.
 	TraceCap int
-	// ObsOff disables per-request tracing and per-stage latency timing —
-	// the A/B switch for measuring observability overhead. Aggregate
-	// counters, the request-latency histogram, and runtime telemetry stay
-	// on; /debug/traces answers 404 and the stage histogram families are
-	// absent from /metrics.
-	ObsOff bool
 	// Logger receives structured serving-plane logs (slot lifecycle,
 	// request errors); nil silences them.
 	Logger *obs.Logger
@@ -92,16 +82,23 @@ type Config struct {
 	// Recover). Nil disables all persistence — the pre-durability
 	// behavior, and the default for tests and embedded use.
 	Store *store.Store
-	// StatsInterval is how often per-slot counters are checkpointed into
+
+	// mirrorConcurrency bounds how many mirrored requests may be in flight
+	// at once; beyond it mirrors are dropped (and counted), never queued —
+	// shadow evaluation must not be able to stall live serving. 16, unless
+	// an in-package test narrows it.
+	mirrorConcurrency int
+	// statsInterval is how often per-slot counters are checkpointed into
 	// the journal (so a crash rewinds them by at most this much). Only
-	// meaningful with Store set. Default 5s; negative disables periodic
-	// checkpoints (lifecycle ops still carry them).
-	StatsInterval time.Duration
-	// WirePipeline is the binary transport's per-connection worker count:
-	// how many pipelined score frames one wire connection may have in
-	// flight through the scoring path at once. Default 8.
-	WirePipeline int
+	// meaningful with Store set. 5s; in-package tests set it negative to
+	// disable periodic checkpoints (lifecycle ops still carry them).
+	statsInterval time.Duration
 }
+
+// wirePipeline is the binary transport's per-connection worker count: how
+// many pipelined score frames one wire connection may have in flight
+// through the scoring path at once.
+const wirePipeline = 8
 
 func (c Config) withDefaults() Config {
 	if c.Replicas <= 0 {
@@ -119,8 +116,8 @@ func (c Config) withDefaults() Config {
 	if c.MaxBodyBytes <= 0 {
 		c.MaxBodyBytes = 4 << 20
 	}
-	if c.MirrorConcurrency <= 0 {
-		c.MirrorConcurrency = 16
+	if c.mirrorConcurrency <= 0 {
+		c.mirrorConcurrency = 16
 	}
 	if c.RequestTimeout == 0 {
 		c.RequestTimeout = 5 * time.Second
@@ -131,11 +128,8 @@ func (c Config) withDefaults() Config {
 	if c.TraceCap <= 0 {
 		c.TraceCap = 512
 	}
-	if c.StatsInterval == 0 {
-		c.StatsInterval = 5 * time.Second
-	}
-	if c.WirePipeline <= 0 {
-		c.WirePipeline = 8
+	if c.statsInterval == 0 {
+		c.statsInterval = 5 * time.Second
 	}
 	return c
 }
@@ -144,8 +138,8 @@ func (c Config) withDefaults() Config {
 // slots (live, shadow, canary tags) each serving one independently loaded
 // artifact through its own batcher and replica shard. The /v2 surface is
 // the registry API (list, per-tag load/score, shadow→live promotion,
-// rollback); the /v1 endpoints are thin delegates onto the live slot, kept
-// for existing clients.
+// rollback); the /v1 routes are aliases of four of its handlers (see
+// v1Aliases), kept for existing clients.
 //
 // Construct with New, mount Handler on an http.Server, and shut down in
 // order: stop the listener first (http.Server.Shutdown /
@@ -156,7 +150,7 @@ type Server struct {
 	reg       *registry.Registry
 	m         *serverMetrics
 	mux       *http.ServeMux
-	traces    *obs.TraceRing // nil under Config.ObsOff
+	traces    *obs.TraceRing
 	log       *obs.Logger
 	started   time.Time
 	draining  atomic.Bool
@@ -235,11 +229,9 @@ func newServer(cfg Config) (*Server, error) {
 		mux:       http.NewServeMux(),
 		log:       cfg.Logger,
 		started:   time.Now(),
-		mirrorSem: make(chan struct{}, cfg.MirrorConcurrency),
+		mirrorSem: make(chan struct{}, cfg.mirrorConcurrency),
 		store:     cfg.Store,
-	}
-	if !cfg.ObsOff {
-		s.traces = obs.NewTraceRing(cfg.TraceCap)
+		traces:    obs.NewTraceRing(cfg.TraceCap),
 	}
 	s.reg = registry.New(func(inst registry.Instance) {
 		// A displaced generation drains in the background: requests that
@@ -262,30 +254,47 @@ func newServer(cfg Config) (*Server, error) {
 		}
 		s.journal = l
 		s.replayInfo = info
-		if cfg.StatsInterval > 0 {
+		if cfg.statsInterval > 0 {
 			s.statsStop = make(chan struct{})
 			s.statsWG.Add(1)
 			go s.statsFlusher()
 		}
 	}
 
-	s.mux.HandleFunc("/v1/detect", s.handleScore)
-	s.mux.HandleFunc("/v1/detect-batch", s.handleScore)
-	s.mux.HandleFunc("/v1/model", s.handleModel)
-	s.mux.HandleFunc("/v1/reload", s.handleReload)
-	s.mux.HandleFunc("/v2/models", s.handleModels)
-	s.mux.HandleFunc("/v2/models/", s.handleModelTag)
-	s.mux.HandleFunc("/v2/load", s.handleLoad)
-	s.mux.HandleFunc("/v2/detect", s.handleScore)
-	s.mux.HandleFunc("/v2/detect-batch", s.handleScore)
-	s.mux.HandleFunc("/v2/promote", s.handlePromote)
-	s.mux.HandleFunc("/v2/rollback", s.handleRollback)
-	s.mux.HandleFunc("/healthz", s.handleHealthz)
-	s.mux.HandleFunc("/readyz", s.handleReadyz)
-	s.mux.HandleFunc("/metrics", s.handleMetrics)
-	s.mux.HandleFunc("/debug/traces", s.handleTraces)
+	routes := map[string]http.HandlerFunc{
+		"/v2/models":       s.handleModels,
+		"/v2/models/":      s.handleModelTag,
+		"/v2/load":         s.handleLoad,
+		"/v2/detect":       s.handleScore,
+		"/v2/detect-batch": s.handleScore,
+		"/v2/promote":      s.handlePromote,
+		"/v2/rollback":     s.handleRollback,
+		"/healthz":         s.handleHealthz,
+		"/readyz":          s.handleReadyz,
+		"/metrics":         s.handleMetrics,
+		"/debug/traces":    s.handleTraces,
+	}
+	for v1, v2 := range v1Aliases {
+		routes[v1] = routes[v2]
+	}
+	for pattern, h := range routes {
+		s.mux.HandleFunc(pattern, h)
+	}
 	return s, nil
 }
+
+// v1Aliases is the whole /v1 surface: each route is served by the handler
+// of the /v2 route beside it. A handler that sees a /v1 path (isV1) pins
+// the live slot — no ?tag=, no "tag" in the body — and answers in the
+// pre-registry shape, which is the /v2 one without its "tag" field.
+var v1Aliases = map[string]string{
+	"/v1/detect":       "/v2/detect",
+	"/v1/detect-batch": "/v2/detect-batch",
+	"/v1/model":        "/v2/models/",
+	"/v1/reload":       "/v2/load",
+}
+
+func isV1(r *http.Request) bool { return strings.HasPrefix(r.URL.Path, "/v1/") }
 
 // newInstance builds a ready slot instance (replicas + private batcher)
 // for a. Nothing is registered: a failing artifact never disturbs serving.
@@ -314,9 +323,6 @@ func (s *Server) slot(tag string) (*slotInstance, bool) {
 // Handler returns the HTTP handler serving all endpoints.
 func (s *Server) Handler() http.Handler { return s.mux }
 
-// Registry exposes the model registry (read-side: tags, stats, history).
-func (s *Server) Registry() *registry.Registry { return s.reg }
-
 // Artifact returns the live slot's artifact.
 func (s *Server) Artifact() *Artifact {
 	si, ok := s.slot(registry.Live)
@@ -330,8 +336,9 @@ func (s *Server) Artifact() *Artifact {
 // programmatic form of POST /v2/load. Loading into the live slot requires
 // the identical feature layout as the running live model (use the shadow
 // slot and Promote for schema evolution); any other tag accepts any valid
-// artifact. The displaced generation, if any, finishes its in-flight work
-// on its own replicas.
+// artifact. A displaced live generation is retained for Rollback; any
+// displaced generation finishes its in-flight work on its own replicas, so
+// no request is ever dropped.
 func (s *Server) LoadSlot(tag string, a *Artifact) error {
 	if err := registry.ValidateTag(tag); err != nil {
 		return err
@@ -373,12 +380,6 @@ func (s *Server) LoadSlot(tag string, a *Artifact) error {
 	s.log.Info("model loaded", "slot", tag, "version", a.Version(), "model", a.ModelName)
 	return nil
 }
-
-// Reload atomically swaps a into the live slot — the /v1 compatibility
-// form of LoadSlot("live", a). The previous live generation is retained
-// for Rollback. In-flight requests finish on the generation they enqueued
-// onto; no request is ever dropped.
-func (s *Server) Reload(a *Artifact) error { return s.LoadSlot(registry.Live, a) }
 
 // Promote atomically makes the shadow generation live (retaining the
 // displaced live for Rollback) and empties the shadow slot. The promoted
@@ -456,17 +457,13 @@ func (s *Server) Close() {
 
 // traceFor assigns the request its ID — honoring an incoming
 // X-Request-Id, generating one otherwise — echoes it on the response, and
-// (when tracing is enabled) opens the request's trace. Returns nil under
-// ObsOff; every consumer of the trace is nil-safe.
+// opens the request's trace.
 func (s *Server) traceFor(w http.ResponseWriter, r *http.Request) *obs.Trace {
 	id := r.Header.Get(obs.RequestIDHeader)
 	if id == "" {
 		id = obs.NewID()
 	}
 	w.Header().Set(obs.RequestIDHeader, id)
-	if s.traces == nil {
-		return nil
-	}
 	return obs.NewTrace(id, r.URL.Path)
 }
 
@@ -599,13 +596,13 @@ type httpScore struct {
 	// otherwise /detect-batch ({"records": [...]} in, verdicts out).
 	single bool
 	// echoTag, when non-empty, is included in the response (the /v2
-	// shape; /v1 responses stay byte-compatible).
+	// shape; /v1 aliases answer without it).
 	echoTag string
 }
 
-// handleScore is the one HTTP scoring handler, mounted on four routes:
-// POST /v1/detect and /v1/detect-batch score on the live slot; the /v2
-// forms score on ?tag= (default live) and echo the tag.
+// handleScore is the one HTTP scoring handler: POST /v2/detect and
+// /v2/detect-batch score on ?tag= (default live) and echo the tag; their
+// /v1 aliases score on the live slot.
 func (s *Server) handleScore(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		s.httpError(w, http.StatusMethodNotAllowed, "POST required")
@@ -618,7 +615,7 @@ func (s *Server) handleScore(w http.ResponseWriter, r *http.Request) {
 	}
 	hs := &httpScore{w: w, single: strings.HasSuffix(r.URL.Path, "/detect")}
 	tag := registry.Live
-	if strings.HasPrefix(r.URL.Path, "/v2/") {
+	if !isV1(r) {
 		if qt := r.URL.Query().Get("tag"); qt != "" {
 			tag = qt
 		}
@@ -635,9 +632,7 @@ func (s *Server) handleScore(w http.ResponseWriter, r *http.Request) {
 		s.finish(hs, tr, start, nil, nil, status, err)
 		return
 	}
-	if tr != nil {
-		tr.Records = len(hs.recs)
-	}
+	tr.Records = len(hs.recs)
 	// A malformed X-Timeout-Ms is no hint at all.
 	hintMS, err := strconv.ParseInt(r.Header.Get("X-Timeout-Ms"), 10, 64)
 	if err != nil {
@@ -698,7 +693,7 @@ func (hs *httpScore) requestID() string { return hs.w.Header().Get(obs.RequestID
 type ModelInfo struct {
 	Model   string `json:"model"`
 	Version string `json:"version"`
-	// Tag is the slot this description refers to (on /v2 responses).
+	// Tag is the slot this description refers to (absent on /v1 aliases).
 	Tag string `json:"tag,omitempty"`
 	// PreviousVersion is the retained rollback generation (live slot only).
 	PreviousVersion string   `json:"previous_version,omitempty"`
@@ -767,13 +762,6 @@ func (s *Server) infoFor(tag string, si *slotInstance) ModelInfo {
 	return info
 }
 
-// Info returns the live model's description (the /v1 shape: no tag).
-func (s *Server) Info() ModelInfo {
-	info, _ := s.InfoTag(registry.Live)
-	info.Tag = ""
-	return info
-}
-
 // InfoTag returns the description of the model under tag.
 func (s *Server) InfoTag(tag string) (ModelInfo, error) {
 	si, ok := s.slot(tag)
@@ -822,11 +810,6 @@ func (s *Server) Models() ModelsResponse {
 	return resp
 }
 
-// handleModel is GET /v1/model: the live slot's description.
-func (s *Server) handleModel(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, s.Info())
-}
-
 // handleModels is GET /v2/models: the registry listing.
 func (s *Server) handleModels(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
@@ -836,10 +819,22 @@ func (s *Server) handleModels(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, s.Models())
 }
 
+// writeInfo answers a slot description in the shape of the route asked.
+func writeInfo(w http.ResponseWriter, r *http.Request, info ModelInfo) {
+	if isV1(r) {
+		info.Tag = ""
+	}
+	writeJSON(w, info)
+}
+
 // handleModelTag is /v2/models/{tag}: GET describes the slot, DELETE
-// unloads it (live cannot be unloaded).
+// unloads it (live cannot be unloaded). Its alias /v1/model is the live
+// slot's.
 func (s *Server) handleModelTag(w http.ResponseWriter, r *http.Request) {
-	tag := strings.TrimPrefix(r.URL.Path, "/v2/models/")
+	tag := registry.Live
+	if !isV1(r) {
+		tag = strings.TrimPrefix(r.URL.Path, "/v2/models/")
+	}
 	if tag == "" || strings.Contains(tag, "/") {
 		s.httpError(w, http.StatusNotFound, "want /v2/models/{tag}")
 		return
@@ -851,7 +846,7 @@ func (s *Server) handleModelTag(w http.ResponseWriter, r *http.Request) {
 			s.httpError(w, http.StatusNotFound, "%v", err)
 			return
 		}
-		writeJSON(w, info)
+		writeInfo(w, r, info)
 	case http.MethodDelete:
 		if tag == registry.Live {
 			s.httpError(w, http.StatusConflict, "cannot unload the live slot")
@@ -874,7 +869,7 @@ type loadRequest struct {
 
 // handleLoad is POST /v2/load?tag= (or {"path": ..., "tag": ...}): load an
 // artifact file into a slot. The tag defaults to shadow — the staging slot
-// gated promotion operates on.
+// gated promotion operates on. Its alias /v1/reload loads into live.
 func (s *Server) handleLoad(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		s.httpError(w, http.StatusMethodNotAllowed, "POST required")
@@ -886,7 +881,7 @@ func (s *Server) handleLoad(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if req.Path == "" {
-		s.httpError(w, http.StatusBadRequest, "body must be {\"path\": \"artifact file\", \"tag\": \"slot\"}")
+		s.httpError(w, http.StatusBadRequest, "body must be {\"path\": \"artifact file\"}")
 		return
 	}
 	tag := req.Tag
@@ -895,6 +890,10 @@ func (s *Server) handleLoad(w http.ResponseWriter, r *http.Request) {
 	}
 	if tag == "" {
 		tag = registry.Shadow
+	}
+	op := fmt.Sprintf("load %q", tag)
+	if isV1(r) {
+		tag, op = registry.Live, "reload"
 	}
 	if err := registry.ValidateTag(tag); err != nil {
 		s.httpError(w, http.StatusBadRequest, "%v", err)
@@ -906,7 +905,7 @@ func (s *Server) handleLoad(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if err := s.LoadSlot(tag, a); err != nil {
-		s.httpError(w, http.StatusConflict, "load %q: %v", tag, err)
+		s.httpError(w, http.StatusConflict, "%s: %v", op, err)
 		return
 	}
 	info, err := s.InfoTag(tag)
@@ -916,40 +915,7 @@ func (s *Server) handleLoad(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, s.Models())
 		return
 	}
-	writeJSON(w, info)
-}
-
-type reloadRequest struct {
-	Path string `json:"path"`
-}
-
-// handleReload is POST /v1/reload: load an artifact file into the live
-// slot. Kept as a thin delegate for existing clients; /v2/load is the
-// registry-aware form.
-func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		s.httpError(w, http.StatusMethodNotAllowed, "POST required")
-		return
-	}
-	var req reloadRequest
-	if status, err := s.decodeBody(w, r, &req); err != nil {
-		s.httpError(w, status, "%v", err)
-		return
-	}
-	if req.Path == "" {
-		s.httpError(w, http.StatusBadRequest, "body must be {\"path\": \"artifact file\"}")
-		return
-	}
-	a, err := LoadArtifactFile(req.Path)
-	if err != nil {
-		s.httpError(w, http.StatusUnprocessableEntity, "load artifact: %v", err)
-		return
-	}
-	if err := s.Reload(a); err != nil {
-		s.httpError(w, http.StatusConflict, "reload: %v", err)
-		return
-	}
-	writeJSON(w, s.Info())
+	writeInfo(w, r, info)
 }
 
 // handlePromote is POST /v2/promote: shadow becomes live atomically; the
@@ -1053,10 +1019,6 @@ type tracesResponse struct {
 func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		s.httpError(w, http.StatusMethodNotAllowed, "GET required")
-		return
-	}
-	if s.traces == nil {
-		s.httpError(w, http.StatusNotFound, "tracing is disabled (server started with observability off)")
 		return
 	}
 	traces := s.traces.Snapshot()

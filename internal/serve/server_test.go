@@ -19,6 +19,7 @@ import (
 	"repro/internal/models"
 	"repro/internal/nids"
 	"repro/internal/nn"
+	"repro/internal/registry"
 	"repro/internal/synth"
 	"repro/internal/tensor"
 )
@@ -37,6 +38,12 @@ func newTestServer(t *testing.T, a *Artifact, cfg Config) (*Server, *httptest.Se
 		srv.Close()
 	})
 	return srv, ts
+}
+
+// liveVersion is the version the live slot serves ("" when it is empty).
+func liveVersion(srv *Server) string {
+	info, _ := srv.InfoTag(registry.Live)
+	return info.Version
 }
 
 func postJSON(t *testing.T, url string, body any) (*http.Response, []byte) {
@@ -277,7 +284,7 @@ func TestHotReloadNeverDropsRequests(t *testing.T) {
 		if flip%2 == 1 {
 			path = p1
 		}
-		resp, body := postJSON(t, ts.URL+"/v1/reload", reloadRequest{Path: path})
+		resp, body := postJSON(t, ts.URL+"/v1/reload", loadRequest{Path: path})
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("reload %d: status %d: %s", flip, resp.StatusCode, body)
 		}
@@ -289,7 +296,7 @@ func TestHotReloadNeverDropsRequests(t *testing.T) {
 	for err := range errCh {
 		t.Fatal(err)
 	}
-	if got := srv.Info().Version; got != a1.Version() && got != a2.Version() {
+	if got := liveVersion(srv); got != a1.Version() && got != a2.Version() {
 		t.Fatalf("final version %s is neither generation", got)
 	}
 }
@@ -514,7 +521,7 @@ func TestReloadRejectsShapeChange(t *testing.T) {
 	}
 	a, _, _ := trainTestArtifact(t, "mlp", 41, 1)
 	srv, ts := newTestServer(t, a, Config{})
-	before := srv.Info().Version
+	before := liveVersion(srv)
 
 	// Build a valid artifact over the other dataset's schema (different
 	// numeric/categorical feature counts).
@@ -538,11 +545,11 @@ func TestReloadRejectsShapeChange(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	resp, body := postJSON(t, ts.URL+"/v1/reload", reloadRequest{Path: path})
+	resp, body := postJSON(t, ts.URL+"/v1/reload", loadRequest{Path: path})
 	if resp.StatusCode != http.StatusConflict {
 		t.Fatalf("shape-changing reload: status %d, want 409: %s", resp.StatusCode, body)
 	}
-	if srv.Info().Version != before {
+	if liveVersion(srv) != before {
 		t.Fatal("rejected reload disturbed the serving model")
 	}
 }
@@ -553,17 +560,17 @@ func TestServerReloadRejectsBadArtifact(t *testing.T) {
 	}
 	a, _, _ := trainTestArtifact(t, "mlp", 31, 1)
 	srv, ts := newTestServer(t, a, Config{})
-	before := srv.Info().Version
+	before := liveVersion(srv)
 
 	junk := filepath.Join(t.TempDir(), "junk.plcn")
 	if err := os.WriteFile(junk, []byte("not an artifact"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	resp, _ := postJSON(t, ts.URL+"/v1/reload", reloadRequest{Path: junk})
+	resp, _ := postJSON(t, ts.URL+"/v1/reload", loadRequest{Path: junk})
 	if resp.StatusCode != http.StatusUnprocessableEntity {
 		t.Fatalf("junk reload: status %d, want 422", resp.StatusCode)
 	}
-	if srv.Info().Version != before {
+	if liveVersion(srv) != before {
 		t.Fatal("failed reload disturbed the serving model")
 	}
 }

@@ -135,7 +135,7 @@ func TestV2RegistryLifecycle(t *testing.T) {
 	if info.Version != a1.Version() || info.PreviousVersion != a2.Version() {
 		t.Fatalf("rollback: live=%s previous=%s, want %s/%s", info.Version, info.PreviousVersion, a1.Version(), a2.Version())
 	}
-	if got := srv.Info().Version; got != a1.Version() {
+	if got := liveVersion(srv); got != a1.Version() {
 		t.Fatalf("server live version %s after rollback, want %s", got, a1.Version())
 	}
 
@@ -214,11 +214,11 @@ func TestLiveLoadRejectsFeatureSetChange(t *testing.T) {
 	c := NewClient(ts.URL)
 
 	// /v1/reload: rejected, live untouched.
-	resp, body := postJSON(t, ts.URL+"/v1/reload", reloadRequest{Path: p2})
+	resp, body := postJSON(t, ts.URL+"/v1/reload", loadRequest{Path: p2})
 	if resp.StatusCode != http.StatusConflict {
 		t.Fatalf("/v1/reload layout change: status %d, want 409: %s", resp.StatusCode, body)
 	}
-	if srv.Info().Version != a1.Version() {
+	if liveVersion(srv) != a1.Version() {
 		t.Fatal("rejected reload disturbed the live model")
 	}
 
@@ -268,7 +268,7 @@ func TestShadowMirroring(t *testing.T) {
 	if delta["shadow.mirrored"] != n || delta["shadow.records"] != n || delta["shadow.mirror_dropped"] != 0 || delta["live.records"] != n {
 		t.Fatalf("%d live records mirrored onto an idle shadow moved the counters by %v", n, delta)
 	}
-	shadow := srv.Registry().StatsFor(registry.Shadow)
+	shadow := srv.reg.StatsFor(registry.Shadow)
 	if got := shadow.Agreements.Load() + shadow.Disagreements.Load(); got != shadow.Mirrored.Load() {
 		t.Fatalf("agreement split %d covers %d mirrored records", got, shadow.Mirrored.Load())
 	}
@@ -289,10 +289,11 @@ func TestShadowMirroring(t *testing.T) {
 	}
 }
 
-// TestClientBackwardCompat pins satellite 1: the pre-registry client
-// surface (Score, Reload, Model) keeps its exact behavior against a /v2
-// server — Score answers from the live slot, Reload swaps the live slot
-// and retains the rollback generation the /v2 methods can restore.
+// TestClientBackwardCompat pins what is left of the pre-registry client
+// surface: Score (still on /v1/detect-batch) answers from the live slot,
+// a load into live swaps it and retains the rollback generation, and a
+// RemoteDetector without a Tag scores on live. The /v1 routes themselves
+// are pinned byte for byte by TestV1AliasesAnswerParentBytes.
 func TestClientBackwardCompat(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains models")
@@ -321,29 +322,20 @@ func TestClientBackwardCompat(t *testing.T) {
 		}
 	}
 
-	// Old Model: live description, no /v2 fields leaking.
-	info, err := c.Model()
+	// A load into live swaps it...
+	info, err := c.LoadTag(p2, "live")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info.Version != a1.Version() || info.Tag != "" {
-		t.Fatalf("Model() = %+v, want live version %s with no tag", info, a1.Version())
-	}
-
-	// Old Reload: swaps live...
-	info, err = c.Reload(p2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info.Version != a2.Version() {
-		t.Fatalf("Reload served %s, want %s", info.Version, a2.Version())
+	if info.Version != a2.Version() || info.PreviousVersion != a1.Version() {
+		t.Fatalf("live load served %s over %s, want %s over %s", info.Version, info.PreviousVersion, a2.Version(), a1.Version())
 	}
 	if _, version, err = c.Score(recs[:4]); err != nil || version != a2.Version() {
-		t.Fatalf("post-reload Score version %s err=%v", version, err)
+		t.Fatalf("post-load Score version %s err=%v", version, err)
 	}
-	// ...and the displaced generation is now reachable by the new surface.
+	// ...and the displaced generation is reachable by rollback.
 	if info, err = c.Rollback(); err != nil || info.Version != a1.Version() {
-		t.Fatalf("rollback after /v1 reload: %+v, %v — want %s", info, err, a1.Version())
+		t.Fatalf("rollback after a live load: %+v, %v — want %s", info, err, a1.Version())
 	}
 
 	// RemoteDetector: default hits live, Tag pins a slot.
@@ -451,7 +443,7 @@ func TestPromoteRollbackUnderConcurrentScoring(t *testing.T) {
 		if _, err := c.LoadTag(p2, "shadow"); err != nil {
 			t.Fatalf("cycle %d load: %v", cycle, err)
 		}
-		before, err := c.Model()
+		before, err := c.ModelTag("live")
 		if err != nil {
 			t.Fatalf("cycle %d model: %v", cycle, err)
 		}
@@ -492,11 +484,11 @@ func TestPromoteRollbackUnderConcurrentScoring(t *testing.T) {
 		t.Fatalf("%d records sent over both planes, %d scored (%d shed, %d expired)",
 			sent.Load(), scored, srv.m.shed.Load(), srv.m.deadlineExpired.Load())
 	}
-	if got := srv.Info().Version; got != a1.Version() {
+	if got := liveVersion(srv); got != a1.Version() {
 		t.Fatalf("final live version %s, want %s", got, a1.Version())
 	}
-	if srv.Registry().Promotes() != 6 || srv.Registry().Rollbacks() != 6 {
-		t.Fatalf("lifecycle counters %d/%d, want 6/6", srv.Registry().Promotes(), srv.Registry().Rollbacks())
+	if srv.reg.Promotes() != 6 || srv.reg.Rollbacks() != 6 {
+		t.Fatalf("lifecycle counters %d/%d, want 6/6", srv.reg.Promotes(), srv.reg.Rollbacks())
 	}
 }
 

@@ -192,16 +192,16 @@ func (s *Server) serveWireConn(ctx context.Context, nc net.Conn) {
 		bw:         bw,
 		fr:         wire.NewFrameReader(bufio.NewReaderSize(nc, wireConnBufSize)),
 		fw:         wire.NewFrameWriter(bw),
-		writeq:     make(chan wireReply, 4*s.cfg.WirePipeline),
+		writeq:     make(chan wireReply, 4*wirePipeline),
 		noMoreSend: make(chan struct{}),
 		down:       make(chan struct{}),
 		writerDone: make(chan struct{}),
-		reqq:       make(chan *wireRequest, s.cfg.WirePipeline),
+		reqq:       make(chan *wireRequest, wirePipeline),
 	}
 	s.m.wireConnections.Add(1)
 	s.trackWireConn(cn, true)
 	go cn.writeLoop()
-	for i := 0; i < s.cfg.WirePipeline; i++ {
+	for i := 0; i < wirePipeline; i++ {
 		cn.workerWG.Add(1)
 		go cn.worker(ctx)
 	}
@@ -404,7 +404,7 @@ func (cn *wireServerConn) writeReply(rep wireReply) bool {
 }
 
 // worker scores dispatched requests. The pool is fixed at connection
-// setup (WirePipeline workers), so pipelining costs no per-frame
+// setup (wirePipeline workers), so pipelining costs no per-frame
 // goroutine.
 func (cn *wireServerConn) worker(ctx context.Context) {
 	defer cn.workerWG.Done()
@@ -422,11 +422,8 @@ func (cn *wireServerConn) handleScore(ctx context.Context, wr *wireRequest) {
 	defer putWireRequest(wr)
 	s := cn.s
 	start := time.Now()
-	var tr *obs.Trace
-	if s.traces != nil {
-		tr = obs.NewTrace(wr.requestID(), "/wire/score")
-		tr.Records = wr.req.Count
-	}
+	tr := obs.NewTrace(wr.requestID(), "/wire/score")
+	tr.Records = wr.req.Count
 	s.serveScore(ctx, int64(wr.req.DeadlineMS), internWireTag(wr.req.Tag), wr, tr, start)
 }
 

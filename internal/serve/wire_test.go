@@ -358,7 +358,7 @@ func TestWireDeadlineExpiredSheds(t *testing.T) {
 		t.Fatal("no 503 Error frame for the expired request")
 	}
 	inj.SetScoreDelay(0)
-	if n := srv.Registry().StatsFor("live").DeadlineExpired.Load(); n != 1 {
+	if n := srv.reg.StatsFor("live").DeadlineExpired.Load(); n != 1 {
 		t.Fatalf("DeadlineExpired = %d, want 1", n)
 	}
 }

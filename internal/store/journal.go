@@ -207,13 +207,14 @@ func (l *Log) replay() (RecoverInfo, error) {
 			break
 		}
 		var r Record
-		if parseLine(b[off:off+nl+1], &r) && r.Seq <= info.SnapshotSeq {
+		ok := parseLine(b[off:off+nl+1], &r)
+		if ok && r.Seq <= info.SnapshotSeq {
 			// Valid record already folded into the snapshot (crash landed
 			// between snapshot write and journal truncate): skip it.
 			off += nl + 1
 			continue
 		}
-		if !parseLine(b[off:off+nl+1], &r) || r.Seq <= l.seq {
+		if !ok || r.Seq <= l.seq {
 			// Torn, corrupt, or out-of-order: everything from here on is
 			// suspect — a valid prefix is all replay trusts.
 			info.Truncated += countLines(b[off:])

@@ -106,9 +106,6 @@ func Open(dir string) (*Store, error) {
 	return s, nil
 }
 
-// Dir returns the root state directory.
-func (s *Store) Dir() string { return s.dir }
-
 // JournalDir returns the directory the registry journal lives in.
 func (s *Store) JournalDir() string { return filepath.Join(s.dir, "journal") }
 
@@ -189,12 +186,6 @@ func (s *Store) verify(version string, b []byte) error {
 		return fmt.Errorf("%w: %s: full sha256 mismatch", ErrCorrupt, version)
 	}
 	return nil
-}
-
-// Has reports whether version is resident (verified or not) in the CAS.
-func (s *Store) Has(version string) bool {
-	_, err := os.Stat(s.artifactPath(version))
-	return err == nil
 }
 
 // Retain adds one reference to version. References are in-memory —

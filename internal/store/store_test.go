@@ -173,3 +173,9 @@ func TestWriteAtomicReplaces(t *testing.T) {
 		t.Fatalf("dir has %d entries, want 1", len(ents))
 	}
 }
+
+// Has reports whether version is resident (verified or not) in the CAS.
+func (s *Store) Has(version string) bool {
+	_, err := os.Stat(s.artifactPath(version))
+	return err == nil
+}

@@ -392,49 +392,3 @@ func mulBlockTransB(dst, a, b []float64, r0, r1, k, n int) {
 		}
 	}
 }
-
-// MatVecInto computes dst = a @ x for a rank-2 a (m×k) and vector x (k),
-// writing into vector dst (m).
-//
-//pelican:noalloc
-func MatVecInto(dst, a, x *Tensor) {
-	if len(a.shape) != 2 {
-		panic(fmt.Sprintf("tensor: MatVecInto requires rank-2 a, got %v", a.shape))
-	}
-	m, k := a.shape[0], a.shape[1]
-	if len(x.data) != k || len(dst.data) != m {
-		panic(fmt.Sprintf("tensor: MatVecInto shape mismatch a=%v x=%v dst=%v", a.shape, x.shape, dst.shape))
-	}
-	for i := 0; i < m; i++ {
-		row := a.data[i*k : (i+1)*k]
-		s := 0.0
-		for p, av := range row {
-			s += av * x.data[p]
-		}
-		dst.data[i] = s
-	}
-}
-
-// Outer computes dst += alpha * x ⊗ y where x has length m, y has length n
-// and dst is m×n. Used for rank-1 gradient accumulation.
-//
-//pelican:noalloc
-func Outer(dst *Tensor, alpha float64, x, y *Tensor) {
-	if len(dst.shape) != 2 {
-		panic(fmt.Sprintf("tensor: Outer requires rank-2 dst, got %v", dst.shape))
-	}
-	m, n := dst.shape[0], dst.shape[1]
-	if len(x.data) != m || len(y.data) != n {
-		panic(fmt.Sprintf("tensor: Outer shape mismatch dst=%v x=%v y=%v", dst.shape, x.shape, y.shape))
-	}
-	for i := 0; i < m; i++ {
-		xv := alpha * x.data[i]
-		if xv == 0 {
-			continue
-		}
-		drow := dst.data[i*n : (i+1)*n]
-		for j, yv := range y.data {
-			drow[j] += xv * yv
-		}
-	}
-}

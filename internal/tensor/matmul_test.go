@@ -360,3 +360,83 @@ func BenchmarkMatMul512(b *testing.B) {
 		MatMulInto(dst, x, y)
 	}
 }
+
+// MatVecInto computes dst = a @ x for a rank-2 a (m×k) and vector x (k),
+// writing into vector dst (m).
+//
+//pelican:noalloc
+func MatVecInto(dst, a, x *Tensor) {
+	if len(a.shape) != 2 {
+		panic(fmt.Sprintf("tensor: MatVecInto requires rank-2 a, got %v", a.shape))
+	}
+	m, k := a.shape[0], a.shape[1]
+	if len(x.data) != k || len(dst.data) != m {
+		panic(fmt.Sprintf("tensor: MatVecInto shape mismatch a=%v x=%v dst=%v", a.shape, x.shape, dst.shape))
+	}
+	for i := 0; i < m; i++ {
+		row := a.data[i*k : (i+1)*k]
+		s := 0.0
+		for p, av := range row {
+			s += av * x.data[p]
+		}
+		dst.data[i] = s
+	}
+}
+
+// Outer computes dst += alpha * x ⊗ y where x has length m, y has length n
+// and dst is m×n. Used for rank-1 gradient accumulation.
+//
+//pelican:noalloc
+func Outer(dst *Tensor, alpha float64, x, y *Tensor) {
+	if len(dst.shape) != 2 {
+		panic(fmt.Sprintf("tensor: Outer requires rank-2 dst, got %v", dst.shape))
+	}
+	m, n := dst.shape[0], dst.shape[1]
+	if len(x.data) != m || len(y.data) != n {
+		panic(fmt.Sprintf("tensor: Outer shape mismatch dst=%v x=%v y=%v", dst.shape, x.shape, y.shape))
+	}
+	for i := 0; i < m; i++ {
+		xv := alpha * x.data[i]
+		if xv == 0 {
+			continue
+		}
+		drow := dst.data[i*n : (i+1)*n]
+		for j, yv := range y.data {
+			drow[j] += xv * yv
+		}
+	}
+}
+
+// HeNormal initializes a new tensor with He-normal: N(0, sqrt(2/fanIn)),
+// the usual choice before ReLU nonlinearities.
+func HeNormal(rng *rand.Rand, fanIn int, shape ...int) *Tensor {
+	return RandNormal(rng, 0, math.Sqrt(2.0/float64(fanIn)), shape...)
+}
+
+// Shuffle permutes the rows of a rank-2 tensor in place using rng
+// (Fisher–Yates). labels, if non-nil, is permuted identically so rows and
+// labels stay aligned.
+func Shuffle(rng *rand.Rand, t *Tensor, labels []int) {
+	if len(t.shape) != 2 {
+		panic("tensor: Shuffle requires a rank-2 tensor")
+	}
+	rows, cols := t.shape[0], t.shape[1]
+	if labels != nil && len(labels) != rows {
+		panic("tensor: Shuffle labels length must match row count")
+	}
+	tmp := make([]float64, cols)
+	for i := rows - 1; i > 0; i-- {
+		j := rng.Intn(i + 1)
+		if i == j {
+			continue
+		}
+		ri := t.data[i*cols : (i+1)*cols]
+		rj := t.data[j*cols : (j+1)*cols]
+		copy(tmp, ri)
+		copy(ri, rj)
+		copy(rj, tmp)
+		if labels != nil {
+			labels[i], labels[j] = labels[j], labels[i]
+		}
+	}
+}

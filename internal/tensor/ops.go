@@ -27,21 +27,6 @@ func Add(a, b *Tensor) *Tensor {
 	return dst
 }
 
-// SubInto computes dst = a - b elementwise. dst may alias a or b.
-func SubInto(dst, a, b *Tensor) {
-	binaryCheck("SubInto", dst, a, b)
-	for i, av := range a.data {
-		dst.data[i] = av - b.data[i]
-	}
-}
-
-// Sub returns a - b elementwise as a new tensor shaped like a.
-func Sub(a, b *Tensor) *Tensor {
-	dst := New(a.shape...)
-	SubInto(dst, a, b)
-	return dst
-}
-
 // MulInto computes dst = a * b elementwise (Hadamard). dst may alias a or b.
 func MulInto(dst, a, b *Tensor) {
 	binaryCheck("MulInto", dst, a, b)
@@ -50,32 +35,10 @@ func MulInto(dst, a, b *Tensor) {
 	}
 }
 
-// Mul returns the elementwise product of a and b as a new tensor.
-func Mul(a, b *Tensor) *Tensor {
-	dst := New(a.shape...)
-	MulInto(dst, a, b)
-	return dst
-}
-
-// DivInto computes dst = a / b elementwise. dst may alias a or b.
-func DivInto(dst, a, b *Tensor) {
-	binaryCheck("DivInto", dst, a, b)
-	for i, av := range a.data {
-		dst.data[i] = av / b.data[i]
-	}
-}
-
 // Scale multiplies every element of t by s in place.
 func (t *Tensor) Scale(s float64) {
 	for i := range t.data {
 		t.data[i] *= s
-	}
-}
-
-// AddScalar adds s to every element of t in place.
-func (t *Tensor) AddScalar(s float64) {
-	for i := range t.data {
-		t.data[i] += s
 	}
 }
 
@@ -121,18 +84,6 @@ func (t *Tensor) Mean() float64 {
 		return 0
 	}
 	return t.Sum() / float64(len(t.data))
-}
-
-// Dot returns the inner product of t and o viewed as flat vectors.
-func (t *Tensor) Dot(o *Tensor) float64 {
-	if len(t.data) != len(o.data) {
-		panic(fmt.Sprintf("tensor: Dot size mismatch %v vs %v", t.shape, o.shape))
-	}
-	s := 0.0
-	for i, v := range t.data {
-		s += v * o.data[i]
-	}
-	return s
 }
 
 // Norm2 returns the Euclidean norm of t viewed as a flat vector.
@@ -202,24 +153,6 @@ func (t *Tensor) AddRowVec(v *Tensor) {
 	}
 }
 
-// MulRowVec multiplies every row of a rank-2 tensor elementwise by vector v
-// (length cols) in place.
-func (t *Tensor) MulRowVec(v *Tensor) {
-	if len(t.shape) != 2 {
-		panic(fmt.Sprintf("tensor: MulRowVec on rank-%d tensor", len(t.shape)))
-	}
-	rows, cols := t.shape[0], t.shape[1]
-	if len(v.data) != cols {
-		panic(fmt.Sprintf("tensor: MulRowVec vector length %d != cols %d", len(v.data), cols))
-	}
-	for r := 0; r < rows; r++ {
-		row := t.data[r*cols : (r+1)*cols]
-		for c := range row {
-			row[c] *= v.data[c]
-		}
-	}
-}
-
 // Transpose2D returns the transpose of a rank-2 tensor as a new tensor.
 func (t *Tensor) Transpose2D() *Tensor {
 	if len(t.shape) != 2 {
@@ -233,17 +166,6 @@ func (t *Tensor) Transpose2D() *Tensor {
 		}
 	}
 	return out
-}
-
-// Clip clamps every element of t into [lo, hi] in place.
-func (t *Tensor) Clip(lo, hi float64) {
-	for i, v := range t.data {
-		if v < lo {
-			t.data[i] = lo
-		} else if v > hi {
-			t.data[i] = hi
-		}
-	}
 }
 
 // ApproxEqual reports whether t and o are elementwise equal within tol.

@@ -33,37 +33,3 @@ func GlorotUniform(rng *rand.Rand, fanIn, fanOut int, shape ...int) *Tensor {
 	limit := math.Sqrt(6.0 / float64(fanIn+fanOut))
 	return RandUniform(rng, -limit, limit, shape...)
 }
-
-// HeNormal initializes a new tensor with He-normal: N(0, sqrt(2/fanIn)),
-// the usual choice before ReLU nonlinearities.
-func HeNormal(rng *rand.Rand, fanIn int, shape ...int) *Tensor {
-	return RandNormal(rng, 0, math.Sqrt(2.0/float64(fanIn)), shape...)
-}
-
-// Shuffle permutes the rows of a rank-2 tensor in place using rng
-// (Fisher–Yates). labels, if non-nil, is permuted identically so rows and
-// labels stay aligned.
-func Shuffle(rng *rand.Rand, t *Tensor, labels []int) {
-	if len(t.shape) != 2 {
-		panic("tensor: Shuffle requires a rank-2 tensor")
-	}
-	rows, cols := t.shape[0], t.shape[1]
-	if labels != nil && len(labels) != rows {
-		panic("tensor: Shuffle labels length must match row count")
-	}
-	tmp := make([]float64, cols)
-	for i := rows - 1; i > 0; i-- {
-		j := rng.Intn(i + 1)
-		if i == j {
-			continue
-		}
-		ri := t.data[i*cols : (i+1)*cols]
-		rj := t.data[j*cols : (j+1)*cols]
-		copy(tmp, ri)
-		copy(ri, rj)
-		copy(rj, tmp)
-		if labels != nil {
-			labels[i], labels[j] = labels[j], labels[i]
-		}
-	}
-}

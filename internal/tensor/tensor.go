@@ -31,9 +31,6 @@ func New(shape ...int) *Tensor {
 	return &Tensor{shape: cloneInts(shape), data: make([]float64, n)}
 }
 
-// Zeros is an alias of New, provided for readability at call sites.
-func Zeros(shape ...int) *Tensor { return New(shape...) }
-
 // Ones returns a tensor of the given shape filled with 1.
 func Ones(shape ...int) *Tensor { return Full(1, shape...) }
 
@@ -344,21 +341,6 @@ func (t *Tensor) Row(i int) []float64 {
 	}
 	c := t.shape[1]
 	return t.data[i*c : (i+1)*c]
-}
-
-// SliceRows returns a new tensor that is a copy of rows [from, to) of a
-// rank-2 tensor.
-func (t *Tensor) SliceRows(from, to int) *Tensor {
-	if len(t.shape) != 2 {
-		panic(fmt.Sprintf("tensor: SliceRows on rank-%d tensor", len(t.shape)))
-	}
-	if from < 0 || to > t.shape[0] || from > to {
-		panic(fmt.Sprintf("tensor: SliceRows[%d:%d] out of range for %v", from, to, t.shape))
-	}
-	c := t.shape[1]
-	out := New(to-from, c)
-	copy(out.data, t.data[from*c:to*c])
-	return out
 }
 
 // String renders small tensors fully and large ones abbreviated.

@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -152,16 +153,14 @@ func TestElementwiseOps(t *testing.T) {
 	if got := Add(a, b).Data(); got[3] != 44 {
 		t.Fatalf("Add wrong: %v", got)
 	}
-	if got := Sub(b, a).Data(); got[0] != 9 {
-		t.Fatalf("Sub wrong: %v", got)
-	}
-	if got := Mul(a, b).Data(); got[2] != 90 {
-		t.Fatalf("Mul wrong: %v", got)
-	}
 	d := New(2, 2)
-	DivInto(d, b, a)
-	if d.Data()[3] != 10 {
-		t.Fatalf("DivInto wrong: %v", d.Data())
+	SubInto(d, b, a)
+	if d.Data()[0] != 9 {
+		t.Fatalf("SubInto wrong: %v", d.Data())
+	}
+	MulInto(d, a, b)
+	if d.Data()[2] != 90 {
+		t.Fatalf("MulInto wrong: %v", d.Data())
 	}
 }
 
@@ -321,7 +320,9 @@ func TestPropSubAddInverse(t *testing.T) {
 		}
 		a := FromSlice(clean, len(clean))
 		b := a.Map(func(v float64) float64 { return v * 0.3 })
-		return ApproxEqual(Sub(Add(a, b), b), a, 1e-6*math.Max(1, a.MaxAbs()))
+		back := Add(a, b)
+		SubInto(back, back, b)
+		return ApproxEqual(back, a, 1e-6*math.Max(1, a.MaxAbs()))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
@@ -366,5 +367,69 @@ func TestPropDotCauchySchwarz(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+}
+
+// Dot returns the inner product of t and o viewed as flat vectors.
+func (t *Tensor) Dot(o *Tensor) float64 {
+	if len(t.data) != len(o.data) {
+		panic(fmt.Sprintf("tensor: Dot size mismatch %v vs %v", t.shape, o.shape))
+	}
+	s := 0.0
+	for i, v := range t.data {
+		s += v * o.data[i]
+	}
+	return s
+}
+
+// MulRowVec multiplies every row of a rank-2 tensor elementwise by vector v
+// (length cols) in place.
+func (t *Tensor) MulRowVec(v *Tensor) {
+	if len(t.shape) != 2 {
+		panic(fmt.Sprintf("tensor: MulRowVec on rank-%d tensor", len(t.shape)))
+	}
+	rows, cols := t.shape[0], t.shape[1]
+	if len(v.data) != cols {
+		panic(fmt.Sprintf("tensor: MulRowVec vector length %d != cols %d", len(v.data), cols))
+	}
+	for r := 0; r < rows; r++ {
+		row := t.data[r*cols : (r+1)*cols]
+		for c := range row {
+			row[c] *= v.data[c]
+		}
+	}
+}
+
+// Clip clamps every element of t into [lo, hi] in place.
+func (t *Tensor) Clip(lo, hi float64) {
+	for i, v := range t.data {
+		if v < lo {
+			t.data[i] = lo
+		} else if v > hi {
+			t.data[i] = hi
+		}
+	}
+}
+
+// SliceRows returns a new tensor that is a copy of rows [from, to) of a
+// rank-2 tensor.
+func (t *Tensor) SliceRows(from, to int) *Tensor {
+	if len(t.shape) != 2 {
+		panic(fmt.Sprintf("tensor: SliceRows on rank-%d tensor", len(t.shape)))
+	}
+	if from < 0 || to > t.shape[0] || from > to {
+		panic(fmt.Sprintf("tensor: SliceRows[%d:%d] out of range for %v", from, to, t.shape))
+	}
+	c := t.shape[1]
+	out := New(to-from, c)
+	copy(out.data, t.data[from*c:to*c])
+	return out
+}
+
+// SubInto computes dst = a - b elementwise. dst may alias a or b.
+func SubInto(dst, a, b *Tensor) {
+	binaryCheck("SubInto", dst, a, b)
+	for i, av := range a.data {
+		dst.data[i] = av - b.data[i]
 	}
 }

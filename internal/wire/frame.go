@@ -129,12 +129,6 @@ type FrameReader struct {
 // underlying stream is a raw connection.
 func NewFrameReader(r io.Reader) *FrameReader { return &FrameReader{r: r} }
 
-// Frames returns how many frames have been read.
-func (fr *FrameReader) Frames() int64 { return fr.frames }
-
-// Bytes returns how many frame bytes (headers + payloads) have been read.
-func (fr *FrameReader) Bytes() int64 { return fr.bytes }
-
 // Read decodes the next frame, returning its type and payload. The
 // payload slice aliases the reader's recycled buffer — valid only until
 // the next Read. io.EOF is returned only on a clean boundary (no bytes of
@@ -195,12 +189,6 @@ type FrameWriter struct {
 // NewFrameWriter wraps w. Callers hand in a buffered writer when the
 // underlying stream is a raw connection, and must flush it themselves.
 func NewFrameWriter(w io.Writer) *FrameWriter { return &FrameWriter{w: w} }
-
-// Frames returns how many frames have been written.
-func (fw *FrameWriter) Frames() int64 { return fw.frames }
-
-// Bytes returns how many frame bytes (headers + payloads) have been written.
-func (fw *FrameWriter) Bytes() int64 { return fw.bytes }
 
 // Write frames payload as one frame of type ft.
 //

@@ -282,3 +282,15 @@ func FuzzReadFrame(f *testing.F) {
 		}
 	})
 }
+
+// Frames returns how many frames have been read.
+func (fr *FrameReader) Frames() int64 { return fr.frames }
+
+// Bytes returns how many frame bytes (headers + payloads) have been read.
+func (fr *FrameReader) Bytes() int64 { return fr.bytes }
+
+// Frames returns how many frames have been written.
+func (fw *FrameWriter) Frames() int64 { return fw.frames }
+
+// Bytes returns how many frame bytes (headers + payloads) have been written.
+func (fw *FrameWriter) Bytes() int64 { return fw.bytes }
