@@ -1,18 +1,20 @@
 // Model zoo: build every registered design, print its architecture summary
-// and parameter count, then demonstrate checkpointing — train one model
-// briefly, save it, load it into a fresh network, and verify the
-// predictions survive the round trip.
+// and parameter count, then demonstrate the model artifact — train one
+// model briefly, save it as a .plcn file, load it into a fresh network,
+// and verify the predictions survive the round trip.
 package main
 
 import (
-	"bytes"
 	"fmt"
 	"log"
 	"math/rand"
+	"os"
+	"path/filepath"
 
 	"repro/internal/data"
 	"repro/internal/models"
 	"repro/internal/nn"
+	"repro/internal/serve"
 	"repro/internal/synth"
 	"repro/internal/tensor"
 )
@@ -47,36 +49,47 @@ func run() error {
 	pelican := models.BuildPelican(rng, rand.New(rand.NewSource(4)), cfg, classes)
 	fmt.Print(pelican.Summary())
 
-	// Checkpoint round trip on real-shaped data.
-	fmt.Println("=== checkpoint round trip ===")
+	// Artifact round trip on real-shaped data.
+	fmt.Println("=== artifact round trip ===")
 	gen, err := synth.New(synth.NSLKDDConfig())
 	if err != nil {
 		return err
 	}
 	ds := gen.Generate(800, 5)
-	x, y, _ := data.Preprocess(ds)
+	x, y, pipe := data.Preprocess(ds)
 	f := gen.Schema().EncodedWidth()
 	k := gen.Schema().NumClasses()
 
-	build := func(seed int64) *nn.Network {
-		r := rand.New(rand.NewSource(seed))
-		stack := models.BuildResidual21(r, rand.New(rand.NewSource(seed+1)),
-			models.PaperBlockConfig(f), k)
-		return nn.NewNetwork(stack, nn.NewSoftmaxCrossEntropy(), nn.NewRMSprop(0.01))
-	}
-	src := build(10)
+	block := models.PaperBlockConfig(f)
+	r := rand.New(rand.NewSource(10))
+	src := nn.NewNetwork(models.BuildResidual21(r, rand.New(rand.NewSource(11)), block, k),
+		nn.NewSoftmaxCrossEntropy(), nn.NewRMSprop(0.01))
 	x3 := x.Reshape(x.Dim(0), 1, f)
 	src.Fit(x3, y, nn.FitConfig{Epochs: 2, BatchSize: 128, Shuffle: true,
 		RNG: rand.New(rand.NewSource(6))})
 
-	var buf bytes.Buffer
-	if err := src.Save(&buf); err != nil {
+	art, err := serve.NewArtifact("residual-21", block, gen.Schema(), pipe, src)
+	if err != nil {
 		return err
 	}
-	fmt.Printf("checkpoint size: %d bytes\n", buf.Len())
+	dir, err := os.MkdirTemp("", "model_zoo")
+	if err != nil {
+		return err
+	}
+	defer os.RemoveAll(dir)
+	path := filepath.Join(dir, "residual-21.plcn")
+	if err := serve.SaveArtifactFile(path, art); err != nil {
+		return err
+	}
+	loaded, err := serve.LoadArtifactFile(path)
+	if err != nil {
+		return err
+	}
+	fmt.Printf("artifact %s: %d bytes\n", loaded.Version(), len(loaded.Bytes()))
 
-	dst := build(99) // different init — weights must come from the file
-	if err := dst.Load(&buf); err != nil {
+	// A fresh network built from the file — weights must come from it.
+	dst, _, err := loaded.NewNetwork(nn.NewSoftmaxCrossEntropy(), nn.NewRMSprop(0.01))
+	if err != nil {
 		return err
 	}
 	a, b := src.Predict(x3), dst.Predict(x3)

@@ -5,7 +5,6 @@ import (
 	"context"
 	"io"
 	"math/rand"
-	"os"
 	"path/filepath"
 	"testing"
 
@@ -16,6 +15,7 @@ import (
 	"repro/internal/models"
 	"repro/internal/nids"
 	"repro/internal/nn"
+	"repro/internal/serve"
 	"repro/internal/synth"
 	"repro/internal/tensor"
 )
@@ -52,41 +52,34 @@ func TestEndToEndTrainServeDetect(t *testing.T) {
 	f := gen.Schema().EncodedWidth()
 	k := gen.Schema().NumClasses()
 
-	build := func(seed int64) *nn.Network {
-		rng := rand.New(rand.NewSource(seed))
-		stack := models.BuildMLP(rng, rand.New(rand.NewSource(seed+1)), f, k)
-		return nn.NewNetwork(stack, nn.NewSoftmaxCrossEntropy(), nn.NewAdam(0.005))
-	}
-	net := build(1)
+	net := nn.NewNetwork(models.BuildMLP(rand.New(rand.NewSource(1)), rand.New(rand.NewSource(2)), f, k),
+		nn.NewSoftmaxCrossEntropy(), nn.NewAdam(0.005))
 	rng := rand.New(rand.NewSource(2))
 	net.Fit(x.Reshape(x.Dim(0), 1, f), y, nn.FitConfig{
 		Epochs: 6, BatchSize: 128, Shuffle: true, RNG: rng,
 	})
 
-	// Checkpoint through the filesystem, as a deployment would.
-	path := filepath.Join(t.TempDir(), "detector.ckpt")
-	fh, err := os.Create(path)
+	// Save the artifact through the filesystem, as a deployment would,
+	// and rebuild the network from the file alone.
+	art, err := serve.NewArtifact("mlp", models.PaperBlockConfig(f), gen.Schema(), pipe, net)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := net.Save(fh); err != nil {
+	path := filepath.Join(t.TempDir(), "detector.plcn")
+	if err := serve.SaveArtifactFile(path, art); err != nil {
 		t.Fatal(err)
 	}
-	if err := fh.Close(); err != nil {
-		t.Fatal(err)
-	}
-	loaded := build(999)
-	fh, err = os.Open(path)
+	onDisk, err := serve.LoadArtifactFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer fh.Close()
-	if err := loaded.Load(fh); err != nil {
+	loaded, loadedPipe, err := onDisk.NewNetwork(nn.NewSoftmaxCrossEntropy(), nn.NewAdam(0.005))
+	if err != nil {
 		t.Fatal(err)
 	}
 
 	// Serve the loaded model on a stream.
-	det := &nids.ModelDetector{ModelName: "mlp", Net: loaded, Pipe: pipe}
+	det := &nids.ModelDetector{ModelName: "mlp", Net: loaded, Pipe: loadedPipe}
 	src, err := flow.NewSource(gen, flow.DefaultSourceConfig())
 	if err != nil {
 		t.Fatal(err)

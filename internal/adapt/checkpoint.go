@@ -2,15 +2,14 @@ package adapt
 
 import (
 	"bytes"
-	"encoding/gob"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"os"
-	"time"
 
 	"repro/internal/data"
+	"repro/internal/nn"
 	"repro/internal/store"
+	"repro/internal/wire"
 )
 
 // Checkpointing persists the adaptation loop's streaming state — the
@@ -21,17 +20,17 @@ import (
 // checkpointed: it warm-starts from the deployed artifact, which is the
 // durable truth for weights.
 //
-// File format: a magic line, an 8-hex CRC32 of the payload, a newline,
-// then the gob-encoded payload. Writes go through store.WriteAtomic, so
-// a crash mid-save leaves the previous checkpoint intact; any torn or
-// tampered file fails the CRC and is discarded, never half-applied.
+// File format: a wire file record. A wire.FrameCheckpoint header holds
+// the scalar state as JSON; the floats follow bit-exactly, so NaN, ±Inf
+// and −0 survive, as one wire.FrameTensor per monitor and then one per
+// buffered record. Writes go through store.WriteAtomic, so a crash
+// mid-save leaves the previous checkpoint intact; any torn or tampered
+// file fails a frame CRC or the tensor count and is discarded, never
+// half-applied.
 
-// checkpointMagic begins every checkpoint file; bump the version suffix
-// on incompatible payload changes.
-const checkpointMagic = "PELICANCKPTv1\n"
-
-// checkpointFormat is the payload schema version inside the gob.
-const checkpointFormat = 1
+// checkpointFormat is the layout version inside the header; bump it on
+// incompatible changes.
+const checkpointFormat = 2
 
 // ErrCheckpointStale marks a structurally valid checkpoint that belongs
 // to a different artifact generation than the loop's: its monitor
@@ -39,16 +38,29 @@ const checkpointFormat = 1
 // would alias two normals. Callers start fresh instead.
 var ErrCheckpointStale = errors.New("adapt: checkpoint belongs to a different artifact generation")
 
-// checkpointWire is the gob payload.
-type checkpointWire struct {
-	FormatVersion int
-	Version       string // artifact generation the state describes
-	SavedAt       time.Time
-	Monitors      map[string]MonitorState
-	Recs          []data.Record
-	Labels        []int
-	Seen          int64
-	Retrains      int64
+// checkpointHeader is the JSON payload of a checkpoint's first frame.
+type checkpointHeader struct {
+	Format   int                 `json:"format"`
+	Version  string              `json:"version"` // artifact generation the state describes
+	Seen     int64               `json:"seen"`
+	Retrains int64               `json:"retrains"`
+	Monitors []checkpointMonitor `json:"monitors"`
+	Records  []checkpointRecord  `json:"records"`
+}
+
+// checkpointMonitor is one drift monitor's integer state; its floats
+// (RefMean, RefM2, Sum, SumSq, then the ring) follow as one tensor.
+type checkpointMonitor struct {
+	Name string `json:"name"`
+	MonitorState
+}
+
+// checkpointRecord is one buffered flow; its numeric features follow as
+// one tensor.
+type checkpointRecord struct {
+	Categorical []string `json:"cat"`
+	Label       int      `json:"label"`     // the record's own label
+	BufLabel    int      `json:"buf_label"` // the label the buffer trains on
 }
 
 // monitorsByName keys the loop's monitors by their stable signal names —
@@ -66,80 +78,82 @@ func (l *Loop) monitorsByName() map[string]*Monitor {
 // Safe to call concurrently with Observe and Run: each component is
 // snapshotted under its own lock.
 func (l *Loop) SaveCheckpoint(path string) error {
-	w := checkpointWire{
-		FormatVersion: checkpointFormat,
-		Version:       l.Version(),
-		SavedAt:       time.Now().UTC(),
-		Monitors:      map[string]MonitorState{},
-		Retrains:      l.retrains.Load(),
+	h := checkpointHeader{
+		Format:   checkpointFormat,
+		Version:  l.Version(),
+		Retrains: l.retrains.Load(),
 	}
+	var tensors []nn.NamedTensor
 	for name, m := range l.monitorsByName() {
-		w.Monitors[name] = m.State()
+		st := m.State()
+		h.Monitors = append(h.Monitors, checkpointMonitor{name, st})
+		f := append([]float64{st.RefMean, st.RefM2, st.Sum, st.SumSq}, st.Ring...)
+		tensors = append(tensors, nn.NamedTensor{Name: name, Shape: []int{len(f)}, Data: f})
 	}
-	w.Recs, w.Labels, w.Seen = l.buf.State()
-
-	var payload bytes.Buffer
-	if err := gob.NewEncoder(&payload).Encode(w); err != nil {
+	recs, labels, seen := l.buf.State()
+	h.Seen = seen
+	for i, r := range recs {
+		h.Records = append(h.Records, checkpointRecord{r.Categorical, r.Label, labels[i]})
+		tensors = append(tensors, nn.NamedTensor{Name: "record", Shape: []int{len(r.Numeric)}, Data: r.Numeric})
+	}
+	var buf bytes.Buffer
+	if err := wire.WriteFile(&buf, wire.FrameCheckpoint, h, tensors); err != nil {
 		return fmt.Errorf("adapt: encode checkpoint: %w", err)
 	}
-	out := make([]byte, 0, len(checkpointMagic)+9+payload.Len())
-	out = append(out, checkpointMagic...)
-	out = append(out, fmt.Sprintf("%08x\n", crc32.ChecksumIEEE(payload.Bytes()))...)
-	out = append(out, payload.Bytes()...)
-	return store.WriteAtomic(path, out)
+	return store.WriteAtomic(path, buf.Bytes())
 }
 
 // RestoreCheckpoint loads the state saved at path into the loop. It is
-// all-or-nothing per component: a bad magic, CRC, format version, or
-// artifact-version mismatch rejects the whole file (the loop keeps its
-// fresh state), while per-monitor geometry mismatches skip only that
-// monitor. Returns ErrCheckpointStale for a version mismatch and wraps
-// os.ErrNotExist when no checkpoint exists, so callers can distinguish
-// "first boot" from "corrupt state".
+// all-or-nothing per component: a bad frame, format version, tensor
+// count, or artifact-version mismatch rejects the whole file (the loop
+// keeps its fresh state), while per-monitor geometry mismatches skip only
+// that monitor. Returns ErrCheckpointStale for a version mismatch and
+// wraps os.ErrNotExist when no checkpoint exists, so callers can
+// distinguish "first boot" from "corrupt state".
 func (l *Loop) RestoreCheckpoint(path string) error {
 	b, err := os.ReadFile(path)
 	if err != nil {
 		return fmt.Errorf("adapt: read checkpoint: %w", err)
 	}
-	if !bytes.HasPrefix(b, []byte(checkpointMagic)) {
-		return errors.New("adapt: checkpoint magic mismatch")
+	var h checkpointHeader
+	tensors, err := wire.ReadFile(bytes.NewReader(b), wire.FrameCheckpoint, &h)
+	if err != nil {
+		return fmt.Errorf("adapt: decode checkpoint (torn or corrupt file): %w", err)
 	}
-	b = b[len(checkpointMagic):]
-	if len(b) < 9 || b[8] != '\n' {
-		return errors.New("adapt: checkpoint CRC header malformed")
+	if h.Format != checkpointFormat {
+		return fmt.Errorf("adapt: checkpoint format %d, want %d", h.Format, checkpointFormat)
 	}
-	var want uint32
-	if _, err := fmt.Sscanf(string(b[:8]), "%08x", &want); err != nil {
-		return errors.New("adapt: checkpoint CRC header malformed")
+	if want := len(h.Monitors) + len(h.Records); len(tensors) != want {
+		return fmt.Errorf("adapt: checkpoint holds %d tensors, its header declares %d", len(tensors), want)
 	}
-	payload := b[9:]
-	if crc32.ChecksumIEEE(payload) != want {
-		return errors.New("adapt: checkpoint CRC mismatch (torn or corrupt file)")
+	if h.Version != l.Version() {
+		return fmt.Errorf("%w (checkpoint %s, deployed %s)", ErrCheckpointStale, h.Version, l.Version())
 	}
-	var w checkpointWire
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&w); err != nil {
-		return fmt.Errorf("adapt: decode checkpoint: %w", err)
+	recs := make([]data.Record, len(h.Records))
+	labels := make([]int, len(h.Records))
+	for i, r := range h.Records {
+		recs[i] = data.Record{Numeric: tensors[len(h.Monitors)+i].Data, Categorical: r.Categorical, Label: r.Label}
+		labels[i] = r.BufLabel
 	}
-	if w.FormatVersion != checkpointFormat {
-		return fmt.Errorf("adapt: checkpoint format %d, want %d", w.FormatVersion, checkpointFormat)
-	}
-	if w.Version != l.Version() {
-		return fmt.Errorf("%w (checkpoint %s, deployed %s)", ErrCheckpointStale, w.Version, l.Version())
-	}
-	if err := l.buf.Restore(w.Recs, w.Labels, w.Seen); err != nil {
+	if err := l.buf.Restore(recs, labels, h.Seen); err != nil {
 		return err
 	}
-	for name, m := range l.monitorsByName() {
-		st, ok := w.Monitors[name]
+	mons := l.monitorsByName()
+	for i, cm := range h.Monitors {
+		m, ok := mons[cm.Name]
 		if !ok {
 			continue
+		}
+		st := cm.MonitorState // a tensor too short for the moments leaves Ring nil: a geometry mismatch
+		if f := tensors[i].Data; len(f) >= 4 {
+			st.RefMean, st.RefM2, st.Sum, st.SumSq, st.Ring = f[0], f[1], f[2], f[3], f[4:]
 		}
 		if err := m.RestoreState(st); err != nil {
 			// Window geometry changed across the restart: this monitor
 			// re-warms from scratch, the others resume.
-			l.cfg.Logger.Warn("checkpoint monitor skipped", "signal", name, "error", err)
+			l.cfg.Logger.Warn("checkpoint monitor skipped", "signal", cm.Name, "error", err)
 		}
 	}
-	l.retrains.Store(w.Retrains)
+	l.retrains.Store(h.Retrains)
 	return nil
 }

@@ -2,8 +2,10 @@ package adapt
 
 import (
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"repro/internal/chaos"
@@ -58,6 +60,20 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	if !l1.monitorsByName()["normal-score"].Ready() {
 		t.Fatal("test setup: monitor not warm after 120 observations")
 	}
+	// Floats JSON cannot carry must survive bit-exactly, in a monitor ring
+	// and moment and in a buffered record.
+	special := []float64{math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1)}
+	alert := l1.monitorsByName()["alert-rate"]
+	st := alert.State()
+	copy(st.Ring, special)
+	st.SumSq = math.Inf(1)
+	if err := alert.RestoreState(st); err != nil {
+		t.Fatal(err)
+	}
+	odd := recs[0]
+	odd.Numeric = append([]float64(nil), odd.Numeric...)
+	copy(odd.Numeric, special)
+	l1.Buffer().Add(odd, 2)
 	path := filepath.Join(t.TempDir(), "adapt.ckpt")
 	if err := l1.SaveCheckpoint(path); err != nil {
 		t.Fatal(err)
@@ -88,12 +104,86 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	r1, lab1 := l1.Buffer().Snapshot()
 	r2, lab2 := l2.Buffer().Snapshot()
 	for i := range r1 {
-		if lab1[i] != lab2[i] || len(r1[i].Numeric) != len(r2[i].Numeric) {
+		if lab1[i] != lab2[i] || r1[i].Label != r2[i].Label || !slices.Equal(r1[i].Categorical, r2[i].Categorical) ||
+			!sameBits(r1[i].Numeric, r2[i].Numeric) {
 			t.Fatalf("restored buffer diverges at flow %d", i)
+		}
+	}
+	for name, m := range l1.monitorsByName() {
+		if !sameBits(monitorBits(m.State()), monitorBits(l2.monitorsByName()[name].State())) {
+			t.Fatalf("restored monitor %s differs", name)
 		}
 	}
 	// And the restored loop keeps observing without incident.
 	feedLoop(l2, recs, 10)
+}
+
+// sameBits compares float slices bit for bit (NaN equals NaN, −0 is not 0).
+func sameBits(a, b []float64) bool {
+	return slices.EqualFunc(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
+}
+
+// monitorBits flattens a monitor state into floats for sameBits.
+func monitorBits(st MonitorState) []float64 {
+	return append(append([]float64(nil), st.Ring...), st.RefMean, st.RefM2, st.Sum, st.SumSq,
+		float64(st.RefN), float64(st.Head), float64(st.N), float64(st.Quiet), float64(st.Trips))
+}
+
+// TestCheckpointEveryByteCovered: flipping any single byte of a
+// checkpoint, or cutting it at any offset, must fail the restore and
+// leave the loop fresh — every byte sits under a frame CRC or a
+// frame-structure check.
+func TestCheckpointEveryByteCovered(t *testing.T) {
+	if testing.Short() {
+		t.Skip("trains a model")
+	}
+	gen, err := synth.New(tinyCfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	art := trainTinyArtifact(t, gen, 400, 1, 35)
+	cfg := Config{Monitor: MonitorConfig{RefWindow: 8, Window: 4}, BufferCap: 3, ArtifactDir: t.TempDir()}
+	l1, err := NewLoop(art, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	feedLoop(l1, gen.Generate(8, 99).Records, 20)
+	path := filepath.Join(t.TempDir(), "adapt.ckpt")
+	if err := l1.SaveCheckpoint(path); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := NewLoop(art, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	restore := func(b []byte) error {
+		if err := os.WriteFile(path, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return fresh.RestoreCheckpoint(path)
+	}
+	for off := range raw {
+		bad := append([]byte(nil), raw...)
+		bad[off] ^= 0x01
+		if err := restore(bad); err == nil {
+			t.Fatalf("byte %d of %d flipped: corrupt checkpoint restored", off, len(raw))
+		}
+	}
+	for cut := 0; cut < len(raw); cut++ {
+		if err := restore(raw[:cut]); err == nil {
+			t.Fatalf("checkpoint cut at %d of %d bytes restored", cut, len(raw))
+		}
+	}
+	if fresh.Buffer().Len() != 0 || fresh.monitorsByName()["normal-score"].Ready() {
+		t.Fatal("a rejected restore mutated the loop")
+	}
+	if err := restore(raw); err != nil || fresh.Buffer().Len() != l1.Buffer().Len() {
+		t.Fatalf("intact checkpoint: %v (buffer %d, want %d)", err, fresh.Buffer().Len(), l1.Buffer().Len())
+	}
 }
 
 // TestCheckpointCorruptRejected covers the failure modes: a flipped

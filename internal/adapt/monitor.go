@@ -179,16 +179,17 @@ func (m *Monitor) Reset() {
 
 // MonitorState is a Monitor's complete streaming state, exportable for
 // checkpointing and restorable into a monitor with the same window
-// geometry. All fields are plain values so the state gob-encodes.
+// geometry. A checkpoint carries the integer fields as JSON and the
+// float fields, which may be NaN or ±Inf, as tensors.
 type MonitorState struct {
 	RefN    int
-	RefMean float64
-	RefM2   float64
-	Ring    []float64
+	RefMean float64   `json:"-"`
+	RefM2   float64   `json:"-"`
+	Ring    []float64 `json:"-"`
 	Head    int
 	N       int
-	Sum     float64
-	SumSq   float64
+	Sum     float64 `json:"-"`
+	SumSq   float64 `json:"-"`
 	Quiet   int
 	Trips   int64
 }

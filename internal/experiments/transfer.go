@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"bytes"
 	"fmt"
 	"io"
 	"math/rand"
@@ -97,13 +96,9 @@ func RunTransfer(p Profile, log io.Writer) (*TransferResult, error) {
 	srcACC := accOn(pre)
 
 	// 2. Fine-tune a copy on the scarce target sample. The copy is made by
-	// a checkpoint round trip so the pretrained model remains intact.
-	var buf bytes.Buffer
-	if err := pre.Save(&buf); err != nil {
-		return nil, err
-	}
+	// a state round trip so the pretrained model remains intact.
 	tuned := build(p.Seed + 100)
-	if err := tuned.Load(&buf); err != nil {
+	if err := tuned.SetState(pre.State()); err != nil {
 		return nil, err
 	}
 	tuned.Fit(xTgtTr, yTgtTr, fitCfg(rng, maxEpochs(epochs/2, 2)))

@@ -1,11 +1,10 @@
 package nn
 
 import (
-	"encoding/gob"
 	"fmt"
-	"io"
 	"math"
 	"math/rand"
+	"slices"
 
 	"repro/internal/tensor"
 )
@@ -291,68 +290,54 @@ func gatherBatchInto(bx **tensor.Tensor, by []int, flat *tensor.Tensor, labels [
 	return by
 }
 
-// checkpoint is the gob wire format for saved weights.
-type checkpoint struct {
-	Names  []string
-	Shapes [][]int
-	Values [][]float64
-	// BNMeans/BNVars hold running statistics for BatchNorm layers in
-	// traversal order.
-	BNMeans [][]float64
-	BNVars  [][]float64
+// NamedTensor is one named float64 array of a network's learned state.
+type NamedTensor struct {
+	Name  string
+	Shape []int
+	Data  []float64
 }
 
-// Save serializes all parameter values (and BatchNorm running statistics)
-// to w using encoding/gob.
-func (n *Network) Save(w io.Writer) error {
-	params := n.Stack.Params()
-	ck := checkpoint{}
-	for _, p := range params {
-		ck.Names = append(ck.Names, p.Name)
-		ck.Shapes = append(ck.Shapes, p.Value.Shape())
-		vals := make([]float64, p.Value.Len())
-		copy(vals, p.Value.Data())
-		ck.Values = append(ck.Values, vals)
+// State returns a copy of everything a trained network has learned: each
+// parameter value in Params order, then each BatchNorm's running mean and
+// variance in traversal order. SetState on a network of the same
+// architecture restores it exactly.
+func (n *Network) State() []NamedTensor {
+	var st []NamedTensor
+	for _, p := range n.Stack.Params() {
+		st = append(st, NamedTensor{p.Name, p.Value.Shape(), append([]float64(nil), p.Value.Data()...)})
 	}
 	forEachBatchNorm(n.Stack, func(bn *BatchNorm) {
 		mean, variance := bn.RunningStats()
-		ck.BNMeans = append(ck.BNMeans, mean.Data())
-		ck.BNVars = append(ck.BNVars, variance.Data())
+		st = append(st, NamedTensor{fmt.Sprintf("bn_mean_%d", bn.C), []int{bn.C}, mean.Data()},
+			NamedTensor{fmt.Sprintf("bn_var_%d", bn.C), []int{bn.C}, variance.Data()})
 	})
-	return gob.NewEncoder(w).Encode(&ck)
+	return st
 }
 
-// Load restores parameter values saved by Save. The network must have the
-// same architecture (same parameter order and shapes).
-func (n *Network) Load(r io.Reader) error {
-	var ck checkpoint
-	if err := gob.NewDecoder(r).Decode(&ck); err != nil {
-		return fmt.Errorf("decode checkpoint: %w", err)
-	}
+// SetState restores a State. The network must have the same architecture:
+// the tensor count, every parameter's shape and every BatchNorm's channel
+// count are checked.
+func (n *Network) SetState(st []NamedTensor) error {
 	params := n.Stack.Params()
-	if len(params) != len(ck.Values) {
-		return fmt.Errorf("checkpoint has %d parameters, network has %d", len(ck.Values), len(params))
+	var bns []*BatchNorm
+	forEachBatchNorm(n.Stack, func(bn *BatchNorm) { bns = append(bns, bn) })
+	if want := len(params) + 2*len(bns); len(st) != want {
+		return fmt.Errorf("state has %d tensors, network has %d (%d parameters, %d BatchNorms)", len(st), want, len(params), len(bns))
 	}
 	for i, p := range params {
-		if p.Value.Len() != len(ck.Values[i]) {
-			return fmt.Errorf("parameter %q: checkpoint size %d, network size %d", ck.Names[i], len(ck.Values[i]), p.Value.Len())
+		if !slices.Equal(st[i].Shape, p.Value.Shape()) || len(st[i].Data) != p.Value.Len() {
+			return fmt.Errorf("parameter %q: state shape %v, network %v", st[i].Name, st[i].Shape, p.Value.Shape())
 		}
-		copy(p.Value.Data(), ck.Values[i])
+		copy(p.Value.Data(), st[i].Data)
 	}
-	i := 0
-	var loadErr error
-	forEachBatchNorm(n.Stack, func(bn *BatchNorm) {
-		if loadErr != nil || i >= len(ck.BNMeans) {
-			return
+	for i, bn := range bns {
+		mean, variance := st[len(params)+2*i].Data, st[len(params)+2*i+1].Data
+		if len(mean) != bn.C || len(variance) != bn.C {
+			return fmt.Errorf("BatchNorm %d: state channels %d/%d, network %d", i, len(mean), len(variance), bn.C)
 		}
-		if len(ck.BNMeans[i]) != bn.C {
-			loadErr = fmt.Errorf("BatchNorm %d: checkpoint channels %d, network %d", i, len(ck.BNMeans[i]), bn.C)
-			return
-		}
-		bn.SetRunningStats(tensor.FromSlice(ck.BNMeans[i], bn.C), tensor.FromSlice(ck.BNVars[i], bn.C))
-		i++
-	})
-	return loadErr
+		bn.SetRunningStats(tensor.FromSlice(mean, bn.C), tensor.FromSlice(variance, bn.C))
+	}
+	return nil
 }
 
 // forEachBatchNorm walks the layer tree in deterministic order invoking fn

@@ -1,9 +1,9 @@
 package nn
 
 import (
-	"bytes"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -484,31 +484,36 @@ func TestNetworkSaveLoadRoundTrip(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		src.TrainBatch(x, y)
 	}
-	var buf bytes.Buffer
-	if err := src.Save(&buf); err != nil {
-		t.Fatalf("Save: %v", err)
-	}
+	st := src.State()
 	dst := build(2) // different init
-	if err := dst.Load(&buf); err != nil {
-		t.Fatalf("Load: %v", err)
+	if err := dst.SetState(st); err != nil {
+		t.Fatalf("SetState: %v", err)
 	}
 	want := src.Predict(x)
 	got := dst.Predict(x)
 	if !tensor.ApproxEqual(want, got, 1e-12) {
-		t.Fatal("loaded network predictions differ from source")
+		t.Fatal("restored network predictions differ from source")
+	}
+	// State is a copy: training the source on must not move the snapshot.
+	before := append([]float64(nil), st[0].Data...)
+	src.TrainBatch(x, y)
+	if !slices.Equal(st[0].Data, before) {
+		t.Fatal("State aliases the live parameters")
 	}
 }
 
 func TestNetworkLoadRejectsMismatchedArch(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	src := NewNetwork(NewSequential(NewDense(rng, 4, 6)), NewSoftmaxCrossEntropy(), NewSGD(0.1, 0))
-	var buf bytes.Buffer
-	if err := src.Save(&buf); err != nil {
-		t.Fatalf("Save: %v", err)
+	cases := map[string]*Network{
+		"wider dense":     NewNetwork(NewSequential(NewDense(rng, 4, 7)), NewSoftmaxCrossEntropy(), NewSGD(0.1, 0)),
+		"transposed":      NewNetwork(NewSequential(NewDense(rng, 6, 4)), NewSoftmaxCrossEntropy(), NewSGD(0.1, 0)),
+		"extra BatchNorm": NewNetwork(NewSequential(NewDense(rng, 4, 6), NewBatchNorm(6)), NewSoftmaxCrossEntropy(), NewSGD(0.1, 0)),
 	}
-	dst := NewNetwork(NewSequential(NewDense(rng, 4, 7)), NewSoftmaxCrossEntropy(), NewSGD(0.1, 0))
-	if err := dst.Load(&buf); err == nil {
-		t.Fatal("Load accepted a mismatched architecture")
+	for name, dst := range cases {
+		if err := dst.SetState(src.State()); err == nil {
+			t.Fatalf("%s: SetState accepted a mismatched architecture", name)
+		}
 	}
 }
 

@@ -8,11 +8,8 @@ package serve
 
 import (
 	"bytes"
-	"crypto/sha256"
-	"encoding/gob"
-	"encoding/hex"
+	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"math/rand"
 	"os"
@@ -23,28 +20,25 @@ import (
 	"repro/internal/models"
 	"repro/internal/nids"
 	"repro/internal/nn"
+	"repro/internal/store"
+	"repro/internal/wire"
 )
 
-// artifactMagic prefixes every artifact file so foreign files fail fast
-// with a clear error instead of a gob decode panic deep in the stack.
-const artifactMagic = "PELICANv1\n"
+// artifactFormat is the .plcn layout this build writes and reads: a
+// wire.FrameArtifact header holding artifactMeta, then Artifact.tensors.
+const artifactFormat = 2
 
-// artifactFormatVersion is bumped on incompatible wire changes.
-const artifactFormatVersion = 1
+// artifactV1Magic opened the format-1 files (a gob payload). They are
+// recognized only so the rejection can name their format.
+const artifactV1Magic = "PELICANv1\n"
 
-// artifactWire is the gob payload that follows the magic header.
-type artifactWire struct {
-	FormatVersion int
-	ModelName     string
-	Block         models.BlockConfig
-	Schema        data.Schema
-	ScalerMean    []float64
-	ScalerStd     []float64
-	// Checkpoint holds nn.Network.Save bytes (weights + BatchNorm stats).
-	Checkpoint []byte
-	// Checksum is CRC-32 (IEEE) over Checkpoint, a cheap integrity check
-	// against torn writes and bit rot.
-	Checksum uint32
+// artifactMeta is the JSON payload of an artifact's first frame.
+type artifactMeta struct {
+	Format  int                `json:"format"`
+	Model   string             `json:"model"`
+	Block   models.BlockConfig `json:"block"`
+	Schema  data.Schema        `json:"schema"`
+	Tensors int                `json:"tensors"`
 }
 
 // Artifact is a self-contained trained detector: everything needed to
@@ -56,20 +50,15 @@ type Artifact struct {
 	Block     models.BlockConfig
 	Schema    data.Schema
 
-	scaler     *data.Scaler
-	checkpoint []byte
-	// fileBytes is the canonical serialized form — the exact bytes written
-	// by SaveArtifact and stored in the CAS, captured at creation or load.
-	// version is defined over these bytes, so they must never be
-	// regenerated: gob assigns type ids process-globally in first-use
-	// order, which makes a re-encode byte-stable within a process but NOT
-	// across processes with different gob histories.
-	fileBytes []byte
-	version   string
+	// tensors is the artifact's one copy of its numbers, in file order:
+	// scaler mean, scaler std, then the nn.Network.State. scaler aliases
+	// the first two.
+	tensors []nn.NamedTensor
+	scaler  *data.Scaler
+	version string
 
-	// Compiled float32 inference plan, lowered from the checkpoint once on
-	// first use and shared by every replica (the weights stay stored once,
-	// in float64, in the artifact file; lowering happens at load).
+	// Compiled float32 inference plan, lowered from the tensors once on
+	// first use and shared by every replica.
 	planOnce sync.Once
 	plan     *infer.Plan
 	planErr  error
@@ -79,33 +68,37 @@ type Artifact struct {
 // artifact. modelName must be a registered models.Spec name; the artifact
 // rebuilds the architecture from it at load time.
 func NewArtifact(modelName string, block models.BlockConfig, schema data.Schema, pipe *data.Pipeline, net *nn.Network) (*Artifact, error) {
-	if _, err := models.Lookup(modelName); err != nil {
+	a, err := newArtifact(modelName, block, schema, append([]nn.NamedTensor{
+		{Name: "scaler_mean", Shape: []int{len(pipe.Scaler.Mean)}, Data: append([]float64(nil), pipe.Scaler.Mean...)},
+		{Name: "scaler_std", Shape: []int{len(pipe.Scaler.Std)}, Data: append([]float64(nil), pipe.Scaler.Std...)},
+	}, net.State()...))
+	if err != nil {
 		return nil, err
+	}
+	b, err := a.encode()
+	if err != nil {
+		return nil, fmt.Errorf("serve: encode artifact: %w", err)
+	}
+	a.version = store.Version(b)
+	return a, nil
+}
+
+// newArtifact assembles an artifact, checking what NewNetwork and the
+// scoring pipeline rely on: a registered model, a consistent schema, and
+// scaler moments (the first two tensors) for every encoded column. The
+// caller sets the version.
+func newArtifact(modelName string, block models.BlockConfig, schema data.Schema, tensors []nn.NamedTensor) (*Artifact, error) {
+	if _, err := models.Lookup(modelName); err != nil {
+		return nil, fmt.Errorf("serve: artifact references unknown model: %w", err)
 	}
 	if err := schema.Validate(); err != nil {
 		return nil, fmt.Errorf("serve: invalid schema: %w", err)
 	}
-	if w := schema.EncodedWidth(); len(pipe.Scaler.Mean) != w {
-		return nil, fmt.Errorf("serve: scaler fitted on %d columns, schema encodes %d", len(pipe.Scaler.Mean), w)
+	if w := schema.EncodedWidth(); len(tensors) < 2 || len(tensors[0].Data) != w || len(tensors[1].Data) != w {
+		return nil, fmt.Errorf("serve: scaler moments do not cover the schema's %d encoded columns", w)
 	}
-	var ck bytes.Buffer
-	if err := net.Save(&ck); err != nil {
-		return nil, fmt.Errorf("serve: capture checkpoint: %w", err)
-	}
-	a := &Artifact{
-		ModelName:  modelName,
-		Block:      block,
-		Schema:     schema,
-		scaler:     pipe.Scaler,
-		checkpoint: ck.Bytes(),
-	}
-	enc, err := a.encode()
-	if err != nil {
-		return nil, err
-	}
-	a.fileBytes = enc
-	a.version = versionOf(enc)
-	return a, nil
+	return &Artifact{ModelName: modelName, Block: block, Schema: schema, tensors: tensors,
+		scaler: &data.Scaler{Mean: tensors[0].Data, Std: tensors[1].Data}}, nil
 }
 
 // Version returns the artifact's content-addressed version id: the first
@@ -119,96 +112,59 @@ func (a *Artifact) Features() int { return a.Schema.EncodedWidth() }
 // Classes returns the number of output classes.
 func (a *Artifact) Classes() int { return a.Schema.NumClasses() }
 
-// Bytes returns the artifact's canonical file bytes — the form whose
-// SHA-256 defines Version(). Callers must not mutate the result.
-func (a *Artifact) Bytes() []byte { return a.fileBytes }
+// Bytes returns the artifact's file bytes, whose SHA-256 defines
+// Version(). The encoding is a pure function of the content, so the bytes
+// are regenerated on each call instead of being held beside the weights.
+func (a *Artifact) Bytes() []byte {
+	b, err := a.encode()
+	if err != nil {
+		// NewArtifact or LoadArtifact already encoded this same content.
+		panic(fmt.Sprintf("serve: re-encode artifact %s: %v", a.version, err))
+	}
+	return b
+}
 
-// encode serializes the artifact to its file bytes (magic + gob payload).
-// Only NewArtifact may call it: everywhere else must use the captured
-// canonical Bytes, because gob output is not byte-stable across processes.
 func (a *Artifact) encode() ([]byte, error) {
 	var buf bytes.Buffer
-	buf.WriteString(artifactMagic)
-	wire := artifactWire{
-		FormatVersion: artifactFormatVersion,
-		ModelName:     a.ModelName,
-		Block:         a.Block,
-		Schema:        a.Schema,
-		ScalerMean:    a.scaler.Mean,
-		ScalerStd:     a.scaler.Std,
-		Checkpoint:    a.checkpoint,
-		Checksum:      crc32.ChecksumIEEE(a.checkpoint),
-	}
-	if err := gob.NewEncoder(&buf).Encode(&wire); err != nil {
-		return nil, fmt.Errorf("serve: encode artifact: %w", err)
-	}
-	return buf.Bytes(), nil
+	err := wire.WriteFile(&buf, wire.FrameArtifact, artifactMeta{artifactFormat, a.ModelName, a.Block, a.Schema, len(a.tensors)}, a.tensors)
+	return buf.Bytes(), err
 }
 
-func versionOf(fileBytes []byte) string {
-	sum := sha256.Sum256(fileBytes)
-	return hex.EncodeToString(sum[:6])
-}
-
-// SaveArtifact writes the artifact to w in the single-file format that
-// LoadArtifact reads. It writes the canonical bytes version is defined
-// over, so save → load round-trips the version exactly.
-func SaveArtifact(w io.Writer, a *Artifact) error {
-	_, err := w.Write(a.fileBytes)
-	return err
-}
-
-// SaveArtifactFile writes the artifact to path (0644).
+// SaveArtifactFile writes the artifact to path through store.WriteAtomic,
+// so a crash mid-save never leaves a torn file under path.
 func SaveArtifactFile(path string, a *Artifact) error {
-	var buf bytes.Buffer
-	if err := SaveArtifact(&buf, a); err != nil {
-		return err
-	}
-	return os.WriteFile(path, buf.Bytes(), 0o644)
+	return store.WriteAtomic(path, a.Bytes())
 }
 
-// LoadArtifact reads and validates an artifact written by SaveArtifact:
-// magic header, format version, checkpoint checksum, registered model
-// name, and schema consistency all have to check out before any network
-// is built.
+// LoadArtifact reads and validates an artifact: every frame's CRC, the
+// format, the declared tensor count, the registered model name, and the
+// schema's consistency with the scaler all have to check out before any
+// network is built. The weights' shapes are checked when one is.
 func LoadArtifact(r io.Reader) (*Artifact, error) {
-	fileBytes, err := io.ReadAll(r)
+	b, err := io.ReadAll(r)
 	if err != nil {
 		return nil, fmt.Errorf("serve: read artifact: %w", err)
 	}
-	if !bytes.HasPrefix(fileBytes, []byte(artifactMagic)) {
-		return nil, fmt.Errorf("serve: not a Pelican model artifact (bad magic)")
+	if bytes.HasPrefix(b, []byte(artifactV1Magic)) {
+		return nil, errors.New("serve: artifact is format 1 (gob, PELICANv1), this build reads format 2 only: re-export it with pelican-train")
 	}
-	var wire artifactWire
-	dec := gob.NewDecoder(bytes.NewReader(fileBytes[len(artifactMagic):]))
-	if err := dec.Decode(&wire); err != nil {
-		return nil, fmt.Errorf("serve: decode artifact (corrupt or truncated): %w", err)
+	var m artifactMeta
+	tensors, err := wire.ReadFile(bytes.NewReader(b), wire.FrameArtifact, &m)
+	if err != nil {
+		return nil, fmt.Errorf("serve: not a valid model artifact (corrupt, truncated or foreign): %w", err)
 	}
-	if wire.FormatVersion != artifactFormatVersion {
-		return nil, fmt.Errorf("serve: artifact format version %d, this build reads %d", wire.FormatVersion, artifactFormatVersion)
+	if m.Format != artifactFormat {
+		return nil, fmt.Errorf("serve: artifact format %d, this build reads %d", m.Format, artifactFormat)
 	}
-	if got := crc32.ChecksumIEEE(wire.Checkpoint); got != wire.Checksum {
-		return nil, fmt.Errorf("serve: checkpoint checksum mismatch (artifact corrupt): got %08x, want %08x", got, wire.Checksum)
+	if len(tensors) != m.Tensors {
+		return nil, fmt.Errorf("serve: artifact declares %d tensors, holds %d (truncated)", m.Tensors, len(tensors))
 	}
-	if _, err := models.Lookup(wire.ModelName); err != nil {
-		return nil, fmt.Errorf("serve: artifact references unknown model: %w", err)
+	a, err := newArtifact(m.Model, m.Block, m.Schema, tensors)
+	if err != nil {
+		return nil, err
 	}
-	if err := wire.Schema.Validate(); err != nil {
-		return nil, fmt.Errorf("serve: artifact schema invalid: %w", err)
-	}
-	if w := wire.Schema.EncodedWidth(); len(wire.ScalerMean) != w || len(wire.ScalerStd) != w {
-		return nil, fmt.Errorf("serve: artifact scaler has %d/%d columns, schema encodes %d",
-			len(wire.ScalerMean), len(wire.ScalerStd), w)
-	}
-	return &Artifact{
-		ModelName:  wire.ModelName,
-		Block:      wire.Block,
-		Schema:     wire.Schema,
-		scaler:     &data.Scaler{Mean: wire.ScalerMean, Std: wire.ScalerStd},
-		checkpoint: wire.Checkpoint,
-		fileBytes:  fileBytes,
-		version:    versionOf(fileBytes),
-	}, nil
+	a.version = store.Version(b)
+	return a, nil
 }
 
 // LoadArtifactFile reads an artifact from path.
@@ -230,9 +186,10 @@ func LoadArtifactFile(path string) (*Artifact, error) {
 // warm-start entry point for online retraining: the returned network's
 // parameters are the artifact's weights, so nn.Network.PartialFit resumes
 // training from the deployed model instead of a fresh initialization.
-// Weight initialization seeds are irrelevant (the checkpoint overwrites
-// every parameter); dropout masks draw from a fixed-seed stream, so a
-// retraining run is deterministic given the caller's FitConfig RNG.
+// Weight initialization seeds are irrelevant (the artifact's state
+// overwrites every parameter); dropout masks draw from a fixed-seed
+// stream, so a retraining run is deterministic given the caller's
+// FitConfig RNG.
 func (a *Artifact) NewNetwork(loss nn.Loss, opt nn.Optimizer) (*nn.Network, *data.Pipeline, error) {
 	spec, err := models.Lookup(a.ModelName)
 	if err != nil {
@@ -242,14 +199,14 @@ func (a *Artifact) NewNetwork(loss nn.Loss, opt nn.Optimizer) (*nn.Network, *dat
 	dropRNG := rand.New(rand.NewSource(1))
 	stack := spec.Build(rng, dropRNG, a.Block, a.Features(), a.Classes())
 	net := nn.NewNetwork(stack, loss, opt)
-	if err := net.Load(bytes.NewReader(a.checkpoint)); err != nil {
+	if err := net.SetState(a.tensors[2:]); err != nil {
 		return nil, nil, fmt.Errorf("serve: restore %s weights: %w", a.ModelName, err)
 	}
 	return net, &data.Pipeline{Enc: data.NewEncoder(a.Schema), Scaler: a.scaler}, nil
 }
 
 // Plan returns the artifact's compiled float32 inference plan, lowering
-// the float64 checkpoint through infer.Compile on first call. The plan is
+// the float64 weights through infer.Compile on first call. The plan is
 // cached and shared: replicas each run it through their own engine, and a
 // hot-reload path that pre-validates an artifact (adapt's retrain loop)
 // warms the same cache the serving side reads.

@@ -3,12 +3,16 @@ package serve
 import (
 	"bytes"
 	"math/rand"
+	"net/http"
+	"strings"
 	"testing"
 
 	"repro/internal/data"
 	"repro/internal/models"
 	"repro/internal/nids"
 	"repro/internal/nn"
+	"repro/internal/registry"
+	"repro/internal/store"
 	"repro/internal/synth"
 	"repro/internal/tensor"
 )
@@ -72,11 +76,7 @@ func TestArtifactPlanCachedAndInferDetectorAgrees(t *testing.T) {
 		t.Skip("trains a model")
 	}
 	a, _, recs := trainTestArtifact(t, "lunet", 31, 2)
-	var buf bytes.Buffer
-	if err := SaveArtifact(&buf, a); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := LoadArtifact(&buf)
+	loaded, err := LoadArtifact(bytes.NewReader(a.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,11 +126,7 @@ func TestArtifactRoundTripLuNet(t *testing.T) {
 	}
 	a, orig, recs := trainTestArtifact(t, "lunet", 1, 2)
 
-	var buf bytes.Buffer
-	if err := SaveArtifact(&buf, a); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := LoadArtifact(bytes.NewReader(buf.Bytes()))
+	loaded, err := LoadArtifact(bytes.NewReader(a.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,11 +165,7 @@ func TestArtifactRoundTripResidual(t *testing.T) {
 		t.Skip("trains a model")
 	}
 	a, orig, recs := trainTestArtifact(t, "residual-21", 3, 1)
-	var buf bytes.Buffer
-	if err := SaveArtifact(&buf, a); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := LoadArtifact(&buf)
+	loaded, err := LoadArtifact(bytes.NewReader(a.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,48 +189,152 @@ func TestArtifactRoundTripResidual(t *testing.T) {
 func mlpArtifactBytes(t *testing.T) []byte {
 	t.Helper()
 	a, _, _ := trainTestArtifact(t, "mlp", 7, 1)
-	var buf bytes.Buffer
-	if err := SaveArtifact(&buf, a); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
+	return a.Bytes()
 }
 
-// TestArtifactBytesCanonical pins the CAS identity contract: an
-// artifact's Bytes() are exactly what SaveArtifact writes and what a
-// loader read, byte for byte — never a re-encode. Gob assigns type ids
-// process-globally in first-use order, so a re-encode in a process with
-// a different gob history (pelican-train encodes the nn checkpoint
-// first) produces different bytes for identical content, and a version
-// derived from them would not match the artifact's. Bytes() must be the
-// captured canonical form so version == sha(Bytes()) in every process.
-func TestArtifactBytesCanonical(t *testing.T) {
-	if testing.Short() {
-		t.Skip("trains a model")
+// tinyArtifact is a fixed, untrained LuNet over a 4-column schema. Every
+// number in it is a small dyadic rational set directly — no training and
+// no transcendental math — so its bytes are the same on every platform
+// and in every process, and it is small enough to corrupt byte by byte.
+func tinyArtifact(tb testing.TB) *Artifact {
+	tb.Helper()
+	schema := data.Schema{
+		NumericNames: []string{"bytes", "duration"},
+		Categorical:  []data.CategoricalFeature{{Name: "proto", Values: []string{"tcp", "udp"}}},
+		ClassNames:   []string{"normal", "attack"},
 	}
-	a, _, _ := trainTestArtifact(t, "mlp", 5, 1)
-	if got := versionOf(a.Bytes()); got != a.Version() {
+	block := models.BlockConfig{Features: 4, Kernel: 2, Pool: 2, Dropout: 0.5}
+	spec, err := models.Lookup("lunet")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	net := nn.NewNetwork(spec.Build(rand.New(rand.NewSource(1)), rand.New(rand.NewSource(2)), block, 4, 2),
+		nn.NewSoftmaxCrossEntropy(), nn.NewRMSprop(0.01))
+	st := net.State()
+	for i := range st {
+		for j := range st[i].Data {
+			st[i].Data[j] = float64((7*i+3*j)%17-8) / 16
+		}
+	}
+	if err := net.SetState(st); err != nil {
+		tb.Fatal(err)
+	}
+	pipe := &data.Pipeline{Enc: data.NewEncoder(schema), Scaler: &data.Scaler{Mean: []float64{0.5, -1, 0, 0}, Std: []float64{2, 4, 1, 1}}}
+	a, err := NewArtifact("lunet", block, schema, pipe, net)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return a
+}
+
+// TestArtifactBytesCanonical pins the CAS identity contract across
+// processes: the encoding is a pure function of the model, so a fixed
+// model's version is a constant recorded here — a gob-style encoder whose
+// bytes depend on process history could not pass — and a loaded file
+// re-encodes to exactly the bytes it was read from, so version ==
+// sha(Bytes()) wherever the artifact came from.
+func TestArtifactBytesCanonical(t *testing.T) {
+	a := tinyArtifact(t)
+	const want = "a2b10e65b4e1"
+	if a.Version() != want {
+		t.Fatalf("tiny artifact version %s, want %s: the .plcn encoding changed", a.Version(), want)
+	}
+	b := a.Bytes()
+	if got := store.Version(b); got != a.Version() {
 		t.Fatalf("version %s is not the hash of Bytes() (%s)", a.Version(), got)
 	}
-	var buf bytes.Buffer
-	if err := SaveArtifact(&buf, a); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf.Bytes(), a.Bytes()) {
-		t.Fatal("SaveArtifact wrote something other than the canonical bytes")
-	}
-	loaded, err := LoadArtifact(bytes.NewReader(buf.Bytes()))
+	loaded, err := LoadArtifact(bytes.NewReader(b))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(loaded.Bytes(), a.Bytes()) {
-		t.Fatal("loaded artifact does not carry the bytes it was read from")
+	if !bytes.Equal(loaded.Bytes(), b) || loaded.Version() != want {
+		t.Fatal("a loaded artifact does not re-encode to the bytes it was read from")
 	}
+}
+
+// TestArtifactEveryByteCovered: flipping any bit pattern into any single
+// byte of an artifact, or cutting it at any offset, must fail the load.
+// Every byte — header, metadata, scaler and weights — sits under a frame
+// CRC or a frame-structure check, so nothing decodes to a different model.
+func TestArtifactEveryByteCovered(t *testing.T) {
+	raw := tinyArtifact(t).Bytes()
+	for off := range raw {
+		for _, mask := range []byte{0x01, 0xFF} {
+			bad := append([]byte(nil), raw...)
+			bad[off] ^= mask
+			if _, err := LoadArtifact(bytes.NewReader(bad)); err == nil {
+				t.Fatalf("byte %d of %d xor %#x: corrupt artifact loaded", off, len(raw), mask)
+			}
+		}
+	}
+	for cut := 0; cut < len(raw); cut++ {
+		if _, err := LoadArtifact(bytes.NewReader(raw[:cut])); err == nil {
+			t.Fatalf("artifact cut at %d of %d bytes loaded", cut, len(raw))
+		}
+	}
+}
+
+// FuzzLoadArtifact: arbitrary bytes must load or fail — never panic — and
+// an accepted file must be exactly the encoding of what was loaded.
+func FuzzLoadArtifact(f *testing.F) {
+	raw := tinyArtifact(f).Bytes()
+	f.Add(raw)
+	f.Add(raw[:len(raw)-5])
+	crc := append([]byte(nil), raw...)
+	crc[12] ^= 0xFF // the first frame's CRC field
+	f.Add(crc)
+	f.Fuzz(func(t *testing.T, b []byte) {
+		a, err := LoadArtifact(bytes.NewReader(b))
+		if err != nil {
+			return
+		}
+		if !bytes.Equal(a.Bytes(), b) || a.Version() != store.Version(b) {
+			t.Fatal("accepted a file whose re-encode differs from its input")
+		}
+	})
 }
 
 func TestArtifactRejectsBadMagic(t *testing.T) {
 	if _, err := LoadArtifact(bytes.NewReader([]byte("definitely not an artifact"))); err == nil {
 		t.Fatal("foreign bytes accepted")
+	}
+	// A format-1 (gob) file is named, not just refused.
+	if _, err := LoadArtifact(bytes.NewReader([]byte("PELICANv1\n\x2a\xff"))); err == nil || !strings.Contains(err.Error(), "format 1") {
+		t.Fatalf("v1 artifact: %v, want an error naming format 1", err)
+	}
+}
+
+// TestRecoverQuarantinesFormat1Artifact pins the upgrade path: a state
+// dir whose journal references a format-1 (gob) artifact recovers through
+// the existing degrade path — the file hashes to its address but does not
+// load, so it is quarantined (kept, never deleted), the live slot is
+// reported degraded with a reason naming the format, and /readyz is 503.
+func TestRecoverQuarantinesFormat1Artifact(t *testing.T) {
+	dir := t.TempDir()
+	st := openStore(t, dir)
+	v, err := st.Put([]byte("PELICANv1\n\x1f\xff the gob payload of an older build"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	journal, _, err := store.OpenLog(st.JournalDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := journal.Append(store.OpLoad, registry.Live, v, nil); err != nil {
+		t.Fatal(err)
+	}
+	journal.Close()
+
+	st2 := openStore(t, dir)
+	srv, ts := recoverServer(t, durableConfig(st2))
+	if rep := srv.Recovery(); len(rep.Degraded) != 1 || rep.Degraded[0].Tag != registry.Live || !strings.Contains(rep.Degraded[0].Reason, "format 1") {
+		t.Fatalf("degraded = %+v, want the live slot with a reason naming format 1", rep.Degraded)
+	}
+	if q := st2.QuarantinedVersions(); len(q) != 1 || q[0] != v {
+		t.Fatalf("quarantined = %v, want [%s]", q, v)
+	}
+	if code, _ := getStatus(t, ts.URL+"/readyz"); code != http.StatusServiceUnavailable {
+		t.Fatalf("/readyz = %d, want 503 with the live slot degraded", code)
 	}
 }
 
@@ -260,8 +356,7 @@ func TestArtifactRejectsCorrupt(t *testing.T) {
 	}
 	raw := mlpArtifactBytes(t)
 	// Flip bytes at several depths; every corruption must surface as an
-	// error (gob decode failure or checkpoint checksum mismatch), never as
-	// a silently-wrong model.
+	// error (a frame CRC mismatch), never as a silently-wrong model.
 	for _, pos := range []int{len(raw) / 2, len(raw) - 100, len(raw) - 10} {
 		bad := append([]byte(nil), raw...)
 		bad[pos] ^= 0xff

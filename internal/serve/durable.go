@@ -219,7 +219,8 @@ func (s *Server) persistArtifact(a *Artifact) error {
 	if s.store == nil {
 		return nil
 	}
-	// Canonical bytes, never a re-encode: version is the SHA of these.
+	// The encoding is a pure function of the artifact, so the store's
+	// content address must equal the version it was loaded or built with.
 	v, err := s.store.Put(a.Bytes())
 	if err != nil {
 		return err

@@ -350,7 +350,7 @@ func (l *Log) compactLocked() error {
 	if err != nil {
 		return err
 	}
-	if err := writeAtomic(l.snapshot, line); err != nil {
+	if err := WriteAtomic(l.snapshot, line); err != nil {
 		return err
 	}
 	if err := l.f.Truncate(0); err != nil {

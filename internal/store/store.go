@@ -15,7 +15,6 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"sort"
@@ -26,14 +25,13 @@ import (
 
 const (
 	artifactExt = ".plcn"
-	sumExt      = ".plcn.sum"
 	reasonExt   = ".plcn.reason"
 )
 
-// ErrCorrupt wraps any integrity failure on read: size, CRC-32, or
-// SHA-256 mismatch against the sidecar written at Put time. A corrupt
-// artifact is moved to quarantine before the error is returned, so it
-// can never be served and never silently vanishes.
+// ErrCorrupt wraps an integrity failure on read: the bytes no longer
+// hash to their content address. A corrupt artifact is moved to
+// quarantine before the error is returned, so it can never be served and
+// never silently vanishes.
 var ErrCorrupt = errors.New("store: artifact failed verification")
 
 // ErrNotFound reports a version absent from the CAS.
@@ -93,7 +91,7 @@ func Open(dir string) (*Store, error) {
 		return nil, fmt.Errorf("store: %w", err)
 	}
 	for _, e := range ents {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), artifactExt) || strings.HasSuffix(e.Name(), sumExt) {
+		if e.IsDir() || !strings.HasSuffix(e.Name(), artifactExt) {
 			continue
 		}
 		info, err := e.Info()
@@ -125,11 +123,7 @@ func (s *Store) Put(b []byte) (string, error) {
 	if _, err := os.Stat(path); err == nil {
 		return version, nil
 	}
-	sum := fmt.Sprintf("sha256 %x crc32 %08x size %d\n", sha256.Sum256(b), crc32.ChecksumIEEE(b), len(b))
-	if err := writeAtomic(filepath.Join(s.casDir, version+sumExt), []byte(sum)); err != nil {
-		return "", err
-	}
-	if err := writeAtomic(path, b); err != nil {
+	if err := WriteAtomic(path, b); err != nil {
 		return "", err
 	}
 	s.artifacts++
@@ -138,10 +132,9 @@ func (s *Store) Put(b []byte) (string, error) {
 }
 
 // Fetch reads and verifies the artifact for version. Every read pays
-// full verification: size and CRC-32 against the sidecar, then SHA-256
-// against the content address itself. Any mismatch quarantines the
-// artifact and returns ErrCorrupt — corrupt bytes are never handed to
-// a caller.
+// full verification: the SHA-256 of the bytes must match the content
+// address itself. A mismatch quarantines the artifact and returns
+// ErrCorrupt — corrupt bytes are never handed to a caller.
 func (s *Store) Fetch(version string) ([]byte, error) {
 	b, err := os.ReadFile(s.artifactPath(version))
 	if err != nil {
@@ -150,42 +143,14 @@ func (s *Store) Fetch(version string) ([]byte, error) {
 		}
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	if err := s.verify(version, b); err != nil {
-		qerr := s.Quarantine(version, err.Error())
-		if qerr != nil {
+	if got := Version(b); got != version {
+		err := fmt.Errorf("%w: %s: sha256 mismatch (content hashes to %s)", ErrCorrupt, version, got)
+		if qerr := s.Quarantine(version, err.Error()); qerr != nil {
 			return nil, fmt.Errorf("%w (quarantine also failed: %v)", err, qerr)
 		}
 		return nil, err
 	}
 	return b, nil
-}
-
-// verify checks b against the content address and, when present, the
-// sidecar written at Put time.
-func (s *Store) verify(version string, b []byte) error {
-	if got := Version(b); got != version {
-		return fmt.Errorf("%w: %s: sha256 mismatch (content hashes to %s)", ErrCorrupt, version, got)
-	}
-	sc, err := os.ReadFile(filepath.Join(s.casDir, version+sumExt))
-	if err != nil {
-		return nil // sidecar lost: the content address above is authoritative
-	}
-	var wantSHA string
-	var wantCRC uint32
-	var wantSize int
-	if _, err := fmt.Sscanf(string(sc), "sha256 %s crc32 %x size %d", &wantSHA, &wantCRC, &wantSize); err != nil {
-		return nil
-	}
-	if len(b) != wantSize {
-		return fmt.Errorf("%w: %s: size %d, want %d", ErrCorrupt, version, len(b), wantSize)
-	}
-	if got := crc32.ChecksumIEEE(b); got != wantCRC {
-		return fmt.Errorf("%w: %s: crc32 %08x, want %08x", ErrCorrupt, version, got, wantCRC)
-	}
-	if got := fmt.Sprintf("%x", sha256.Sum256(b)); got != wantSHA {
-		return fmt.Errorf("%w: %s: full sha256 mismatch", ErrCorrupt, version)
-	}
-	return nil
 }
 
 // Retain adds one reference to version. References are in-memory —
@@ -222,7 +187,7 @@ func (s *Store) GC() ([]string, error) {
 	var removed []string
 	for _, e := range ents {
 		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, artifactExt) || strings.HasSuffix(name, sumExt) {
+		if e.IsDir() || !strings.HasSuffix(name, artifactExt) {
 			continue
 		}
 		version := strings.TrimSuffix(name, artifactExt)
@@ -233,7 +198,6 @@ func (s *Store) GC() ([]string, error) {
 		if err := os.Remove(filepath.Join(s.casDir, name)); err != nil {
 			return removed, fmt.Errorf("store: gc %s: %w", version, err)
 		}
-		os.Remove(filepath.Join(s.casDir, version+sumExt))
 		removed = append(removed, version)
 		s.artifacts--
 		if info != nil {
@@ -245,9 +209,9 @@ func (s *Store) GC() ([]string, error) {
 	return removed, nil
 }
 
-// Quarantine moves version (and its sidecar) into cas/quarantine/ and
-// records why. Quarantined artifacts are never deleted and never
-// served; an operator inspects and removes them by hand.
+// Quarantine moves version into cas/quarantine/ and records why.
+// Quarantined artifacts are never deleted and never served; an operator
+// inspects and removes them by hand.
 func (s *Store) Quarantine(version, reason string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -259,8 +223,7 @@ func (s *Store) Quarantine(version, reason string) error {
 	if err := os.Rename(src, filepath.Join(s.quarDir, version+artifactExt)); err != nil {
 		return fmt.Errorf("store: quarantine %s: %w", version, err)
 	}
-	os.Rename(filepath.Join(s.casDir, version+sumExt), filepath.Join(s.quarDir, version+sumExt))
-	writeAtomic(filepath.Join(s.quarDir, version+reasonExt), []byte(reason+"\n"))
+	WriteAtomic(filepath.Join(s.quarDir, version+reasonExt), []byte(reason+"\n"))
 	s.artifacts--
 	s.bytes -= info.Size()
 	delete(s.refs, version)
@@ -278,7 +241,7 @@ func (s *Store) QuarantinedVersions() []string {
 	var out []string
 	for _, e := range ents {
 		name := e.Name()
-		if !strings.HasSuffix(name, artifactExt) || strings.HasSuffix(name, sumExt) {
+		if !strings.HasSuffix(name, artifactExt) {
 			continue
 		}
 		out = append(out, strings.TrimSuffix(name, artifactExt))
@@ -298,12 +261,10 @@ func (s *Store) Stats() Stats {
 }
 
 // WriteAtomic writes b to path via tmp + rename with fsync of both the
-// file and its directory. Exported for sibling state writers (adapt
-// checkpoints, journal snapshots) so every durable file in the state
-// dir shares one write discipline.
-func WriteAtomic(path string, b []byte) error { return writeAtomic(path, b) }
-
-func writeAtomic(path string, b []byte) error {
+// file and its directory. Every durable file — CAS entries, journal
+// snapshots, adapt checkpoints, saved artifacts — shares this one write
+// discipline.
+func WriteAtomic(path string, b []byte) error {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, ".tmp-*")
 	if err != nil {

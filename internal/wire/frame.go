@@ -31,13 +31,25 @@
 // reserved field, an oversized length, or a CRC mismatch reports a
 // protocol error; the connection owner counts it and closes the
 // connection — framing is not resynchronizable mid-stream by design.
+//
+// The same frames are the on-disk format of every binary file the system
+// writes (model artifacts, adapt checkpoints), so every byte of one is
+// under a CRC: a JSON header frame whose type names the file kind, then
+// one FrameTensor per named float64 array — u16 name length, name, u8
+// rank, u32 dims, then the values' IEEE-754 bits (NaN, ±Inf, −0 exact).
 package wire
 
 import (
+	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
+
+	"repro/internal/nn"
 )
 
 // Protocol constants.
@@ -86,6 +98,14 @@ const (
 	// will still be answered, new ones are rejected, and the server
 	// closes the connection once the last in-flight response is written.
 	FrameGoAway FrameType = 6
+	// FrameArtifact opens a .plcn model artifact file: JSON metadata.
+	// File record types never travel on a connection; both connection
+	// readers reject them as protocol errors.
+	FrameArtifact FrameType = 7
+	// FrameCheckpoint opens an adapt checkpoint file: JSON scalar state.
+	FrameCheckpoint FrameType = 8
+	// FrameTensor is one named float64 array following a file header.
+	FrameTensor FrameType = 9
 )
 
 // Protocol errors a decoder reports. All of them mean "close the
@@ -119,10 +139,6 @@ type FrameReader struct {
 	r       io.Reader
 	hdr     [HeaderSize]byte
 	payload []byte
-	// frames and bytes count everything successfully read, for the
-	// connection owner's metrics.
-	frames int64
-	bytes  int64
 }
 
 // NewFrameReader wraps r. Callers hand in a buffered reader when the
@@ -153,7 +169,7 @@ func (fr *FrameReader) Read() (FrameType, []byte, error) {
 		return 0, nil, ErrBadReserved
 	}
 	ft := FrameType(fr.hdr[5])
-	if ft < FrameHello || ft > FrameGoAway {
+	if ft < FrameHello || ft > FrameTensor {
 		return 0, nil, ErrUnknownFrame
 	}
 	n := binary.LittleEndian.Uint32(fr.hdr[8:12])
@@ -171,8 +187,6 @@ func (fr *FrameReader) Read() (FrameType, []byte, error) {
 	if crc32.ChecksumIEEE(p) != want {
 		return 0, nil, ErrChecksum
 	}
-	fr.frames++
-	fr.bytes += int64(HeaderSize) + int64(n)
 	return ft, p, nil
 }
 
@@ -180,10 +194,8 @@ func (fr *FrameReader) Read() (FrameType, []byte, error) {
 // each connection has exactly one writer goroutine, which serializes the
 // pipelined responses.
 type FrameWriter struct {
-	w      io.Writer
-	hdr    [HeaderSize]byte
-	frames int64
-	bytes  int64
+	w   io.Writer
+	hdr [HeaderSize]byte
 }
 
 // NewFrameWriter wraps w. Callers hand in a buffered writer when the
@@ -206,10 +218,99 @@ func (fw *FrameWriter) Write(ft FrameType, payload []byte) error {
 	if _, err := fw.w.Write(fw.hdr[:]); err != nil {
 		return err
 	}
-	if _, err := fw.w.Write(payload); err != nil {
+	_, err := fw.w.Write(payload)
+	return err
+}
+
+// WriteFile writes a file record to w: hdr as the JSON payload of a frame
+// of type kind, then one FrameTensor per tensor, in order. The bytes are a
+// pure function of (kind, hdr, tensors).
+func WriteFile(w io.Writer, kind FrameType, hdr any, tensors []nn.NamedTensor) error {
+	p, err := json.Marshal(hdr)
+	if err != nil {
+		return fmt.Errorf("wire: file header: %w", err)
+	}
+	fw := NewFrameWriter(w)
+	if err := fw.Write(kind, p); err != nil {
 		return err
 	}
-	fw.frames++
-	fw.bytes += int64(HeaderSize) + int64(len(payload))
+	for _, t := range tensors {
+		p = append(binary.LittleEndian.AppendUint16(p[:0], uint16(len(t.Name))), t.Name...)
+		p = append(p, byte(len(t.Shape)))
+		for _, d := range t.Shape {
+			p = binary.LittleEndian.AppendUint32(p, uint32(d))
+		}
+		for _, v := range t.Data {
+			p = binary.LittleEndian.AppendUint64(p, math.Float64bits(v))
+		}
+		if err := fw.Write(FrameTensor, p); err != nil {
+			return fmt.Errorf("wire: tensor %q: %w", t.Name, err)
+		}
+	}
 	return nil
+}
+
+// ReadFile reads a file record written by WriteFile, decoding its header
+// into hdr. The header must be a frame of type kind holding the canonical
+// JSON of the decoded value and the rest well-formed tensors, so a file
+// that reads back re-encodes to the same bytes. Callers check the tensor
+// count their header declares: that rejects a file cut between frames.
+func ReadFile(r io.Reader, kind FrameType, hdr any) ([]nn.NamedTensor, error) {
+	fr := NewFrameReader(r)
+	ft, p, err := fr.Read()
+	switch {
+	case err != nil:
+		return nil, err
+	case ft != kind:
+		return nil, fmt.Errorf("%w: file opens with frame type %d, want %d", ErrUnknownFrame, ft, kind)
+	case json.Unmarshal(p, hdr) != nil:
+		return nil, fmt.Errorf("%w: file header is not JSON of the expected shape", ErrBadPayload)
+	}
+	if canon, err := json.Marshal(hdr); err != nil || !bytes.Equal(canon, p) {
+		return nil, fmt.Errorf("%w: file header is not canonical JSON", ErrBadPayload)
+	}
+	var tensors []nn.NamedTensor
+	for {
+		ft, p, err := fr.Read()
+		if err == io.EOF {
+			return tensors, nil
+		}
+		if err != nil {
+			return nil, err
+		}
+		t, ok := parseTensor(p)
+		if ft != FrameTensor || !ok {
+			return nil, fmt.Errorf("%w: frame %d is not a well-formed tensor", ErrBadPayload, len(tensors)+1)
+		}
+		tensors = append(tensors, t)
+	}
+}
+
+// parseTensor decodes a FrameTensor payload, validating sizes exactly: the
+// payload holds the declared values and nothing else.
+func parseTensor(p []byte) (t nn.NamedTensor, ok bool) {
+	if len(p) < 2 {
+		return t, false
+	}
+	l := 2 + int(binary.LittleEndian.Uint16(p))
+	if len(p) <= l || len(p) < l+1+4*int(p[l]) {
+		return t, false
+	}
+	t.Name, t.Shape = string(p[2:l]), make([]int, p[l])
+	dims, vals := p[l+1:], p[l+1+4*len(t.Shape):]
+	n := 1
+	for i := range t.Shape {
+		t.Shape[i] = int(binary.LittleEndian.Uint32(dims[4*i:]))
+		if n *= t.Shape[i]; n > len(vals)/8 { // n ≤ 2^21 before, so n·dim < 2^53
+			return t, false
+		}
+	}
+	if len(vals) != 8*n {
+		return t, false
+	}
+	t.Data = make([]float64, n)
+	for i := range t.Data {
+		t.Data[i] = math.Float64frombits(binary.LittleEndian.Uint64(vals[8*i:]))
+	}
+	return t, true
 }

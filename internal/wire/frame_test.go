@@ -5,7 +5,11 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+	"math"
+	"slices"
 	"testing"
+
+	"repro/internal/nn"
 )
 
 // frameBytes encodes one frame into a byte slice via FrameWriter.
@@ -28,11 +32,16 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 	var buf bytes.Buffer
 	fw := NewFrameWriter(&buf)
-	types := []FrameType{FrameHello, FrameSchema, FrameScore, FrameResult, FrameError, FrameGoAway}
+	types := []FrameType{FrameHello, FrameSchema, FrameScore, FrameResult, FrameError, FrameGoAway, FrameArtifact, FrameCheckpoint, FrameTensor}
+	want := 0
 	for i, p := range payloads {
 		if err := fw.Write(types[i%len(types)], p); err != nil {
 			t.Fatal(err)
 		}
+		want += HeaderSize + len(p)
+	}
+	if buf.Len() != want {
+		t.Fatalf("stream is %d bytes, want %d (header + payload per frame)", buf.Len(), want)
 	}
 	fr := NewFrameReader(&buf)
 	for i, p := range payloads {
@@ -49,12 +58,6 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 	if _, _, err := fr.Read(); err != io.EOF {
 		t.Fatalf("after last frame: %v, want io.EOF", err)
-	}
-	if fr.Frames() != int64(len(payloads)) || fw.Frames() != int64(len(payloads)) {
-		t.Fatalf("frame counts: read %d written %d, want %d", fr.Frames(), fw.Frames(), len(payloads))
-	}
-	if fr.Bytes() != fw.Bytes() {
-		t.Fatalf("byte counts differ: read %d, written %d", fr.Bytes(), fw.Bytes())
 	}
 }
 
@@ -143,7 +146,7 @@ func TestHeaderViolations(t *testing.T) {
 		{"bad magic", mutate(0, 'X'), ErrBadMagic},
 		{"bad version", mutate(4, 99), ErrBadVersion},
 		{"zero frame type", mutate(5, 0), ErrUnknownFrame},
-		{"frame type past GoAway", mutate(5, byte(FrameGoAway)+1), ErrUnknownFrame},
+		{"frame type past the last registered", mutate(5, byte(FrameTensor)+1), ErrUnknownFrame},
 		{"reserved byte 6", mutate(6, 1), ErrBadReserved},
 		{"reserved byte 7", mutate(7, 0xFF), ErrBadReserved},
 	}
@@ -273,7 +276,7 @@ func FuzzReadFrame(f *testing.F) {
 				}
 				return
 			}
-			if ft < FrameHello || ft > FrameGoAway {
+			if ft < FrameHello || ft > FrameTensor {
 				t.Fatalf("accepted out-of-range frame type %d", ft)
 			}
 			if len(p) > MaxPayload {
@@ -283,14 +286,75 @@ func FuzzReadFrame(f *testing.F) {
 	})
 }
 
-// Frames returns how many frames have been read.
-func (fr *FrameReader) Frames() int64 { return fr.frames }
+// TestFileRecordRoundTrip pins the file layer: a header and tensors —
+// including the floats JSON cannot carry, an empty tensor and a scalar —
+// read back bit-exactly, and re-encode to the same bytes.
+func TestFileRecordRoundTrip(t *testing.T) {
+	type header struct {
+		Kind string `json:"kind"`
+		N    int    `json:"n"`
+	}
+	in := []nn.NamedTensor{
+		{Name: "specials", Shape: []int{2, 3}, Data: []float64{math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1), 1e-310, -2.5}},
+		{Name: "", Shape: []int{0}, Data: nil},
+		{Name: "scalar", Shape: []int{}, Data: []float64{42}},
+	}
+	var buf bytes.Buffer
+	if err := WriteFile(&buf, FrameCheckpoint, header{"test", 3}, in); err != nil {
+		t.Fatal(err)
+	}
+	raw := append([]byte(nil), buf.Bytes()...)
+	var h header
+	out, err := ReadFile(&buf, FrameCheckpoint, &h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h != (header{"test", 3}) || len(out) != len(in) {
+		t.Fatalf("read header %+v and %d tensors", h, len(out))
+	}
+	for i := range in {
+		if out[i].Name != in[i].Name || !slices.Equal(out[i].Shape, in[i].Shape) || len(out[i].Data) != len(in[i].Data) {
+			t.Fatalf("tensor %d: read %q %v", i, out[i].Name, out[i].Shape)
+		}
+		for j, v := range in[i].Data {
+			if math.Float64bits(out[i].Data[j]) != math.Float64bits(v) {
+				t.Fatalf("tensor %d value %d: %v, want %v bit-exactly", i, j, out[i].Data[j], v)
+			}
+		}
+	}
+	var again bytes.Buffer
+	if err := WriteFile(&again, FrameCheckpoint, h, out); err != nil || !bytes.Equal(again.Bytes(), raw) {
+		t.Fatalf("re-encode differs from the bytes read (err %v)", err)
+	}
 
-// Bytes returns how many frame bytes (headers + payloads) have been read.
-func (fr *FrameReader) Bytes() int64 { return fr.bytes }
+	if _, err := ReadFile(bytes.NewReader(raw), FrameArtifact, &h); !errors.Is(err, ErrUnknownFrame) {
+		t.Fatalf("wrong file kind: %v, want ErrUnknownFrame", err)
+	}
+	spaced := append(frameBytes(FrameCheckpoint, []byte(`{"kind": "test","n":3}`)), raw[HeaderSize+len(`{"kind":"test","n":3}`):]...)
+	if _, err := ReadFile(bytes.NewReader(spaced), FrameCheckpoint, &h); !errors.Is(err, ErrBadPayload) {
+		t.Fatalf("non-canonical header: %v, want ErrBadPayload", err)
+	}
+}
 
-// Frames returns how many frames have been written.
-func (fw *FrameWriter) Frames() int64 { return fw.frames }
-
-// Bytes returns how many frame bytes (headers + payloads) have been written.
-func (fw *FrameWriter) Bytes() int64 { return fw.bytes }
+// TestParseTensorRejectsMalformed: every payload that is not exactly
+// name + rank + dims + ∏dims values is rejected without a panic or an
+// allocation sized by a hostile shape.
+func TestParseTensorRejectsMalformed(t *testing.T) {
+	good := []byte{1, 0, 'w', 1, 2, 0, 0, 0, 1, 2, 3, 4, 5, 6, 7, 8, 1, 2, 3, 4, 5, 6, 7, 8}
+	if _, ok := parseTensor(good); !ok {
+		t.Fatal("well-formed payload rejected")
+	}
+	huge := []byte{0, 0, 2, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF}
+	for name, p := range map[string][]byte{
+		"empty":          {},
+		"name past end":  {9, 0, 'w', 0},
+		"dims past end":  {0, 0, 3, 1, 0, 0, 0},
+		"short values":   good[:len(good)-1],
+		"trailing bytes": append(append([]byte(nil), good...), 0),
+		"huge shape":     huge,
+	} {
+		if _, ok := parseTensor(p); ok {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+}
