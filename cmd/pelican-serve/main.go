@@ -57,11 +57,11 @@ func run(args []string, out io.Writer) error {
 		replicas   = fs.Int("replicas", 2, "detector replicas (scoring shards) per model slot")
 		maxBatch   = fs.Int("max-batch", 32, "dynamic batcher flush size")
 		maxWait    = fs.Duration("max-wait", 2*time.Millisecond, "dynamic batcher flush deadline")
-		queue      = fs.Int("queue", 1024, "batcher queue depth per slot (requests block when full)")
+		queue      = fs.Int("queue", 1024, "batcher intake depth per slot, in requests (beyond -admit-watermark they get 429 first)")
 		maxBody    = fs.Int64("max-body", 4<<20, "request body size cap in bytes (413 beyond)")
 		noMirror   = fs.Bool("no-mirror", false, "disable duplicating live traffic onto the shadow slot")
 		reqTimeout = fs.Duration("request-timeout", 5*time.Second, "scoring deadline budget; queued records past it are shed with 503 (negative disables)")
-		watermark  = fs.Int("admit-watermark", 0, "queue depth beyond which scoring requests fast-fail 429 (0 = queue size, negative disables)")
+		watermark  = fs.Int("admit-watermark", 0, "records queued and not yet batched beyond which scoring requests fast-fail 429 (0 = -queue, negative disables)")
 		chaosDelay = fs.Duration("chaos-score-delay", 0, "TESTING: inject this much extra latency into every replica's scoring batches")
 		pprofAddr  = fs.String("pprof", "", "serve net/http/pprof on this side address (e.g. 127.0.0.1:6060; empty disables)")
 		logLevel   = fs.String("log-level", "info", "structured log level: debug, info, warn, error")

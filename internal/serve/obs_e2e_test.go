@@ -312,3 +312,56 @@ func TestTracingEndToEnd(t *testing.T) {
 		t.Fatal("the 400 request's trace is missing from /debug/traces?errors=1")
 	}
 }
+
+// TestRequestIDHonouredOnlyWhenBounded pins the X-Request-Id rule: an
+// incoming ID of 1–64 bytes of [0-9A-Za-z._:-] is echoed and traced as
+// sent; anything else — a header-sized ID, a control byte, a space — is
+// replaced by a generated one, so no client can pin memory in the trace
+// ring or write arbitrary bytes into the logs through it.
+func TestRequestIDHonouredOnlyWhenBounded(t *testing.T) {
+	if testing.Short() {
+		t.Skip("trains a model")
+	}
+	a, _, _ := trainTestArtifact(t, "mlp", 37, 1)
+	_, ts := newTestServer(t, a, Config{})
+
+	huge := strings.Repeat("a", 512<<10)
+	for id, kept := range map[string]bool{
+		"deadbeefcafef00d":      true,
+		"golden":                true,
+		"svc-a:req_42.retry-1":  true,
+		strings.Repeat("x", 64): true,
+		strings.Repeat("x", 65): false,
+		huge:                    false,
+		"two words":             false,
+		"semi;colon":            false,
+		"tab\tid":               false,
+	} {
+		req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/detect-batch", strings.NewReader("{not json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set(obs.RequestIDHeader, id)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		got := resp.Header.Get(obs.RequestIDHeader)
+		short := id
+		if len(short) > 16 {
+			short = short[:16] + "…"
+		}
+		if kept && got != id {
+			t.Errorf("valid ID %q echoed as %q", short, got)
+		}
+		if !kept && (got == id || !validRequestID(got)) {
+			t.Errorf("invalid ID %q (%d bytes) echoed as %.20q, want a generated ID", short, len(id), got)
+		}
+	}
+	_, body := getBody(t, ts.URL+"/debug/traces")
+	if strings.Contains(string(body), huge[:65]) {
+		t.Fatal("/debug/traces holds the oversized request ID")
+	}
+}

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/rand"
 	"net/http"
 	"strings"
 	"sync"
@@ -14,7 +15,6 @@ import (
 	"time"
 
 	"repro/internal/chaos"
-	"repro/internal/data"
 	"repro/internal/nids"
 	"repro/internal/registry"
 )
@@ -175,6 +175,35 @@ func TestDeadlineExpiredSheds503(t *testing.T) {
 	}
 }
 
+// TestPartialExpiryConservedOnBothPlanes pins settlement for a request
+// whose deadline passes part-way through: behind a 100ms replica, two of
+// its three single-record batches are scored within the 150ms budget and
+// the third is shed. The request is settled once, whole — 503, and all
+// three records counted as expired, none as scored — so the counters
+// still account every admitted record. Identically on both planes.
+func TestPartialExpiryConservedOnBothPlanes(t *testing.T) {
+	if testing.Short() {
+		t.Skip("trains a model")
+	}
+	a, _, recs := trainTestArtifact(t, "mlp", 23, 1)
+	inj := &chaos.Injector{}
+	srv, ts := newTestServer(t, a, Config{
+		Replicas: 1, MaxBatch: 1, MaxWait: time.Millisecond,
+		QueueDepth: 8, Chaos: inj,
+	})
+	inj.SetScoreDelay(100 * time.Millisecond)
+
+	ans, delta := onBothPlanes(t, srv, planesOf(t, srv, ts), 3, func(t *testing.T, p scorePlane) planeAnswer {
+		return p.score(t, planeRequest{recs: recs[:3], timeoutMS: 150})
+	})
+	if ans.status != http.StatusServiceUnavailable {
+		t.Fatalf("partly expired request got %d, want 503", ans.status)
+	}
+	if delta["expired"] != 3 || delta["live.expired"] != 3 || delta["records"] != 0 || delta["errors_5xx"] != 1 {
+		t.Fatalf("one partly expired 3-record request moved the counters by %v", delta)
+	}
+}
+
 // TestDeadlineHintShortensNeverExtends pins the one deadline rule both
 // planes share: a client's millisecond hint may shorten RequestTimeout and
 // nothing else — absent, non-positive, larger, or too large to be a
@@ -195,9 +224,10 @@ func TestDeadlineHintShortensNeverExtends(t *testing.T) {
 }
 
 // TestSwapMidRequestRetriesOnSuccessor pins the swap-retry path: a request
-// still enqueueing when its slot is replaced (the old generation's scorer
-// closes under it) is scored, whole, by the successor generation — the
-// client sees one answer from the new version, and the records are
+// still waiting for intake space when its slot is replaced (the old
+// generation's scorer closes under it) is scored, whole, by the successor
+// generation — the client sees one answer from the new version, the
+// retired generation scores none of its records, and the records are
 // counted once. Identically on both planes.
 func TestSwapMidRequestRetriesOnSuccessor(t *testing.T) {
 	if testing.Short() {
@@ -218,20 +248,48 @@ func TestSwapMidRequestRetriesOnSuccessor(t *testing.T) {
 		QueueDepth: 1, AdmitWatermark: -1, Chaos: inj,
 	})
 
-	ans, delta := onBothPlanes(t, srv, planesOf(t, srv, ts), 6, func(t *testing.T, p scorePlane) planeAnswer {
+	// 4 filler records scored by the old generation + the 6-record request
+	// scored by the successor are admitted per run.
+	ans, delta := onBothPlanes(t, srv, planesOf(t, srv, ts), 10, func(t *testing.T, p scorePlane) planeAnswer {
 		if err := srv.LoadSlot(registry.Live, a1); err != nil {
 			t.Fatal(err)
 		}
-		// A stalled single-record pipeline holds four records (in service,
-		// handed off, held by the dispatcher, queued): a six-record request
-		// cannot finish enqueueing until the replica moves.
-		inj.SetScoreDelay(50 * time.Millisecond)
+		si, _ := srv.slot(registry.Live)
+		old := si.scorer
+		waitFor := func(what string, cond func() bool) {
+			t.Helper()
+			for deadline := time.Now().Add(5 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+				if time.Now().After(deadline) {
+					t.Fatalf("timed out waiting for %s", what)
+				}
+			}
+		}
+		// Fill the stalled single-record pipeline: a 3-record filler puts one
+		// record in service, one in the hand-off and one with the blocked
+		// dispatcher; a 1-record filler then fills the one-request intake.
+		inj.SetScoreDelay(500 * time.Millisecond)
+		var fillers sync.WaitGroup
+		fill := func(n int) {
+			fillers.Add(1)
+			go func() {
+				defer fillers.Done()
+				postJSON(t, ts.URL+"/v1/detect-batch", detectBatchRequest{Records: recordsJSON(recs[6 : 6+n])})
+			}()
+		}
+		fill(3)
+		waitFor("the 3-record filler to be cut", func() bool { return len(old.b.batches) == 1 && old.queueLen() == 0 })
+		fill(1)
+		waitFor("the 1-record filler to fill the intake", func() bool { return old.queueLen() == 1 })
+
 		swapped := make(chan error, 1)
 		go func() {
 			defer close(swapped) // also when waitQueueLen gives up
-			waitQueueLen(t, srv, 1)
-			// The first swap only demotes a1 to the warm rollback target;
-			// the second retires it — closing the scorer the request is on.
+			// The 6-record request is waiting for intake space once the gauge
+			// counts it. The first swap only demotes a1 to the warm rollback
+			// target; the second retires it — closing the scorer the request
+			// waits on.
+			waitQueueLen(t, srv, 7)
+			inj.SetScoreDelay(0)
 			err := srv.LoadSlot(registry.Live, a2)
 			if err == nil {
 				err = srv.LoadSlot(registry.Live, a2)
@@ -239,9 +297,13 @@ func TestSwapMidRequestRetriesOnSuccessor(t *testing.T) {
 			swapped <- err
 		}()
 		ans := p.score(t, planeRequest{recs: recs[:6]})
-		inj.SetScoreDelay(0)
 		if err := <-swapped; err != nil {
 			t.Fatal(err)
+		}
+		fillers.Wait()
+		old.close() // already retired: waits out its drain
+		if cut := old.stages.batchSize.Sum(); cut != 4 {
+			t.Fatalf("the retired generation cut %v records, want only the 4 filler records", cut)
 		}
 		return ans
 	})
@@ -251,8 +313,8 @@ func TestSwapMidRequestRetriesOnSuccessor(t *testing.T) {
 	if err := sameVerdicts(ans.verdicts, want); err != nil {
 		t.Fatalf("swapped request vs the successor's f64 oracle: %v", err)
 	}
-	if delta["records"] != 6 || delta["live.records"] != 6 {
-		t.Fatalf("six records scored across a swap moved the counters by %v", delta)
+	if delta["records"] != 10 || delta["live.records"] != 10 {
+		t.Fatalf("4 filler records and six records scored across a swap moved the counters by %v", delta)
 	}
 }
 
@@ -337,6 +399,82 @@ func TestMirrorDropAccountingExact(t *testing.T) {
 	}
 }
 
+// TestConservationSoakBothPlanes holds the accounting identities under
+// chaos and overload at once: HTTP and wire clients race mixed 1-, 8- and
+// 48-record requests (48 > MaxBatch, so some are split across batches)
+// with random short deadlines at a slowed slot with a low admission
+// watermark, while a loaded shadow takes mirrors one at a time. Once the
+// server has closed, every record sent is accounted exactly once —
+// records + shed + expired, server-wide and on the live slot, each equal
+// to what the clients saw answered 200, 429 and 503 — and every live
+// record is mirrored or counted as a dropped mirror.
+func TestConservationSoakBothPlanes(t *testing.T) {
+	if testing.Short() {
+		t.Skip("trains models")
+	}
+	a, _, recs := trainTestArtifact(t, "mlp", 29, 1)
+	a2, _, _ := trainTestArtifact(t, "mlp", 31, 1)
+	inj := &chaos.Injector{}
+	srv, ts := newTestServer(t, a, Config{
+		Replicas: 2, MaxBatch: 32, MaxWait: time.Millisecond,
+		QueueDepth: 8, AdmitWatermark: 40, mirrorConcurrency: 1, Chaos: inj,
+	})
+	if err := srv.LoadSlot(registry.Shadow, a2); err != nil {
+		t.Fatal(err)
+	}
+	inj.SetScoreDelay(3 * time.Millisecond)
+
+	const clientsPerPlane, reqs = 4, 24
+	var planes []scorePlane
+	for c := 0; c < clientsPerPlane; c++ {
+		planes = append(planes, planesOf(t, srv, ts)...)
+	}
+	var mu sync.Mutex
+	byStatus := map[int]int64{}
+	t.Run("clients", func(t *testing.T) {
+		for c, p := range planes {
+			c, p := c, p
+			t.Run(fmt.Sprintf("%s%d", p.name, c), func(t *testing.T) {
+				t.Parallel()
+				rng := rand.New(rand.NewSource(int64(c)))
+				for r := 0; r < reqs; r++ {
+					n := []int{1, 8, 48}[rng.Intn(3)]
+					timeoutMS := []int{0, 5, 20, 60}[rng.Intn(4)]
+					lo := rng.Intn(len(recs) - n)
+					ans := p.score(t, planeRequest{recs: recs[lo : lo+n], timeoutMS: timeoutMS})
+					mu.Lock()
+					byStatus[ans.status] += int64(n)
+					mu.Unlock()
+				}
+			})
+		}
+	})
+	ts.Close()
+	srv.Close()
+
+	var sent int64
+	for _, n := range byStatus {
+		sent += n
+	}
+	c := countersOf(srv)
+	t.Logf("records by status %v; counters %v", byStatus, c)
+	if got := c["records"] + c["shed"] + c["expired"]; got != sent {
+		t.Errorf("server-wide: records+shed+expired = %d, want the %d records sent", got, sent)
+	}
+	if got := c["live.records"] + c["live.shed"] + c["live.expired"]; got != sent {
+		t.Errorf("live slot: records+shed+expired = %d, want the %d records sent", got, sent)
+	}
+	if c["records"] != byStatus[http.StatusOK] || c["shed"] != byStatus[http.StatusTooManyRequests] ||
+		c["expired"] != byStatus[http.StatusServiceUnavailable] {
+		t.Errorf("counters records/shed/expired = %d/%d/%d, clients saw %d/%d/%d records answered 200/429/503",
+			c["records"], c["shed"], c["expired"], byStatus[http.StatusOK],
+			byStatus[http.StatusTooManyRequests], byStatus[http.StatusServiceUnavailable])
+	}
+	if got := c["shadow.mirrored"] + c["shadow.mirror_dropped"]; got != c["live.records"] {
+		t.Errorf("mirrored + mirror_dropped = %d, want exactly the %d live records", got, c["live.records"])
+	}
+}
+
 // TestBatcherMaxWaitUnderSlowConsumer is the satellite coverage for flush
 // timing: MaxWait bounds when a batch is cut, independent of how slowly
 // the replica services batches. A record enqueued during a replica's
@@ -354,22 +492,16 @@ func TestBatcherMaxWaitUnderSlowConsumer(t *testing.T) {
 	deliveries := make(chan delivery, 4)
 	go func() {
 		for fb := range b.batches {
-			batch := fb.items
-			deliveries <- delivery{at: time.Now(), size: len(batch)}
+			deliveries <- delivery{at: time.Now(), size: fb.n}
 			time.Sleep(100 * time.Millisecond) // slow replica
-			for i := range batch {
-				batch[i].wg.Done()
-			}
-			b.putSlab(batch)
+			settleBatch(b, fb)
 		}
 		close(deliveries)
 	}()
 
-	var wg sync.WaitGroup
-	var v1, v2 nids.Verdict
-	wg.Add(2)
+	sp1, sp2 := testSpan(1), testSpan(1)
 	start := time.Now()
-	b.enqueue(item{rec: &data.Record{}, out: &v1, wg: &wg}, true)
+	b.enqueue(sp1)
 
 	first := <-deliveries
 	if first.size != 1 {
@@ -383,7 +515,7 @@ func TestBatcherMaxWaitUnderSlowConsumer(t *testing.T) {
 	// at MaxWait — bounded by flush policy, not by the 100ms service time
 	// plus another wait.
 	enq := time.Now()
-	b.enqueue(item{rec: &data.Record{}, out: &v2, wg: &wg}, true)
+	b.enqueue(sp2)
 	second := <-deliveries
 	if second.size != 1 {
 		t.Fatalf("second batch holds %d records, want 1", second.size)
@@ -395,5 +527,6 @@ func TestBatcherMaxWaitUnderSlowConsumer(t *testing.T) {
 	if waited := second.at.Sub(enq); waited > 150*time.Millisecond {
 		t.Fatalf("second record delivered %v after enqueue; MaxWait=5ms + one 100ms service pause should bound it", waited)
 	}
-	wg.Wait()
+	waitSpan(t, sp1, "the first record")
+	waitSpan(t, sp2, "the second record")
 }

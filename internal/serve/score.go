@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"net/http"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/data"
@@ -31,8 +30,9 @@ type scoreRequest interface {
 	// generation, so a concurrent swap can never mis-pair a record with a
 	// different encoder. On error the status is the code to answer.
 	records(si *slotInstance) ([]data.Record, int, error)
-	// verdictSlab returns n zeroed verdicts for the workers to fill.
-	verdictSlab(n int) []nids.Verdict
+	// span returns the request's queue entry with n zeroed verdicts for
+	// the workers to fill; the wire plane's lives in its pooled request.
+	span(n int) *span
 	// pooled reports whether the records and verdicts live in storage that
 	// is recycled once the request is answered; the asynchronous shadow
 	// mirror then needs its own copy.
@@ -110,21 +110,20 @@ func (s *Server) score(ctx context.Context, tag string, in scoreRequest, tr *obs
 			// swapped mid-request, rare) are folded into queue_wait.
 			tr.Span("admit", admitStart, time.Since(admitStart))
 		}
-		verdicts := in.verdictSlab(len(recs))
-		// The expired tally is per attempt: a swap-aborted attempt's sheds
-		// are retried wholesale on the successor, so only the attempt that
-		// actually answers may account them.
-		var expired atomic.Int64
-		switch si.scorer.score(ctx, recs, verdicts, &expired, tr) {
+		sp := in.span(len(recs))
+		sp.recs, sp.ctx, sp.trace = recs, ctx, tr
+		// The request is settled once, whole: scored, or — if any of it was
+		// shed past the deadline — expired, all of its records.
+		switch si.scorer.submit(sp) {
 		case submitClosed:
 			continue // slot swapped mid-request: resolve again
 		case submitExpired:
-			n := expired.Load()
-			st.DeadlineExpired.Add(n)
-			s.m.deadlineExpired.Add(n)
+			st.DeadlineExpired.Add(int64(len(recs)))
+			s.m.deadlineExpired.Add(int64(len(recs)))
 			return nil, nil, http.StatusServiceUnavailable,
-				fmt.Errorf("deadline expired while queued: %d of %d records shed; retry with more budget", n, len(recs))
+				fmt.Errorf("deadline expired while queued: %d of %d records shed; retry with more budget", sp.shed.Load(), len(recs))
 		}
+		verdicts := sp.verdicts
 		st.Records.Add(int64(len(recs)))
 		attacks := int64(0)
 		for i := range verdicts {
@@ -246,8 +245,8 @@ func (s *Server) mirror(live *slotInstance, recs []data.Record, liveVerdicts []n
 			<-s.mirrorSem
 			s.mirrorWG.Done()
 		}()
-		verdicts := make([]nids.Verdict, len(recs))
-		if !sh.scorer.tryScore(recs, verdicts, child) {
+		sp := &span{recs: recs, verdicts: make([]nids.Verdict, len(recs)), trace: child}
+		if sh.scorer.submit(sp) != submitOK {
 			stats.MirrorDropped.Add(int64(len(recs)))
 			s.putTrace(child, http.StatusServiceUnavailable, "mirror dropped: shadow queue full or slot swapped")
 			return
@@ -256,12 +255,12 @@ func (s *Server) mirror(live *slotInstance, recs []data.Record, liveVerdicts []n
 		stats.Mirrored.Add(int64(len(recs)))
 		stats.Records.Add(int64(len(recs)))
 		var attacks, agree int64
-		for i := range verdicts {
-			if verdicts[i].IsAttack {
+		for i, v := range sp.verdicts {
+			if v.IsAttack {
 				attacks++
 			}
-			if verdicts[i].IsAttack == liveVerdicts[i].IsAttack &&
-				(!classComparable || verdicts[i].Class == liveVerdicts[i].Class) {
+			if v.IsAttack == liveVerdicts[i].IsAttack &&
+				(!classComparable || v.Class == liveVerdicts[i].Class) {
 				agree++
 			}
 		}

@@ -1,15 +1,12 @@
 package serve
 
 import (
-	"context"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/data"
 	"repro/internal/nids"
-	"repro/internal/obs"
 	"repro/internal/registry"
 )
 
@@ -19,7 +16,7 @@ import (
 // within one model generation — promotions and rollbacks re-point tags at
 // instances, they never tear a request across generations. A scorer is
 // immutable after construction; retiring a slot closes its scorer, which
-// drains the queue (every accepted record is scored or, past its
+// drains the queue (every accepted request is scored or, past its
 // deadline, shed with accounting) and stops the workers.
 type scorer struct {
 	b         *batcher
@@ -46,12 +43,13 @@ type submitResult int
 const (
 	// submitOK: every record was scored and its verdict written.
 	submitOK submitResult = iota
-	// submitClosed: the slot was swapped mid-request; the caller must
-	// re-resolve the tag and retry on the successor generation.
+	// submitClosed: the slot was swapped mid-request (or a mirror found
+	// the queue full); a live caller re-resolves the tag and retries on
+	// the successor generation.
 	submitClosed
 	// submitExpired: the request's deadline ran out before every record
-	// could be scored; at least one record was shed (tallied on the
-	// caller's expired counter) and the verdicts must be discarded.
+	// could be scored; at least one record was shed and the verdicts must
+	// be discarded.
 	submitExpired
 )
 
@@ -80,68 +78,44 @@ func newScorer(a *Artifact, cfg Config, gm *serverMetrics) (*scorer, error) {
 	return sc, nil
 }
 
-// traceAgg accumulates one request's slice of a batch so the worker can
-// append one span set per (trace, batch) instead of one per record.
-type traceAgg struct {
-	tr       *obs.Trace
-	firstEnq time.Time
-}
-
 // worker is one replica's scoring loop: it pulls flushed batches, sheds
-// the records whose deadline expired while they queued, scores the rest
-// on its own replica, and fans verdicts back out to the originating
-// requests. Shedding happens here — at the last moment before the
-// network pass — because that is when queueing delay has actually been
-// paid: a record that waited out its budget gets a shed tally instead of
-// a stale verdict nobody is waiting for. The worker also feeds the
-// queue_wait/batch_assembly/infer histograms and appends the matching
-// spans to each request's trace — before releasing the request's
-// WaitGroup, so a trace is complete by the time its handler can finish it.
+// the segments whose deadline expired while they queued, scores the rest
+// on its own replica, and writes the verdicts back into the originating
+// spans. Shedding happens here — at the last moment before the network
+// pass — because that is when queueing delay has actually been paid: a
+// segment that waited out its budget is settled as shed instead of
+// getting a stale verdict nobody is waiting for. The worker also feeds
+// the queue_wait/batch_assembly/infer histograms and appends the matching
+// spans to each request's trace — before settling the segment, so a trace
+// is complete by the time its handler can finish it.
 //
 //pelican:noalloc
 func (sc *scorer) worker(i int) {
 	defer sc.workerWG.Done()
 	replica := strconv.Itoa(i)
 	recs := make([]*data.Record, 0, sc.maxBatch)
-	live := make([]*item, 0, sc.maxBatch)
+	live := make([]segment, 0, sc.maxBatch)
 	verdicts := make([]nids.Verdict, sc.maxBatch)
-	aggs := make([]traceAgg, 0, 8)
 	// attrs is the infer span's attribute list, identical for every trace
 	// in a batch: built once per batch into this recycled buffer instead
 	// of a fresh slice literal per trace.
 	attrs := make([]string, 0, 6)
 	for fb := range sc.b.batches {
-		batch := fb.items
 		st := sc.stages
 		pickup := time.Now()
 		st.assembly.ObserveDuration(fb.flushedAt.Sub(fb.openedAt))
-		st.batchSize.Observe(float64(len(batch)))
-		recs, live, aggs = recs[:0], live[:0], aggs[:0]
-		for j := range batch {
-			it := &batch[j]
-			if it.shed() {
-				it.expired.Add(1)
-				it.wg.Done()
+		st.batchSize.Observe(float64(fb.n))
+		recs, live = recs[:0], live[:0]
+		for _, sg := range fb.segs {
+			if sg.sp.ctx != nil && sg.sp.ctx.Err() != nil {
+				sg.sp.settle(sg.hi-sg.lo, true)
 				continue
 			}
-			recs = append(recs, it.rec)
-			live = append(live, it)
-			st.queueWait.ObserveDuration(pickup.Sub(it.enqueuedAt))
-			if it.trace != nil {
-				found := false
-				for k := range aggs {
-					if aggs[k].tr == it.trace {
-						if it.enqueuedAt.Before(aggs[k].firstEnq) {
-							aggs[k].firstEnq = it.enqueuedAt
-						}
-						found = true
-						break
-					}
-				}
-				if !found {
-					aggs = append(aggs, traceAgg{tr: it.trace, firstEnq: it.enqueuedAt})
-				}
+			for j := sg.lo; j < sg.hi; j++ {
+				recs = append(recs, &sg.sp.recs[j])
 			}
+			live = append(live, sg)
+			st.queueWait.ObserveDuration(pickup.Sub(sg.sp.enqueuedAt))
 		}
 		if len(recs) > 0 {
 			var chaosDelay time.Duration
@@ -163,27 +137,26 @@ func (sc *scorer) worker(i int) {
 			inferDur := time.Since(inferStart)
 			st.infer.ObserveDuration(inferDur)
 			attacks := int64(0)
-			for j, it := range live {
-				*it.out = out[j]
+			for j := range out {
 				if out[j].IsAttack {
 					attacks++
 				}
 			}
-			// Spans must land before the WaitGroup releases: once every
-			// record is Done the handler may Finish (seal) the trace.
 			batchSize := strconv.Itoa(len(recs))
 			attrs = append(attrs[:0], "replica", replica, "batch", batchSize)
 			if chaosDelay > 0 {
 				attrs = append(attrs, "chaos_delay_ms", strconv.FormatInt(chaosDelay.Milliseconds(), 10))
 			}
-			for k := range aggs {
-				a := &aggs[k]
-				a.tr.Span("queue_wait", a.firstEnq, pickup.Sub(a.firstEnq))
-				a.tr.Span("batch_assembly", fb.openedAt, fb.flushedAt.Sub(fb.openedAt), "batch", batchSize)
-				a.tr.Span("infer", inferStart, inferDur, attrs...)
-			}
-			for _, it := range live {
-				it.wg.Done()
+			for _, sg := range live {
+				out = out[copy(sg.sp.verdicts[sg.lo:sg.hi], out):]
+				// Spans must land before the segment settles: once the
+				// request's last segment does, the handler may Finish (seal)
+				// the trace.
+				tr := sg.sp.trace
+				tr.Span("queue_wait", sg.sp.enqueuedAt, pickup.Sub(sg.sp.enqueuedAt))
+				tr.Span("batch_assembly", fb.openedAt, fb.flushedAt.Sub(fb.openedAt), "batch", batchSize)
+				tr.Span("infer", inferStart, inferDur, attrs...)
+				sg.sp.settle(sg.hi-sg.lo, false)
 			}
 			if sc.gm != nil {
 				sc.gm.batches.Add(1)
@@ -191,75 +164,52 @@ func (sc *scorer) worker(i int) {
 				sc.gm.attacks.Add(attacks)
 			}
 		}
-		sc.b.putSlab(batch)
+		sc.b.putSlab(fb.segs)
 	}
 }
 
-// score funnels a request's records through the batcher and blocks until
-// every verdict is written (or the record is shed). Pairing is
-// positional: item i carries a pointer to verdicts[i], so however the
-// dispatcher cuts batches, each record gets its own verdict. ctx bounds
-// the whole interaction: a deadline that expires while records wait —
-// for queue space or, once queued, for a replica — sheds them (tallied
-// on expired) and returns submitExpired. submitClosed means the scorer
-// was closed before every record could be enqueued (the slot was
-// replaced mid-request); the caller re-resolves the slot and retries on
-// the successor. Records accepted before a close are still scored or
-// shed (close drains), so the wait below never hangs. tr, when non-nil,
-// receives the stage spans the workers record for this request.
-func (sc *scorer) score(ctx context.Context, recs []data.Record, verdicts []nids.Verdict, expired *atomic.Int64, tr *obs.Trace) submitResult {
-	return sc.submit(ctx, recs, verdicts, expired, true, tr)
-}
-
-// tryScore is score for the mirroring path: enqueues never block (a full
-// shadow queue drops the mirror rather than slowing anything), records
-// carry no deadline, and a partial enqueue counts as a drop — the caller
-// must not compare verdicts from a half-scored mirror.
-func (sc *scorer) tryScore(recs []data.Record, verdicts []nids.Verdict, tr *obs.Trace) bool {
-	return sc.submit(nil, recs, verdicts, nil, false, tr) == submitOK
-}
-
-func (sc *scorer) submit(ctx context.Context, recs []data.Record, verdicts []nids.Verdict, expired *atomic.Int64, block bool, tr *obs.Trace) submitResult {
-	var wg sync.WaitGroup
-	wg.Add(len(recs))
-	enqueued := len(recs)
-	res := submitOK
-	enqAt := time.Now()
-	for i := range recs {
-		if !sc.b.enqueue(item{rec: &recs[i], out: &verdicts[i], wg: &wg, ctx: ctx, expired: expired, enqueuedAt: enqAt, trace: tr}, block) {
-			// The unenqueued tail must release its WaitGroup slots, and the
-			// already-enqueued head must be waited out (its verdict writers
-			// hold pointers into verdicts) before the caller may retry or
-			// answer. An expired ctx takes precedence over a concurrent
-			// close: the request is out of budget either way, and shedding
-			// is the deterministic answer.
-			enqueued = i
-			if ctx != nil && ctx.Err() != nil {
-				res = submitExpired
-				expired.Add(int64(len(recs) - i))
-			} else {
-				res = submitClosed
-			}
-			break
+// submit queues sp as one entry and blocks until each of its records is
+// scored, its verdict written, or shed. Pairing is positional: however
+// the dispatcher cuts the span, record i's verdict lands in
+// sp.verdicts[i]. A live span's ctx bounds the whole interaction: a
+// deadline that expires while the span waits — for queue space or, once
+// queued, for a replica — sheds it and returns submitExpired, with the
+// shed records on sp.shed. submitClosed means the scorer was closing and
+// refused the span (the slot was replaced mid-request, or, for a mirror,
+// the queue was full); nothing of it was scored, and a live caller
+// re-resolves the slot and retries on the successor. A span accepted
+// before a close is still scored or shed (close drains), so the wait
+// below never hangs.
+func (sc *scorer) submit(sp *span) submitResult {
+	n := int64(len(sp.recs))
+	sp.left.Store(n)
+	sp.shed.Store(0)
+	if sp.done == nil {
+		sp.done = make(chan struct{}, 1)
+	}
+	sp.enqueuedAt = time.Now()
+	if !sc.b.enqueue(sp) {
+		// An expired ctx takes precedence over a concurrent close: the
+		// request is out of budget either way, and shedding is the
+		// deterministic answer.
+		if sp.ctx != nil && sp.ctx.Err() != nil {
+			sp.shed.Store(n)
+			return submitExpired
 		}
+		return submitClosed
 	}
-	for i := enqueued; i < len(recs); i++ {
-		wg.Done()
+	<-sp.done
+	if sp.shed.Load() > 0 {
+		return submitExpired
 	}
-	wg.Wait()
-	if res == submitOK && expired != nil && expired.Load() > 0 {
-		// Some queued records were shed by a worker: the request missed its
-		// deadline even though every record was accepted.
-		res = submitExpired
-	}
-	return res
+	return submitOK
 }
 
-// queueLen reports the batcher queue depth (for the /metrics gauge and
-// the admission controller's watermark check).
+// queueLen reports the records queued and not yet batched (for the
+// /metrics gauge and the admission controller's watermark check).
 func (sc *scorer) queueLen() int { return sc.b.queueLen() }
 
-// close drains the batcher (queued records are all scored or shed) and
+// close drains the batcher (queued requests are all scored or shed) and
 // stops the workers. Safe to call more than once.
 func (sc *scorer) close() {
 	sc.closeOnce.Do(func() {

@@ -34,8 +34,10 @@ type Config struct {
 	// MaxWait is the dynamic batcher's flush deadline: a batch never waits
 	// longer than this for co-travelers. Default 2ms.
 	MaxWait time.Duration
-	// QueueDepth bounds each slot's record queue; requests block
-	// (backpressure) when it fills. Default 1024.
+	// QueueDepth bounds each slot's batcher intake, in requests; a request
+	// that finds it full waits (backpressure), bounded by its deadline —
+	// though at the default AdmitWatermark it is answered 429 first.
+	// Default 1024.
 	QueueDepth int
 	// MaxBodyBytes caps every POST request body; larger bodies get 413
 	// before the decoder buffers them, so one oversized request cannot
@@ -57,11 +59,11 @@ type Config struct {
 	// disconnect).
 	RequestTimeout time.Duration
 	// AdmitWatermark is the admission controller's queue-depth threshold:
-	// a scoring request whose slot already has this many records queued is
-	// fast-failed with 429 and Retry-After instead of parking the handler
-	// goroutine behind a saturated batcher. Default QueueDepth (admit
-	// until the queue is actually full); lower it to start shedding before
-	// the queue saturates. Negative disables admission control.
+	// a scoring request whose slot already has this many records queued
+	// and not yet batched is fast-failed with 429 and Retry-After instead
+	// of parking the handler goroutine behind a saturated batcher. Default
+	// QueueDepth (the same number, counted in records); lower it to start
+	// shedding earlier. Negative disables admission control.
 	AdmitWatermark int
 	// Chaos, when non-nil, injects scoring faults (per-replica added
 	// latency) into every slot's workers — the fault-injection seam the
@@ -456,15 +458,33 @@ func (s *Server) Close() {
 }
 
 // traceFor assigns the request its ID — honoring an incoming
-// X-Request-Id, generating one otherwise — echoes it on the response, and
-// opens the request's trace.
+// X-Request-Id that validRequestID accepts, generating one otherwise —
+// echoes it on the response, and opens the request's trace.
 func (s *Server) traceFor(w http.ResponseWriter, r *http.Request) *obs.Trace {
 	id := r.Header.Get(obs.RequestIDHeader)
-	if id == "" {
+	if !validRequestID(id) {
 		id = obs.NewID()
 	}
 	w.Header().Set(obs.RequestIDHeader, id)
 	return obs.NewTrace(id, r.URL.Path)
+}
+
+// validRequestID reports whether a client's X-Request-Id may be echoed
+// and kept: 1–64 bytes of [0-9A-Za-z._:-]. Anything else is replaced, so
+// a client cannot pin a header-sized ID in every /debug/traces slot or
+// put arbitrary bytes into the logs.
+func validRequestID(id string) bool {
+	if len(id) == 0 || len(id) > 64 {
+		return false
+	}
+	for i := 0; i < len(id); i++ {
+		c := id[i]
+		if !('0' <= c && c <= '9' || 'a' <= c && c <= 'z' || 'A' <= c && c <= 'Z' ||
+			c == '.' || c == '_' || c == ':' || c == '-') {
+			return false
+		}
+	}
+	return true
 }
 
 // retryAfter marks an overload rejection as retryable: 429 (admission
@@ -666,7 +686,7 @@ func (hs *httpScore) records(si *slotInstance) ([]data.Record, int, error) {
 	return recs, 0, nil
 }
 
-func (hs *httpScore) verdictSlab(n int) []nids.Verdict { return make([]nids.Verdict, n) }
+func (hs *httpScore) span(n int) *span { return &span{verdicts: make([]nids.Verdict, n)} }
 
 func (hs *httpScore) pooled() bool { return false }
 

@@ -440,13 +440,13 @@ func internWireTag(b []byte) string {
 }
 
 // wireRequest is the pooled per-request state: the copied frame payload,
-// the record slabs, the verdict slab, and the connection to answer on. It
-// is the scoring core's scoreRequest.
+// the record slabs, the queue entry with its verdict slab, and the
+// connection to answer on. It is the scoring core's scoreRequest.
 type wireRequest struct {
-	cn       *wireServerConn
-	req      wire.ScoreRequest
-	rb       wire.RecordBuffer
-	verdicts []nids.Verdict
+	cn  *wireServerConn
+	req wire.ScoreRequest
+	rb  wire.RecordBuffer
+	sp  span
 }
 
 // records checks the schema fingerprint and materialises the packed
@@ -466,15 +466,15 @@ func (wr *wireRequest) records(si *slotInstance) ([]data.Record, int, error) {
 	return recs, 0, nil
 }
 
-func (wr *wireRequest) verdictSlab(n int) []nids.Verdict {
-	if cap(wr.verdicts) < n {
-		wr.verdicts = make([]nids.Verdict, n)
+func (wr *wireRequest) span(n int) *span {
+	if cap(wr.sp.verdicts) < n {
+		wr.sp.verdicts = make([]nids.Verdict, n)
 	}
-	verdicts := wr.verdicts[:n]
-	for i := range verdicts {
-		verdicts[i] = nids.Verdict{}
+	wr.sp.verdicts = wr.sp.verdicts[:n]
+	for i := range wr.sp.verdicts {
+		wr.sp.verdicts[i] = nids.Verdict{}
 	}
-	return verdicts
+	return &wr.sp
 }
 
 // pooled: records and verdicts are recycled when the reply goes out.
@@ -500,7 +500,7 @@ var wireRequestPool = sync.Pool{New: func() any { return new(wireRequest) }}
 
 func getWireRequest() *wireRequest { return wireRequestPool.Get().(*wireRequest) }
 func putWireRequest(wr *wireRequest) {
-	wr.cn = nil
+	wr.cn, wr.sp.ctx, wr.sp.trace = nil, nil, nil
 	wireRequestPool.Put(wr)
 }
 
