@@ -29,11 +29,15 @@ type span struct {
 
 	// Completion state, settled by the workers one segment at a time: left
 	// counts the records not yet scored or shed, shed those dropped past
-	// the deadline, and done receives once, when left reaches zero.
-	left atomic.Int64
-	shed atomic.Int64
-	done chan struct{}
+	// the deadline, and owner is told once, when left reaches zero.
+	left  atomic.Int64
+	shed  atomic.Int64
+	owner completer
 }
+
+// completer is told when a span's last record settles. It runs on that
+// scoring worker, so it must never block: the whole slot would wait.
+type completer interface{ complete() }
 
 // settle accounts k of the span's records as scored or (shed) dropped past
 // the deadline; the span's last record completes it.
@@ -42,7 +46,7 @@ func (sp *span) settle(k int, shed bool) {
 		sp.shed.Add(int64(k))
 	}
 	if sp.left.Add(-int64(k)) == 0 {
-		sp.done <- struct{}{}
+		sp.owner.complete()
 	}
 }
 

@@ -9,6 +9,12 @@ import (
 	"repro/internal/nids"
 )
 
+// testDone is a test span's completion: it closes when the span's last
+// record settles.
+type testDone chan struct{}
+
+func (d testDone) complete() { close(d) }
+
 // testSpan returns an n-record live span ready to enqueue: its ctx never
 // expires, so enqueue waits for queue space the way a request does.
 func testSpan(n int) *span {
@@ -16,7 +22,7 @@ func testSpan(n int) *span {
 		recs:     make([]data.Record, n),
 		verdicts: make([]nids.Verdict, n),
 		ctx:      context.Background(),
-		done:     make(chan struct{}, 1),
+		owner:    make(testDone),
 	}
 	sp.left.Store(int64(n))
 	return sp
@@ -43,7 +49,7 @@ func collectBatches(b *batcher, out chan<- int) {
 func waitSpan(t *testing.T, sp *span, what string) {
 	t.Helper()
 	select {
-	case <-sp.done:
+	case <-sp.owner.(testDone):
 	case <-time.After(5 * time.Second):
 		t.Fatalf("%s never completed", what)
 	}

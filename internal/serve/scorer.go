@@ -41,23 +41,23 @@ type chaosDelayer interface {
 type submitResult int
 
 const (
-	// submitOK: every record was scored and its verdict written.
-	submitOK submitResult = iota
+	// submitAccepted: the span is queued; its owner's complete runs once
+	// every record is scored or shed.
+	submitAccepted submitResult = iota
 	// submitClosed: the slot was swapped mid-request (or a mirror found
 	// the queue full); a live caller re-resolves the tag and retries on
 	// the successor generation.
 	submitClosed
-	// submitExpired: the request's deadline ran out before every record
-	// could be scored; at least one record was shed and the verdicts must
-	// be discarded.
+	// submitExpired: the request's deadline ran out before it was
+	// accepted; every record is shed and nothing will complete the span.
 	submitExpired
 )
 
 // newScorer builds the replicas for a — each a compiled float32 inference
 // engine over the artifact's shared plan — and starts the scoring workers.
 // gm (may be nil in tests) receives the server-wide batch aggregates;
-// per-slot counters are the handlers' business — they know which tag a
-// request resolved to, the scorer deliberately does not (a promotion
+// per-slot counters are the scoring core's business — it knows which tag
+// a request resolved to, the scorer deliberately does not (a promotion
 // re-tags this scorer without touching it).
 func newScorer(a *Artifact, cfg Config, gm *serverMetrics) (*scorer, error) {
 	sc := &scorer{maxBatch: cfg.MaxBatch, gm: gm, stages: newStageMetrics(), chaos: cfg.Chaos}
@@ -87,7 +87,7 @@ func newScorer(a *Artifact, cfg Config, gm *serverMetrics) (*scorer, error) {
 // getting a stale verdict nobody is waiting for. The worker also feeds
 // the queue_wait/batch_assembly/infer histograms and appends the matching
 // spans to each request's trace — before settling the segment, so a trace
-// is complete by the time its handler can finish it.
+// is complete by the time its completion can finish it.
 //
 //pelican:noalloc
 func (sc *scorer) worker(i int) {
@@ -150,8 +150,8 @@ func (sc *scorer) worker(i int) {
 			for _, sg := range live {
 				out = out[copy(sg.sp.verdicts[sg.lo:sg.hi], out):]
 				// Spans must land before the segment settles: once the
-				// request's last segment does, the handler may Finish (seal)
-				// the trace.
+				// request's last segment does, its completion may Finish
+				// (seal) the trace.
 				tr := sg.sp.trace
 				tr.Span("queue_wait", sg.sp.enqueuedAt, pickup.Sub(sg.sp.enqueuedAt))
 				tr.Span("batch_assembly", fb.openedAt, fb.flushedAt.Sub(fb.openedAt), "batch", batchSize)
@@ -168,41 +168,31 @@ func (sc *scorer) worker(i int) {
 	}
 }
 
-// submit queues sp as one entry and blocks until each of its records is
-// scored, its verdict written, or shed. Pairing is positional: however
-// the dispatcher cuts the span, record i's verdict lands in
-// sp.verdicts[i]. A live span's ctx bounds the whole interaction: a
-// deadline that expires while the span waits — for queue space or, once
-// queued, for a replica — sheds it and returns submitExpired, with the
-// shed records on sp.shed. submitClosed means the scorer was closing and
-// refused the span (the slot was replaced mid-request, or, for a mirror,
-// the queue was full); nothing of it was scored, and a live caller
-// re-resolves the slot and retries on the successor. A span accepted
-// before a close is still scored or shed (close drains), so the wait
-// below never hangs.
+// submit queues sp as one entry and never waits for a verdict: each record
+// is then scored, its verdict written, or shed (counted on sp.shed), and
+// the worker that settles the last one calls sp.owner.complete — maybe
+// before submit returns. Pairing is positional: record i's verdict lands in
+// sp.verdicts[i] however the dispatcher cuts the span. A live span's ctx
+// bounds the wait for queue space (submitExpired: every record shed).
+// submitClosed means the scorer was closing and refused the span (the
+// slot was replaced mid-request, or, for a mirror, the queue was full);
+// nothing of it was scored, and a live caller retries on the successor.
+// Close drains, so every accepted span completes.
 func (sc *scorer) submit(sp *span) submitResult {
 	n := int64(len(sp.recs))
 	sp.left.Store(n)
 	sp.shed.Store(0)
-	if sp.done == nil {
-		sp.done = make(chan struct{}, 1)
-	}
 	sp.enqueuedAt = time.Now()
-	if !sc.b.enqueue(sp) {
-		// An expired ctx takes precedence over a concurrent close: the
-		// request is out of budget either way, and shedding is the
-		// deterministic answer.
-		if sp.ctx != nil && sp.ctx.Err() != nil {
-			sp.shed.Store(n)
-			return submitExpired
-		}
-		return submitClosed
+	if sc.b.enqueue(sp) {
+		return submitAccepted
 	}
-	<-sp.done
-	if sp.shed.Load() > 0 {
+	// An expired ctx takes precedence over a concurrent close: the request
+	// is out of budget either way, and shedding is the deterministic answer.
+	if sp.ctx != nil && sp.ctx.Err() != nil {
+		sp.shed.Store(n)
 		return submitExpired
 	}
-	return submitOK
+	return submitClosed
 }
 
 // queueLen reports the records queued and not yet batched (for the

@@ -97,11 +97,6 @@ type Config struct {
 	statsInterval time.Duration
 }
 
-// wirePipeline is the binary transport's per-connection worker count: how
-// many pipelined score frames one wire connection may have in flight
-// through the scoring path at once.
-const wirePipeline = 8
-
 func (c Config) withDefaults() Config {
 	if c.Replicas <= 0 {
 		c.Replicas = 2
@@ -447,8 +442,8 @@ func (s *Server) Close() {
 		s.forceCloseWire()
 		s.wireWG.Wait()
 		s.closeDurability()
-		// Mirror goroutines enqueue onto the shadow scorer; wait for them
-		// before tearing the scorers down.
+		// Mirrors still queued complete on the shadow scorer; wait for
+		// them before tearing the scorers down.
 		s.mirrorWG.Wait()
 		for _, inst := range s.reg.Drain() {
 			inst.(*slotInstance).scorer.close()
@@ -534,7 +529,7 @@ type errorResponse struct {
 }
 
 // httpError counts, logs and writes one refused non-scoring request
-// (scoring requests are refused through finish).
+// (scoring requests are refused through settle).
 func (s *Server) httpError(w http.ResponseWriter, status int, format string, args ...any) {
 	msg := fmt.Sprintf(format, args...)
 	s.countError(status, w.Header().Get(obs.RequestIDHeader), msg)
@@ -618,6 +613,8 @@ type httpScore struct {
 	// echoTag, when non-empty, is included in the response (the /v2
 	// shape; /v1 aliases answer without it).
 	echoTag string
+	st      scoreState
+	done    chan struct{} // closed by the completion
 }
 
 // handleScore is the one HTTP scoring handler: POST /v2/detect and
@@ -633,7 +630,7 @@ func (s *Server) handleScore(w http.ResponseWriter, r *http.Request) {
 		s.httpError(w, http.StatusServiceUnavailable, "server is draining")
 		return
 	}
-	hs := &httpScore{w: w, single: strings.HasSuffix(r.URL.Path, "/detect")}
+	hs := &httpScore{w: w, single: strings.HasSuffix(r.URL.Path, "/detect"), done: make(chan struct{})}
 	tag := registry.Live
 	if !isV1(r) {
 		if qt := r.URL.Query().Get("tag"); qt != "" {
@@ -646,10 +643,10 @@ func (s *Server) handleScore(w http.ResponseWriter, r *http.Request) {
 	} else {
 		s.m.batchRequests.Add(1)
 	}
-	start := time.Now()
 	tr := s.traceFor(w, r)
 	if status, err := hs.decode(s, r); err != nil {
-		s.finish(hs, tr, start, nil, nil, status, err)
+		hs.st.sp.trace, hs.st.status, hs.st.err = tr, status, err
+		s.settle(hs)
 		return
 	}
 	tr.Records = len(hs.recs)
@@ -658,7 +655,11 @@ func (s *Server) handleScore(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		hintMS = 0
 	}
-	s.serveScore(r.Context(), hintMS, tag, hs, tr, start)
+	s.admit(r.Context(), hintMS, tag, hs, tr)
+	// net/http owns this goroutine and the response is written on it, so
+	// the handler waits for the completion and settles here.
+	<-hs.done
+	s.settle(hs)
 }
 
 // decode reads the request body into hs.recs.
@@ -686,7 +687,9 @@ func (hs *httpScore) records(si *slotInstance) ([]data.Record, int, error) {
 	return recs, 0, nil
 }
 
-func (hs *httpScore) span(n int) *span { return &span{verdicts: make([]nids.Verdict, n)} }
+func (hs *httpScore) state() *scoreState { return &hs.st }
+
+func (hs *httpScore) complete() { close(hs.done) }
 
 func (hs *httpScore) pooled() bool { return false }
 
@@ -706,8 +709,6 @@ func (hs *httpScore) reject(status int, msg string) {
 	retryAfter(hs.w, status)
 	writeError(hs.w, status, msg)
 }
-
-func (hs *httpScore) requestID() string { return hs.w.Header().Get(obs.RequestIDHeader) }
 
 // ModelInfo describes one loaded model slot.
 type ModelInfo struct {

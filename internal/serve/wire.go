@@ -9,7 +9,6 @@ import (
 	"net/http"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/data"
 	"repro/internal/nids"
@@ -26,31 +25,26 @@ import (
 // path.
 //
 // Connection lifecycle: accept → Hello/Schema handshake → pipelined
-// Score frames fanned over a fixed per-connection worker pool →
-// out-of-order Result frames serialized by one writer goroutine. On
-// drain (ShutdownWire) every connection gets a GoAway; in-flight
-// requests are still answered, post-GoAway requests answer Error 503
-// (shed, same as the HTTP plane's drain answer), and the connection
-// closes when the client, having collected its last response, closes
-// its end — so no in-flight frame is ever dropped.
+// Score frames admitted by the connection's reader → out-of-order answers
+// serialized by one writer goroutine. Nothing waits for a verdict: the
+// scoring worker that settles a request's last record encodes its answer
+// onto the write queue, so a connection is two goroutines however much it
+// pipelines, and its in-flight cap is a credit count (see readLoop). On
+// drain (ShutdownWire) every connection gets a GoAway; in-flight requests
+// are still answered, post-GoAway requests answer Error 503 (shed, same
+// as the HTTP plane's drain answer), and the connection closes when the
+// client, having collected its last response, closes its end — so no
+// in-flight frame is ever dropped.
 
 // ServeWire accepts wire-protocol connections on ln and serves them
 // until ln is closed (by ShutdownWire, Close, or ctx cancellation).
-// Each connection gets its own goroutines; ctx bounds the scoring work
-// of every request on every connection. Blocks; run it in a goroutine
-// beside http.Server.Serve.
+// Each connection gets a reader and a writer goroutine; ctx bounds the
+// scoring work of every request on every connection. Blocks; run it in a
+// goroutine beside http.Server.Serve.
 func (s *Server) ServeWire(ctx context.Context, ln net.Listener) error {
-	s.trackWireListener(ln, true)
-	defer s.trackWireListener(ln, false)
-	watchDone := make(chan struct{})
-	defer close(watchDone)
-	go func() {
-		select {
-		case <-ctx.Done():
-			ln.Close()
-		case <-watchDone:
-		}
-	}()
+	track(s, &s.wireLns, ln, true)
+	defer track(s, &s.wireLns, ln, false)
+	defer context.AfterFunc(ctx, func() { ln.Close() })()
 	for {
 		nc, err := ln.Accept()
 		if err != nil {
@@ -69,27 +63,21 @@ func (s *Server) ServeWire(ctx context.Context, ln net.Listener) error {
 
 // ShutdownWire gracefully drains the wire plane: stops accepting, sends
 // every connection a GoAway, answers everything already in flight, and
-// waits for clients to collect their responses and close. Connections
-// still open when ctx expires are force-closed. Call it after the HTTP
-// listener has shut down and before Close (the scorers must outlive the
-// in-flight wire requests).
+// waits for clients to collect their responses and close. Queuing a
+// GoAway never blocks, so a client that stopped reading delays neither
+// the others' notice nor ctx. Connections still open when ctx expires are
+// force-closed. Call it after the HTTP listener has shut down and before
+// Close (the scorers must outlive the in-flight wire requests).
 func (s *Server) ShutdownWire(ctx context.Context) error {
 	for _, cn := range s.stopWireAccept() {
 		cn.beginDrain()
 	}
-	done := make(chan struct{})
-	go func() {
-		s.wireWG.Wait()
-		close(done)
-	}()
-	select {
-	case <-done:
-		return nil
-	case <-ctx.Done():
-		s.forceCloseWire()
-		<-done
+	stop := context.AfterFunc(ctx, s.forceCloseWire)
+	s.wireWG.Wait()
+	if !stop() { // ctx expired: the force close ran
 		return ctx.Err()
 	}
+	return nil
 }
 
 // forceCloseWire abandons graceful drain: every wire socket is closed
@@ -121,30 +109,17 @@ func (s *Server) stopWireAccept() []*wireServerConn {
 	return conns
 }
 
-func (s *Server) trackWireListener(ln net.Listener, add bool) {
+// track adds k to, or removes it from, one of the wire plane's sets.
+func track[K comparable](s *Server, set *map[K]struct{}, k K, add bool) {
 	s.wireMu.Lock()
-	if add {
-		if s.wireLns == nil {
-			s.wireLns = make(map[net.Listener]struct{})
-		}
-		s.wireLns[ln] = struct{}{}
+	defer s.wireMu.Unlock()
+	if !add {
+		delete(*set, k)
+	} else if *set == nil {
+		*set = map[K]struct{}{k: {}}
 	} else {
-		delete(s.wireLns, ln)
+		(*set)[k] = struct{}{}
 	}
-	s.wireMu.Unlock()
-}
-
-func (s *Server) trackWireConn(cn *wireServerConn, add bool) {
-	s.wireMu.Lock()
-	if add {
-		if s.wireConns == nil {
-			s.wireConns = make(map[*wireServerConn]struct{})
-		}
-		s.wireConns[cn] = struct{}{}
-	} else {
-		delete(s.wireConns, cn)
-	}
-	s.wireMu.Unlock()
 }
 
 // wireReply is one outbound frame: the payload buffer returns to the
@@ -162,23 +137,27 @@ type wireServerConn struct {
 	fr *wire.FrameReader
 	fw *wire.FrameWriter
 
+	// writeq has room for an answer per credit plus the one GoAway, so an
+	// enqueue never blocks; credits holds one token per answer owed.
 	writeq     chan wireReply
+	credits    chan struct{}
 	noMoreSend chan struct{} // closed when nothing further will be enqueued
 	down       chan struct{} // closed when the socket is being torn down
 	writerDone chan struct{}
-	noMoreOnce sync.Once
 	downOnce   sync.Once
 
 	draining atomic.Bool
-	// active counts accepted Score frames whose reply is not yet
+	// active counts admitted Score frames whose reply is not yet
 	// enqueued; the connection teardown waits it out so every read
 	// request gets its answer written.
-	active   sync.WaitGroup
-	reqq     chan *wireRequest
-	workerWG sync.WaitGroup
+	active sync.WaitGroup
 }
 
 const wireConnBufSize = 64 << 10
+
+// wireMaxInFlight caps the answers one connection may owe at once; the
+// frames past it wait in the socket (TCP backpressure).
+const wireMaxInFlight = 8
 
 // serveWireConn runs one connection to completion.
 func (s *Server) serveWireConn(ctx context.Context, nc net.Conn) {
@@ -192,40 +171,34 @@ func (s *Server) serveWireConn(ctx context.Context, nc net.Conn) {
 		bw:         bw,
 		fr:         wire.NewFrameReader(bufio.NewReaderSize(nc, wireConnBufSize)),
 		fw:         wire.NewFrameWriter(bw),
-		writeq:     make(chan wireReply, 4*wirePipeline),
+		writeq:     make(chan wireReply, wireMaxInFlight+1),
+		credits:    make(chan struct{}, wireMaxInFlight),
 		noMoreSend: make(chan struct{}),
 		down:       make(chan struct{}),
 		writerDone: make(chan struct{}),
-		reqq:       make(chan *wireRequest, wirePipeline),
 	}
 	s.m.wireConnections.Add(1)
-	s.trackWireConn(cn, true)
+	track(s, &s.wireConns, cn, true)
 	go cn.writeLoop()
-	for i := 0; i < wirePipeline; i++ {
-		cn.workerWG.Add(1)
-		go cn.worker(ctx)
-	}
-	cn.readLoop()
-	// The reader is done: no further requests will be dispatched. Let the
-	// workers finish, wait until every accepted request's reply has been
+	cn.readLoop(ctx)
+	// The reader is done. Wait until every admitted request's reply is
 	// enqueued, let the writer drain and flush, then release the socket.
-	close(cn.reqq)
-	cn.workerWG.Wait()
 	cn.active.Wait()
-	cn.noMoreOnce.Do(func() { close(cn.noMoreSend) })
+	close(cn.noMoreSend)
 	<-cn.writerDone
 	cn.closeSocket()
-	s.trackWireConn(cn, false)
+	track(s, &s.wireConns, cn, false)
 	s.m.wireConnections.Add(-1)
 }
 
-// beginDrain marks the connection draining and queues the GoAway notice.
-// The connection then closes on the client's initiative (or a force
-// close): the client collects its in-flight responses, sees its pending
-// set empty, and closes its end.
+// beginDrain marks the connection draining and, once, queues the GoAway
+// into writeq's reserved slot, so it never blocks. The connection then
+// closes on the client's initiative (or a force close): the client
+// collects its in-flight responses and closes its end.
 func (cn *wireServerConn) beginDrain() {
-	cn.draining.Store(true)
-	cn.enqueueReply(wire.FrameGoAway, nil)
+	if cn.draining.CompareAndSwap(false, true) {
+		cn.enqueueReply(wire.FrameGoAway, nil)
+	}
 }
 
 // closeSocket tears the transport down, unblocking the reader and writer.
@@ -236,20 +209,25 @@ func (cn *wireServerConn) closeSocket() {
 	})
 }
 
-// readLoop is the connection's single reader: handshake, then dispatch.
-func (cn *wireServerConn) readLoop() {
+// readLoop is the connection's single reader: handshake, then admission.
+// Every frame is answered by exactly one frame, so the reader takes that
+// answer's credit before handling it.
+func (cn *wireServerConn) readLoop(ctx context.Context) {
 	s := cn.s
 	handshaken := false
 	for {
 		ft, p, err := cn.fr.Read()
 		if err != nil {
-			if err != io.EOF && wire.IsProtocolError(err) {
+			if err != io.EOF && wire.IsProtocolError(err) && cn.acquire() {
 				cn.protoError(err)
 			}
 			return
 		}
 		s.m.wireFramesIn.Add(1)
 		s.m.wireBytesIn.Add(int64(wire.HeaderSize + len(p)))
+		if !cn.acquire() {
+			return
+		}
 		switch ft {
 		case wire.FrameHello:
 			if !cn.sendSchema() {
@@ -269,17 +247,18 @@ func (cn *wireServerConn) readLoop() {
 				return
 			}
 			wr.req, wr.cn = req, cn
-			cn.active.Add(1)
 			if cn.draining.Load() || s.draining.Load() {
 				// Same answer the HTTP plane gives during drain; the reply
 				// is still delivered, so the client can account it as shed.
 				s.countError(http.StatusServiceUnavailable, wr.requestID(), "server is draining")
 				wr.reject(http.StatusServiceUnavailable, "server is draining")
-				cn.active.Done()
 				putWireRequest(wr)
 				continue
 			}
-			cn.reqq <- wr
+			tr := obs.NewTrace(wr.requestID(), "/wire/score")
+			tr.Records = wr.req.Count
+			cn.active.Add(1)
+			s.admit(ctx, int64(wr.req.DeadlineMS), internWireTag(wr.req.Tag), wr, tr)
 		default:
 			// Clients send only Hello and Score.
 			cn.protoError(wire.ErrUnknownFrame)
@@ -328,8 +307,20 @@ func (cn *wireServerConn) sendError(id uint64, status int, msg string) {
 	cn.enqueueReply(wire.FrameError, buf)
 }
 
+// acquire takes the credit for one answer, waiting while wireMaxInFlight
+// are owed; false means the connection is being torn down.
+func (cn *wireServerConn) acquire() bool {
+	select {
+	case cn.credits <- struct{}{}:
+		return true
+	case <-cn.down:
+		return false
+	}
+}
+
 // enqueueReply hands one outbound frame to the writer; if the connection
-// is going down the buffer is recycled and the frame dropped.
+// is going down the buffer is recycled and the frame dropped. It never
+// blocks: writeq has room for the GoAway and every credited answer.
 func (cn *wireServerConn) enqueueReply(ft wire.FrameType, payload []byte) {
 	select {
 	case cn.writeq <- wireReply{ft: ft, payload: payload}:
@@ -346,39 +337,26 @@ func (cn *wireServerConn) writeLoop() {
 	for {
 		select {
 		case rep := <-cn.writeq:
-			if !cn.writeBurst(rep) {
+			if !cn.writeReply(rep) || !cn.writeQueued() {
 				return
 			}
 		case <-cn.noMoreSend:
 			// Nothing further will be enqueued; drain what's there, flush,
 			// and exit.
-			for {
-				select {
-				case rep := <-cn.writeq:
-					if !cn.writeReply(rep) {
-						return
-					}
-				default:
-					cn.bw.Flush()
-					return
-				}
-			}
+			cn.writeQueued()
+			return
 		case <-cn.down:
 			return
 		}
 	}
 }
 
-// writeBurst writes rep plus everything else already queued, then
-// flushes once.
-func (cn *wireServerConn) writeBurst(rep wireReply) bool {
-	if !cn.writeReply(rep) {
-		return false
-	}
+// writeQueued writes every reply already queued, then flushes once.
+func (cn *wireServerConn) writeQueued() bool {
 	for {
 		select {
-		case next := <-cn.writeq:
-			if !cn.writeReply(next) {
+		case rep := <-cn.writeq:
+			if !cn.writeReply(rep) {
 				return false
 			}
 		default:
@@ -392,6 +370,9 @@ func (cn *wireServerConn) writeBurst(rep wireReply) bool {
 }
 
 func (cn *wireServerConn) writeReply(rep wireReply) bool {
+	if rep.ft != wire.FrameGoAway {
+		<-cn.credits // off the queue: the reader may take another frame
+	}
 	err := cn.fw.Write(rep.ft, rep.payload)
 	cn.s.m.wireFramesOut.Add(1)
 	cn.s.m.wireBytesOut.Add(int64(wire.HeaderSize + len(rep.payload)))
@@ -401,30 +382,6 @@ func (cn *wireServerConn) writeReply(rep wireReply) bool {
 		return false
 	}
 	return true
-}
-
-// worker scores dispatched requests. The pool is fixed at connection
-// setup (wirePipeline workers), so pipelining costs no per-frame
-// goroutine.
-func (cn *wireServerConn) worker(ctx context.Context) {
-	defer cn.workerWG.Done()
-	for wr := range cn.reqq {
-		cn.handleScore(ctx, wr)
-	}
-}
-
-// handleScore runs one score request end to end: trace, then the shared
-// scoring core, which calls back into wr to decode the records and to
-// encode the answer. By return, the reply (result or error) is enqueued
-// — that pairs the active.Done with the reader's Add.
-func (cn *wireServerConn) handleScore(ctx context.Context, wr *wireRequest) {
-	defer cn.active.Done()
-	defer putWireRequest(wr)
-	s := cn.s
-	start := time.Now()
-	tr := obs.NewTrace(wr.requestID(), "/wire/score")
-	tr.Records = wr.req.Count
-	s.serveScore(ctx, int64(wr.req.DeadlineMS), internWireTag(wr.req.Tag), wr, tr, start)
 }
 
 // internWireTag maps a request's tag bytes to the registry tag without
@@ -440,13 +397,13 @@ func internWireTag(b []byte) string {
 }
 
 // wireRequest is the pooled per-request state: the copied frame payload,
-// the record slabs, the queue entry with its verdict slab, and the
+// the record slabs, the core's state with its verdict slab, and the
 // connection to answer on. It is the scoring core's scoreRequest.
 type wireRequest struct {
 	cn  *wireServerConn
 	req wire.ScoreRequest
 	rb  wire.RecordBuffer
-	sp  span
+	st  scoreState
 }
 
 // records checks the schema fingerprint and materialises the packed
@@ -466,15 +423,15 @@ func (wr *wireRequest) records(si *slotInstance) ([]data.Record, int, error) {
 	return recs, 0, nil
 }
 
-func (wr *wireRequest) span(n int) *span {
-	if cap(wr.sp.verdicts) < n {
-		wr.sp.verdicts = make([]nids.Verdict, n)
-	}
-	wr.sp.verdicts = wr.sp.verdicts[:n]
-	for i := range wr.sp.verdicts {
-		wr.sp.verdicts[i] = nids.Verdict{}
-	}
-	return &wr.sp
+func (wr *wireRequest) state() *scoreState { return &wr.st }
+
+// complete answers the request through settle — on the scoring worker
+// that settled its last record, or in admit for a refusal — and recycles it.
+func (wr *wireRequest) complete() {
+	cn := wr.cn
+	cn.s.settle(wr)
+	cn.active.Done()
+	putWireRequest(wr)
 }
 
 // pooled: records and verdicts are recycled when the reply goes out.
@@ -500,7 +457,7 @@ var wireRequestPool = sync.Pool{New: func() any { return new(wireRequest) }}
 
 func getWireRequest() *wireRequest { return wireRequestPool.Get().(*wireRequest) }
 func putWireRequest(wr *wireRequest) {
-	wr.cn, wr.sp.ctx, wr.sp.trace = nil, nil, nil
+	wr.cn, wr.st.sp.ctx, wr.st.sp.trace, wr.st.si, wr.st.cancel, wr.st.err = nil, nil, nil, nil, nil, nil
 	wireRequestPool.Put(wr)
 }
 

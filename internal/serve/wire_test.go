@@ -2,10 +2,13 @@ package serve
 
 import (
 	"bufio"
+	"bytes"
 	"context"
+	"errors"
 	"net"
 	"net/http"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -28,6 +31,12 @@ func startWireListener(t *testing.T, srv *Server) string {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return serveWireOn(t, srv, ln)
+}
+
+// serveWireOn serves the wire plane on ln until cleanup.
+func serveWireOn(t *testing.T, srv *Server, ln net.Listener) string {
+	t.Helper()
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan struct{})
 	go func() {
@@ -267,7 +276,8 @@ func TestWireMatchesHTTPPlane(t *testing.T) {
 
 // TestWirePipelinedOutOfOrder pins the multiplexing contract: many
 // concurrent calls over one client share its pooled connections and every
-// caller gets its own answer back.
+// caller gets its own answer back — and a connection that pipelines past
+// its in-flight cap is slowed, never refused or mis-answered.
 func TestWirePipelinedOutOfOrder(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains a model")
@@ -312,6 +322,160 @@ func TestWirePipelinedOutOfOrder(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
+
+	// A hand-driven connection writes 8× the per-connection cap before it
+	// reads a single answer: the frames past the cap wait in the socket,
+	// and every id is still answered exactly once, with its own verdicts.
+	c := dialWire(t, addr)
+	const frames = 8 * wireMaxInFlight
+	for id := 0; id < frames; id++ {
+		c.sendScore(t, uint64(id+1), 0, "", []*data.Record{recs[id%len(recs)], recs[(id+1)%len(recs)]}, nil)
+	}
+	answered := make(map[uint64]bool)
+	for len(answered) < frames {
+		ft, p := c.readFrame(t)
+		resp, err := wire.ParseScoreResponse(p)
+		if ft != wire.FrameResult || err != nil {
+			t.Fatalf("frame type %d (%v) after %d answers, want Result", ft, err, len(answered))
+		}
+		if resp.ID < 1 || resp.ID > frames || answered[resp.ID] {
+			t.Fatalf("answer id %d: unknown or answered twice", resp.ID)
+		}
+		answered[resp.ID] = true
+		got := make([]nids.Verdict, resp.Count)
+		if err := resp.DecodeVerdicts(got); err != nil || len(got) != 2 {
+			t.Fatalf("id %d: %d verdicts, %v", resp.ID, len(got), err)
+		}
+		for j := range got {
+			w := want[(int(resp.ID)-1+j)%len(recs)]
+			if got[j].IsAttack != w.IsAttack || got[j].Class != w.Class {
+				t.Fatalf("id %d rec %d: %+v, want %+v", resp.ID, j, got[j], w)
+			}
+		}
+	}
+}
+
+// TestWireIdleConnGoroutines pins what a connection costs: once
+// handshaken, an idle wire connection holds two goroutines — its reader
+// and its writer — however many requests it may pipeline, and gives them
+// back when the client hangs up.
+func TestWireIdleConnGoroutines(t *testing.T) {
+	if testing.Short() {
+		t.Skip("trains a model")
+	}
+	a, _, _ := trainTestArtifact(t, "mlp", 11, 1)
+	srv, _ := newTestServer(t, a, Config{Replicas: 1})
+	addr := startWireListener(t, srv)
+
+	// One handshaken connection first: the listener's own goroutines are
+	// running by then, so the baseline counts them.
+	dialWire(t, addr)
+	base := runtime.NumGoroutine()
+	const n = 8
+	var conns []*wireTestConn
+	for i := 0; i < n; i++ {
+		conns = append(conns, dialWire(t, addr))
+	}
+	waitFor(t, 2*time.Second, func() bool { return runtime.NumGoroutine()-base <= 2*n })
+	for _, c := range conns {
+		c.nc.Close()
+	}
+	waitFor(t, 2*time.Second, func() bool { return runtime.NumGoroutine() <= base })
+}
+
+// smallSendBufListener shrinks the send buffer of every connection it
+// accepts, so a peer that stops reading wedges its connection after a few
+// hundred answers instead of megabytes of them. (The receive side keeps
+// its default: a tiny receive window stalls a healthy sender on TCP's
+// persist timer, which would look like a wedge.)
+type smallSendBufListener struct{ net.Listener }
+
+func (l smallSendBufListener) Accept() (net.Conn, error) {
+	nc, err := l.Listener.Accept()
+	if tc, ok := nc.(*net.TCPConn); ok {
+		tc.SetWriteBuffer(4096)
+	}
+	return nc, err
+}
+
+// TestShutdownWireHonoursCtxWithStalledClient pins that a client that
+// stops reading stalls only its own connection. It pipelines 32-record
+// Score frames and never reads an answer, until its writes block. While
+// it is wedged, a request on another wire connection and an HTTP request
+// are each answered within a second: an answer is queued by the scoring
+// worker that completes it, which must never wait on a client's socket.
+// Then ShutdownWire, with a 300ms ctx, still sends the healthy
+// connection its GoAway, returns context.DeadlineExceeded within ctx + 1s
+// having force-closed the stalled connection, and no connection is left.
+func TestShutdownWireHonoursCtxWithStalledClient(t *testing.T) {
+	if testing.Short() {
+		t.Skip("trains a model")
+	}
+	a, _, recs := trainTestArtifact(t, "mlp", 11, 1)
+	srv, ts := newTestServer(t, a, Config{Replicas: 2})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := serveWireOn(t, srv, smallSendBufListener{ln})
+
+	stalled := dialWire(t, addr)
+	p, err := stalled.enc.AppendScoreRequest(nil, 1, 0, "", recs[:32])
+	if err != nil {
+		t.Fatal(err)
+	}
+	var frame bytes.Buffer
+	if err := wire.NewFrameWriter(&frame).Write(wire.FrameScore, p); err != nil {
+		t.Fatal(err)
+	}
+	for sent := 0; ; sent++ {
+		if sent == 100000 {
+			t.Fatal("the stalled connection never wedged")
+		}
+		stalled.nc.SetWriteDeadline(time.Now().Add(time.Second))
+		if _, err := stalled.nc.Write(frame.Bytes()); err != nil {
+			var ne net.Error
+			if !errors.As(err, &ne) || !ne.Timeout() {
+				t.Fatal(err)
+			}
+			t.Logf("wedged after %d frames", sent)
+			break
+		}
+	}
+
+	healthy := dialWire(t, addr)
+	begin := time.Now()
+	healthy.sendScore(t, 7, 0, "", recs[:2], nil)
+	if ft, _ := healthy.readFrame(t); ft != wire.FrameResult || time.Since(begin) > time.Second {
+		t.Fatalf("healthy wire connection: frame %d after %v, want a Result within 1s", ft, time.Since(begin))
+	}
+	begin = time.Now()
+	if resp, body := postJSON(t, ts.URL+"/v2/detect-batch", detectBatchRequest{Records: recordsJSON(recs[:2])}); resp.StatusCode != http.StatusOK || time.Since(begin) > time.Second {
+		t.Fatalf("HTTP request: %d (%s) after %v, want 200 within 1s", resp.StatusCode, body, time.Since(begin))
+	}
+
+	const budget = 300 * time.Millisecond
+	ctx, cancel := context.WithTimeout(context.Background(), budget)
+	defer cancel()
+	shut := make(chan error, 1)
+	begin = time.Now()
+	go func() { shut <- srv.ShutdownWire(ctx) }()
+	healthy.nc.SetReadDeadline(time.Now().Add(budget + time.Second))
+	if ft, _, err := healthy.fr.Read(); err != nil || ft != wire.FrameGoAway {
+		t.Fatalf("healthy connection: frame %d, %v; want its GoAway", ft, err)
+	}
+	select {
+	case err := <-shut:
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("ShutdownWire = %v, want context.DeadlineExceeded", err)
+		}
+		if d := time.Since(begin); d > budget+time.Second {
+			t.Fatalf("ShutdownWire returned after %v, its ctx allowed %v", d, budget)
+		}
+	case <-time.After(budget + time.Second):
+		t.Fatalf("ShutdownWire still blocked %v after a %v ctx", budget+time.Second, budget)
+	}
+	waitFor(t, time.Second, func() bool { return srv.m.wireConnections.Load() == 0 })
 }
 
 // TestWireDeadlineExpiredSheds mirrors TestDeadlineExpiredSheds503 over
