@@ -410,9 +410,7 @@ func runLoadgen(out io.Writer, cfg loadgenConfig) error {
 		bodies = append(bodies, pb)
 	}
 
-	// Wire transport: one multiplexed client shared by every worker, no
-	// HTTP fallback — a transport benchmark must not silently change
-	// transports.
+	// Wire transport: one multiplexed client shared by every worker.
 	var wc *wire.Client
 	if cfg.transport == "wire" {
 		wc = wire.NewClient(cfg.wireTarget)

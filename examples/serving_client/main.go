@@ -67,7 +67,7 @@ func run() error {
 	client := serve.NewClient(base)
 	fmt.Printf("serving %s version %s at %s (live slot)\n", gen1.ModelName, gen1.Version(), base)
 
-	// Score a few live flows over the wire.
+	// Score a few live flows over HTTP.
 	flows := gen.Generate(8, 99)
 	recs := make([]*data.Record, len(flows.Records))
 	for i := range flows.Records {

@@ -596,26 +596,24 @@ func (l *Loop) adapt(trig Trigger) Event {
 	return ev
 }
 
-// retryPublish runs one publisher call with up to publishAttempts tries,
-// sleeping the shared resilience.Backoff between them, and accumulates the
-// tries on ev. It blocks the loop, deliberately: a retrain is worthless if
-// it cannot ship, and the monitors stay quiet until this attempt resolves
-// either way.
+// retryPublish runs one publisher call through the shared attempt loop —
+// up to publishAttempts tries, every failure retried after the shared
+// backoff — and accumulates the tries on ev. It blocks the loop,
+// deliberately: a retrain is worthless if it cannot ship, and the
+// monitors stay quiet until this attempt resolves either way.
 func (l *Loop) retryPublish(ev *Event, fn func() error) error {
-	var err error
-	for i := 0; i < publishAttempts; i++ {
-		if i > 0 {
-			time.Sleep(resilience.Backoff(l.cfg.publishBackoff, i, err))
-		}
+	attempt := 0
+	return resilience.Retry(publishAttempts, l.cfg.publishBackoff, func(error) bool { return true }, func() error {
+		attempt++
 		ev.PublishTries++
-		if err = fn(); err == nil {
-			return nil
+		err := fn()
+		if err != nil {
+			l.cfg.Logger.Warn("publish attempt failed", "attempt", attempt,
+				"of", publishAttempts, "version", ev.Version,
+				"trace_id", ev.Trigger.TraceID, "error", err)
 		}
-		l.cfg.Logger.Warn("publish attempt failed", "attempt", i+1,
-			"of", publishAttempts, "version", ev.Version,
-			"trace_id", ev.Trigger.TraceID, "error", err)
-	}
-	return err
+		return err
+	})
 }
 
 // gateVerdicts summarizes a detector's held-out performance. When the

@@ -1,9 +1,11 @@
-// Package resilience is the client-side failure policy both scoring
-// clients (serve.Client over HTTP, wire.Client over the binary plane)
-// share: which answers may be retried, which count as evidence the server
-// is down, how long to back off, and the circuit breaker that acts on it.
-// It is a leaf — it imports nothing from this module — so either client
-// can use it without an import cycle.
+// Package resilience is the client-side failure policy every caller that
+// retries a remote call shares — serve.Client over HTTP, wire.Client over
+// the binary plane, and the adaptation loop's publisher: which answers may
+// be retried, which count as evidence the server is down, how long to back
+// off, the one attempt loop that sleeps that backoff (Retry), and the
+// circuit breaker that gates each attempt (Breaker.Call). It is a leaf —
+// it imports nothing from this module — so any caller can use it without
+// an import cycle.
 package resilience
 
 import (
@@ -39,8 +41,8 @@ func (s BreakerState) String() string {
 	return fmt.Sprintf("BreakerState(%d)", int32(s))
 }
 
-// ErrBreakerOpen is returned (wrapped) by clients that fast-fail a call
-// because their circuit breaker is open.
+// ErrBreakerOpen is what Call returns for an attempt an open breaker
+// fast-fails without running it.
 var ErrBreakerOpen = errors.New("resilience: circuit breaker open")
 
 // Breaker is a classic closed/open/half-open circuit breaker for the
@@ -65,11 +67,11 @@ type Breaker struct {
 
 	mu         sync.Mutex
 	state      BreakerState
-	fails      int       // consecutive failures while closed
-	successes  int       // consecutive probe successes while half-open
-	probing    bool      // a half-open probe is in flight
-	openedAt   time.Time // when the breaker last opened
-	opens      atomic.Int64
+	fails      int          // consecutive failures while closed
+	successes  int          // consecutive probe successes while half-open
+	probing    bool         // a half-open probe is in flight
+	openedAt   time.Time    // when the breaker last opened
+	opens      atomic.Int64 // trips so far: the tag settle checks for staleness
 	shortCircs atomic.Int64
 }
 
@@ -101,45 +103,67 @@ func (b *Breaker) needSuccesses() int {
 	return 1
 }
 
-// Allow reports whether a call may proceed. Every true MUST be paired
-// with exactly one Record call with the call's outcome — half-open
-// admission tracks the probe in flight. A false means the caller should
-// fast-fail with ErrBreakerOpen.
-func (b *Breaker) Allow() bool {
+// Call runs fn as one attempt guarded by the breaker. A nil breaker just
+// runs fn. An open breaker fast-fails with ErrBreakerOpen without calling
+// fn. Otherwise fn's outcome is recorded — a BreakerFailure counts against
+// the circuit, any other answer is a live server — and its error returned.
+func (b *Breaker) Call(fn func() error) error {
+	if b == nil {
+		return fn()
+	}
+	trips, ok := b.admit()
+	if !ok {
+		return ErrBreakerOpen
+	}
+	err := fn()
+	b.settle(trips, err == nil || !BreakerFailure(err))
+	return err
+}
+
+// admit reports whether a call may proceed, and the trip count it was
+// admitted under. Every admission is paired with exactly one settle —
+// half-open admission tracks the probe in flight.
+func (b *Breaker) admit() (int64, bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	switch b.state {
 	case BreakerClosed:
-		return true
+		return b.opens.Load(), true
 	case BreakerOpen:
 		if b.clock().Sub(b.openedAt) < b.openFor() {
 			b.shortCircs.Add(1)
-			return false
+			return 0, false
 		}
 		// Cool-down over: move to half-open and admit this call as the
 		// first probe.
 		b.state = BreakerHalfOpen
 		b.successes = 0
 		b.probing = true
-		return true
+		return b.opens.Load(), true
 	default: // BreakerHalfOpen
 		if b.probing {
 			// One probe at a time: a half-open breaker must not let a
 			// thundering herd through on the strength of zero evidence.
 			b.shortCircs.Add(1)
-			return false
+			return 0, false
 		}
 		b.probing = true
-		return true
+		return b.opens.Load(), true
 	}
 }
 
-// Record reports the outcome of an allowed call. Failures while closed
-// count toward the threshold; a probe failure while half-open re-opens
-// the breaker, a probe success counts toward re-closing it.
-func (b *Breaker) Record(ok bool) {
+// settle reports the outcome of a call admitted under trip count trips.
+// Failures while closed count toward the threshold; a probe failure while
+// half-open re-opens the breaker, a probe success counts toward re-closing
+// it. A call admitted before the latest trip is a straggler — whether the
+// breaker is open or already probing again, its outcome is stale evidence
+// and ignored.
+func (b *Breaker) settle(trips int64, ok bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
+	if trips != b.opens.Load() {
+		return
+	}
 	switch b.state {
 	case BreakerClosed:
 		if ok {
@@ -162,8 +186,6 @@ func (b *Breaker) Record(ok bool) {
 			b.fails = 0
 			b.successes = 0
 		}
-	case BreakerOpen:
-		// A straggler from before the trip; its outcome is stale evidence.
 	}
 }
 
@@ -179,7 +201,7 @@ func (b *Breaker) trip() {
 
 // State returns the breaker's current position, advancing an expired
 // cool-down to half-open so the reported state matches what the next
-// Allow would see.
+// call would see.
 func (b *Breaker) State() BreakerState {
 	b.mu.Lock()
 	defer b.mu.Unlock()

@@ -51,6 +51,26 @@ func BreakerFailure(err error) bool {
 	return true
 }
 
+// Retry is the attempt loop every retrying caller shares: it runs try up
+// to attempts times (0 means 3), sleeping Backoff(base, i, last) before
+// retry i, and stops at the first success or at the first error retry
+// rejects. It returns try's last error.
+func Retry(attempts int, base time.Duration, retry func(error) bool, try func() error) error {
+	if attempts <= 0 {
+		attempts = 3
+	}
+	var err error
+	for i := 0; i < attempts; i++ {
+		if i > 0 {
+			time.Sleep(Backoff(base, i, err))
+		}
+		if err = try(); err == nil || !retry(err) {
+			return err
+		}
+	}
+	return err
+}
+
 const (
 	// DefaultRetryBase is the first backoff delay when a client sets none.
 	DefaultRetryBase = 50 * time.Millisecond

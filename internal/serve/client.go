@@ -54,9 +54,10 @@ var defaultHTTPClient = &http.Client{
 // 503, 504), honoring Retry-After; and an optional circuit Breaker
 // fast-fails calls while the server is down so a wedged scoring plane
 // degrades to counted errors instead of piled-up goroutines — the policy
-// internal/resilience defines once for this client and wire.Client. Mutating
-// control-plane calls (load, promote, rollback) are never retried — promote
-// twice is not promote once.
+// and attempt loop internal/resilience defines once for this client,
+// wire.Client and the adaptation loop's publisher. Mutating control-plane
+// calls (load, promote, rollback) are never retried — promote twice is not
+// promote once.
 type Client struct {
 	// BaseURL is the server root, e.g. "http://127.0.0.1:8080".
 	BaseURL string
@@ -102,13 +103,6 @@ func (c *Client) http() *http.Client {
 	return defaultHTTPClient
 }
 
-func (c *Client) attempts() int {
-	if c.MaxAttempts > 0 {
-		return c.MaxAttempts
-	}
-	return 3
-}
-
 // statusError is a non-2xx response, carrying what the retry policy
 // needs: the status and any server-requested backoff.
 type statusError struct {
@@ -130,36 +124,42 @@ func (e *statusError) Error() string {
 func (e *statusError) StatusCode() int           { return e.status }
 func (e *statusError) RetryAfter() time.Duration { return e.retryAfter }
 
-// once performs one HTTP exchange with breaker accounting. A nil out
-// discards the response body.
-func (c *Client) once(method, path string, body []byte, out any, requestID string) error {
-	b := c.Breaker
-	if b != nil && !b.Allow() {
-		// Not Recorded: the call never happened, so it is not evidence.
-		return fmt.Errorf("%w (state %s): %s", resilience.ErrBreakerOpen, b.State(), path)
-	}
-	var reader io.Reader
-	if body != nil {
-		reader = bytes.NewReader(body)
-	}
-	req, err := http.NewRequest(method, c.BaseURL+path, reader)
+// call performs the request through the shared attempt loop: idempotent
+// calls retry on retryable failures, mutating ones go out exactly once,
+// and the Breaker gates every attempt. A request that cannot be built is
+// the caller's bug, returned before the breaker sees it.
+func (c *Client) call(method, path string, body []byte, out any, idempotent bool) error {
+	req, err := http.NewRequest(method, c.BaseURL+path, bytes.NewReader(body))
 	if err != nil {
-		if b != nil {
-			b.Record(true) // a malformed URL is the caller's bug, not the server's health
-		}
 		return err
 	}
 	if body != nil {
 		req.Header.Set("Content-Type", "application/json")
 	}
-	if requestID != "" {
-		req.Header.Set(obs.RequestIDHeader, requestID)
+	// One ID per logical call: retried attempts reuse it, so however many
+	// times the request lands, the server's traces share one request ID.
+	req.Header.Set(obs.RequestIDHeader, obs.NewID())
+	attempts := 1
+	if idempotent {
+		attempts = c.MaxAttempts
 	}
+	tries := 0
+	return resilience.Retry(attempts, c.RetryBase, resilience.Retryable, func() error {
+		r := req
+		if tries++; tries > 1 {
+			// A retry goes out on a fresh copy with a rewound body: the
+			// transport may still hold the previous attempt's request.
+			r = req.Clone(req.Context())
+			r.Body, _ = req.GetBody()
+		}
+		return c.Breaker.Call(func() error { return c.once(r, path, out) })
+	})
+}
+
+// once performs one HTTP exchange. A nil out discards the response body.
+func (c *Client) once(req *http.Request, path string, out any) error {
 	resp, err := c.http().Do(req)
 	if err != nil {
-		if b != nil {
-			b.Record(false)
-		}
 		return fmt.Errorf("serve: %s: %w", path, err)
 	}
 	defer resp.Body.Close()
@@ -176,46 +176,13 @@ func (c *Client) once(method, path string, body []byte, out any, requestID strin
 		if json.Unmarshal(msg, &e) == nil && e.Error != "" {
 			se.msg = e.Error
 		}
-		if b != nil {
-			b.Record(!resilience.BreakerFailure(se))
-		}
 		return se
-	}
-	if b != nil {
-		b.Record(true)
 	}
 	if out == nil {
 		io.Copy(io.Discard, resp.Body)
 		return nil
 	}
 	return json.NewDecoder(resp.Body).Decode(out)
-}
-
-// call performs the request, retrying idempotent calls on retryable
-// failures with jittered exponential backoff.
-func (c *Client) call(method, path string, body []byte, out any, idempotent bool) error {
-	attempts := 1
-	if idempotent {
-		attempts = c.attempts()
-	}
-	// One ID per logical call: retried attempts reuse it, so however many
-	// times the request lands, the server's traces share one request ID.
-	requestID := obs.NewID()
-	var last error
-	for i := 0; i < attempts; i++ {
-		if i > 0 {
-			time.Sleep(resilience.Backoff(c.RetryBase, i, last))
-		}
-		err := c.once(method, path, body, out, requestID)
-		if err == nil {
-			return nil
-		}
-		last = err
-		if !resilience.Retryable(err) {
-			return err
-		}
-	}
-	return last
 }
 
 // postJSON posts body as JSON and decodes the response into out,

@@ -594,6 +594,50 @@ func TestWireClientRehandshakesAfterSchemaChange(t *testing.T) {
 	}
 }
 
+// TestWireClientFailsUnencodableBatchOnce pins the caller-error path: a
+// batch the client cannot encode against the handshake schema — a record
+// with the wrong feature count, or more records than one frame carries —
+// fails on the first attempt, as the same batch's 400 does over HTTP. It
+// never reaches the network and never sleeps a backoff.
+func TestWireClientFailsUnencodableBatchOnce(t *testing.T) {
+	if testing.Short() {
+		t.Skip("trains a model")
+	}
+	a, _, recs := trainTestArtifact(t, "mlp", 11, 1)
+	srv, _ := newTestServer(t, a, Config{Replicas: 1, MaxBatch: 8, MaxWait: time.Millisecond})
+	const retryBase = 300 * time.Millisecond
+	wc := &wire.Client{Addr: startWireListener(t, srv), Conns: 1, MaxAttempts: 3, RetryBase: retryBase}
+	defer wc.Close()
+	if err := wc.Connect(); err != nil {
+		t.Fatal(err)
+	}
+
+	short := *recs[0]
+	short.Numeric = short.Numeric[:len(short.Numeric)-1]
+	tooMany := make([]*data.Record, 32769)
+	for i := range tooMany {
+		tooMany[i] = recs[0]
+	}
+	for i, batch := range [][]*data.Record{{recs[1], &short}, tooMany} {
+		_, _, _, bytesOut := wc.Stats()
+		start := time.Now()
+		_, _, err := wc.Score(batch)
+		took := time.Since(start)
+		if !errors.Is(err, wire.ErrBadPayload) {
+			t.Fatalf("batch %d: err = %v, want ErrBadPayload", i, err)
+		}
+		if took >= retryBase/2 {
+			t.Fatalf("batch %d: failed after %v, want under %v: a caller error must not back off", i, took, retryBase/2)
+		}
+		if _, _, after, _ := wc.Stats(); after != bytesOut {
+			t.Fatalf("batch %d: %d bytes sent for an unencodable batch", i, after-bytesOut)
+		}
+		if got := wc.Errors(); got != int64(i+1) {
+			t.Fatalf("batch %d: Errors() = %d, want %d", i, got, i+1)
+		}
+	}
+}
+
 // TestWireUnknownTag404 pins slot resolution parity with ?tag=.
 func TestWireUnknownTag404(t *testing.T) {
 	if testing.Short() {
@@ -748,44 +792,6 @@ func TestWireClientDrainsToShed(t *testing.T) {
 		t.Fatal("Score succeeded against a drained server")
 	} else if _, shed := wire.ShedStatus(err); !shed && !wc.Draining() {
 		t.Fatalf("post-drain error %v not classifiable as drain/shed", err)
-	}
-}
-
-// TestWireClientFallsBackToHTTP pins the fallback satellite: with the
-// wire listener unreachable, calls are answered by the HTTP plane and
-// counted as fallbacks.
-func TestWireClientFallsBackToHTTP(t *testing.T) {
-	if testing.Short() {
-		t.Skip("trains a model")
-	}
-	a, orig, recs := trainTestArtifact(t, "mlp", 11, 2)
-	_, ts := newTestServer(t, a, Config{Replicas: 1, MaxBatch: 8, MaxWait: time.Millisecond})
-
-	httpClient := NewClient(ts.URL)
-	wc := &wire.Client{
-		Addr:        "127.0.0.1:1", // nothing listens here
-		MaxAttempts: 1,
-		RetryBase:   time.Millisecond,
-		Fallback:    httpClient,
-	}
-	defer wc.Close()
-
-	got, version, err := wc.Score(recs[:4])
-	if err != nil {
-		t.Fatalf("fallback call: %v", err)
-	}
-	if version == "" {
-		t.Fatal("fallback answered with an empty model version")
-	}
-	if wc.Fallbacks() != 1 {
-		t.Fatalf("Fallbacks() = %d, want 1", wc.Fallbacks())
-	}
-	want := make([]nids.Verdict, 4)
-	orig.DetectBatch(recs[:4], want)
-	for i := range got {
-		if got[i].IsAttack != want[i].IsAttack || got[i].Class != want[i].Class {
-			t.Fatalf("fallback verdict %d: %+v, want %+v", i, got[i], want[i])
-		}
 	}
 }
 

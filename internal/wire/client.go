@@ -3,6 +3,7 @@ package wire
 import (
 	"bufio"
 	"errors"
+	"fmt"
 	"math/rand"
 	"net"
 	"net/http"
@@ -19,7 +20,7 @@ import (
 var (
 	// ErrUnavailable means no healthy wire connection exists and one could
 	// not be established right now (dial failed, or the reconnect backoff
-	// window is still open). Retryable; eligible for HTTP fallback.
+	// window is still open). Retryable.
 	ErrUnavailable = errors.New("wire: no connection available")
 	// ErrTimeout means the request was written but no response arrived
 	// within the client timeout.
@@ -31,17 +32,12 @@ var (
 	errVerdictCount = errors.New("wire: verdict count mismatch")
 )
 
-// Scorer is the scoring surface of serve.Client — the HTTP fallback's
-// shape. A *serve.Client satisfies it directly.
-type Scorer interface {
-	Score(recs []*data.Record) ([]nids.Verdict, string, error)
-}
-
 // Client defaults.
 const (
-	// DefaultTimeout bounds each scoring call (and is sent to the server
+	// DefaultTimeout bounds each attempt of a scoring call — a call can
+	// take MaxAttempts × Timeout plus backoff — and is sent to the server
 	// as the request's deadline hint, so the server sheds what the client
-	// has already given up on). Matches serve.DefaultClientTimeout.
+	// has already given up on. Matches serve.DefaultClientTimeout.
 	DefaultTimeout = 10 * time.Second
 	// DefaultConns is how many TCP connections a client multiplexes over.
 	DefaultConns = 2
@@ -52,38 +48,23 @@ const (
 )
 
 // Client is the wire transport's scoring client: persistent TCP
-// connections to a pelican-serve wire listener, pipelined requests
-// correlated by id, out-of-order responses, reconnect with jittered
-// exponential backoff, optional circuit breaking, and optional fallback
-// to the HTTP plane. It implements nids.BatchDetector, so anything that
-// scores through serve.RemoteDetector can score through the wire
-// unchanged. Safe for concurrent use; calls from many goroutines
-// multiplex over the connection pool.
+// connections to a pelican-serve wire listener's live slot, pipelined
+// requests correlated by id, out-of-order responses, and retries and
+// reconnects with jittered exponential backoff through internal/resilience.
+// Safe for concurrent use; calls from many goroutines multiplex over the
+// connection pool.
 type Client struct {
 	// Addr is the wire listener's host:port.
 	Addr string
 	// Conns is the connection pool size. 0 means DefaultConns.
 	Conns int
-	// Tag pins scoring to one registry slot ("" = live), as the HTTP
-	// plane's ?tag= does.
-	Tag string
-	// Timeout bounds each call and is the deadline hint sent in every
+	// Timeout bounds each attempt and is the deadline hint sent in every
 	// request frame. 0 means DefaultTimeout.
 	Timeout time.Duration
 	// MaxAttempts caps tries per call (first + retries). 0 means 3.
 	MaxAttempts int
 	// RetryBase seeds the retry/reconnect backoff. 0 means 50ms.
 	RetryBase time.Duration
-	// Breaker, when non-nil, guards every call: while open, calls fail
-	// with resilience.ErrBreakerOpen without touching the network.
-	// Transport failures and hard 5xx answers count against it; server
-	// shed answers (429/503) do not — the policy serve.Client shares.
-	Breaker *resilience.Breaker
-	// Fallback, when non-nil, answers calls the wire transport cannot
-	// deliver (dial failures, open breaker, dead connections — never
-	// deliberate server answers like shedding). Pass a *serve.Client
-	// pointed at the same server's HTTP plane.
-	Fallback Scorer
 
 	mu     sync.Mutex // guards conns slice + rr; never held across I/O
 	conns  []*wireConn
@@ -98,7 +79,6 @@ type Client struct {
 
 	draining  atomic.Bool // a GoAway has been seen
 	errs      atomic.Int64
-	fallbacks atomic.Int64
 	framesOut atomic.Int64
 	framesIn  atomic.Int64
 	bytesOut  atomic.Int64
@@ -106,8 +86,6 @@ type Client struct {
 
 	version atomic.Value // string: last model version that answered
 }
-
-var _ nids.BatchDetector = (*Client)(nil)
 
 // NewClient builds a wire client for the listener at addr. Request ids
 // start at a random point so traces from concurrent clients don't collide.
@@ -131,24 +109,13 @@ func (c *Client) poolSize() int {
 	return DefaultConns
 }
 
-func (c *Client) attempts() int {
-	if c.MaxAttempts > 0 {
-		return c.MaxAttempts
-	}
-	return 3
-}
-
 // Draining reports whether any connection has received a GoAway — the
 // server is shutting down and new requests should be treated as shed,
 // not as failures.
 func (c *Client) Draining() bool { return c.draining.Load() }
 
-// Errors returns how many scoring calls have failed (after retries and
-// fallback).
+// Errors returns how many scoring calls have failed (after retries).
 func (c *Client) Errors() int64 { return c.errs.Load() }
-
-// Fallbacks returns how many calls were answered by the HTTP fallback.
-func (c *Client) Fallbacks() int64 { return c.fallbacks.Load() }
 
 // Stats returns cumulative frame/byte counters (out = client→server).
 func (c *Client) Stats() (framesOut, framesIn, bytesOut, bytesIn int64) {
@@ -529,72 +496,42 @@ var bufPool = sync.Pool{New: func() any { return []byte(nil) }}
 func getBuf() []byte  { return bufPool.Get().([]byte)[:0] }
 func putBuf(p []byte) { bufPool.Put(p) } //nolint:staticcheck // slice header boxing is fine here
 
-// Score scores recs against the server (Tag selects the slot; "" = live)
-// and returns verdicts plus the answering model version. Transport
-// failures are retried with jittered exponential backoff; if the wire
-// stays unavailable and a Fallback is set, the call is answered over
-// HTTP.
+// Score scores recs against the server's live slot and returns verdicts
+// plus the answering model version. Transport failures, retryable
+// statuses and a stale schema (409) are retried with jittered
+// exponential backoff; a batch this client cannot encode fails at once.
 func (c *Client) Score(recs []*data.Record) ([]nids.Verdict, string, error) {
 	out := make([]nids.Verdict, len(recs))
-	version, err := c.score(recs, out)
+	if len(recs) == 0 {
+		return out, "", nil
+	}
+	var version string
+	err := resilience.Retry(c.MaxAttempts, c.RetryBase, retryable, func() (err error) {
+		version, err = c.scoreConn(recs, out)
+		return err
+	})
 	if err != nil {
+		c.errs.Add(1)
 		return nil, "", err
 	}
+	c.version.Store(version)
 	return out, version, nil
 }
 
-// score runs the retry loop, decoding verdicts into out.
-func (c *Client) score(recs []*data.Record, out []nids.Verdict) (string, error) {
-	if len(recs) == 0 {
-		return "", nil
-	}
-	var last error
-	for i := 0; i < c.attempts(); i++ {
-		if i > 0 {
-			time.Sleep(resilience.Backoff(c.RetryBase, i, last))
-		}
-		version, err := c.scoreOnce(recs, out)
-		if err == nil {
-			c.version.Store(version)
-			return version, nil
-		}
-		last = err
-		// Beyond the shared policy the wire has one retryable answer of
-		// its own: 409, the slot's schema changed under this connection
-		// (a promote). The reader has already retired that connection, so
-		// the next attempt dials afresh and re-handshakes.
-		if !resilience.Retryable(err) && !staleSchema(err) {
-			break
-		}
-	}
-	if c.Fallback != nil && fallbackEligible(last) {
-		verdicts, version, err := c.Fallback.Score(recs)
-		if err == nil {
-			c.fallbacks.Add(1)
-			copy(out, verdicts)
-			return version, nil
-		}
-	}
-	c.errs.Add(1)
-	return "", last
+// retryable is the wire's retry predicate: the shared policy plus one
+// answer of its own, 409 — the slot's schema changed under this
+// connection (a promote). The reader has already retired that connection,
+// so the next attempt dials afresh and re-handshakes. A batch that cannot
+// be encoded is a caller error, never retried.
+func retryable(err error) bool {
+	return err != errUnencodable && (resilience.Retryable(err) || staleSchema(err))
 }
 
-// scoreOnce performs one request over one connection, with the breaker
-// accounting serve.Client uses: transport failures and hard server
-// errors are breaker failures; shed answers (429/503) and other
-// deliberate statuses are not.
-func (c *Client) scoreOnce(recs []*data.Record, out []nids.Verdict) (string, error) {
-	b := c.Breaker
-	if b != nil && !b.Allow() {
-		return "", resilience.ErrBreakerOpen
-	}
-	version, err := c.scoreConn(recs, out)
-	if b != nil {
-		b.Record(err == nil || !resilience.BreakerFailure(err))
-	}
-	return version, err
-}
+// errUnencodable is a batch this client cannot encode against the
+// handshake schema: the caller error the HTTP plane answers 400.
+var errUnencodable = fmt.Errorf("%w: batch does not match the handshake schema", ErrBadPayload)
 
+// scoreConn is one attempt: one request over one pooled connection.
 func (c *Client) scoreConn(recs []*data.Record, out []nids.Verdict) (string, error) {
 	cn, err := c.getConn()
 	if err != nil {
@@ -607,10 +544,10 @@ func (c *Client) scoreConn(recs []*data.Record, out []nids.Verdict) (string, err
 		id = c.nextID.Add(1)
 	}
 	buf := getBuf()
-	buf, err = cn.enc.AppendScoreRequest(buf, id, deadlineMS, c.Tag, recs)
+	buf, err = cn.enc.AppendScoreRequest(buf, id, deadlineMS, "", recs)
 	if err != nil {
 		putBuf(buf)
-		return "", err
+		return "", errUnencodable
 	}
 	ca := &wireCall{dst: out, done: make(chan callResult, 1)}
 	if !cn.register(id, ca) {
@@ -650,17 +587,6 @@ func staleSchema(err error) bool {
 	return errors.As(err, &we) && we.Status == http.StatusConflict
 }
 
-// fallbackEligible limits HTTP fallback to wire-transport unavailability.
-// Deliberate server answers (shedding, bad request, fingerprint skew) and
-// in-flight losses must not be re-asked over HTTP: the server heard them.
-func fallbackEligible(err error) bool {
-	var we *WireError
-	if errors.As(err, &we) {
-		return false
-	}
-	return !errors.Is(err, ErrTimeout) && !errors.Is(err, ErrClosed)
-}
-
 // ShedStatus reports whether err is the server deliberately shedding load
 // (admission control 429, deadline/drain 503) and with which status —
 // loadgen accounting uses it to separate shed from failure.
@@ -670,31 +596,4 @@ func ShedStatus(err error) (int, bool) {
 		return we.Status, true
 	}
 	return 0, false
-}
-
-// Name implements nids.Detector.
-func (c *Client) Name() string {
-	if c.Tag != "" {
-		return "wire:" + c.Addr + "#" + c.Tag
-	}
-	return "wire:" + c.Addr
-}
-
-// Detect implements nids.Detector.
-func (c *Client) Detect(rec *data.Record) nids.Verdict {
-	var v [1]nids.Verdict
-	c.DetectBatch([]*data.Record{rec}, v[:])
-	return v[0]
-}
-
-// DetectBatch implements nids.BatchDetector with the same degradation
-// contract as serve.RemoteDetector: failed calls yield verdicts marked
-// Failed (never a hang, never fabricated scores) and are tallied in
-// Errors.
-func (c *Client) DetectBatch(recs []*data.Record, verdicts []nids.Verdict) {
-	if _, err := c.score(recs, verdicts[:len(recs)]); err != nil {
-		for i := range verdicts[:len(recs)] {
-			verdicts[i] = nids.Verdict{Failed: true}
-		}
-	}
 }
