@@ -49,8 +49,8 @@ func main() {
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("pelican-serve", flag.ContinueOnError)
 	var (
-		model      = fs.String("model", "", "model artifact to serve live (written by pelican-train -save); omit with -state-dir to recover the journaled topology")
-		stateDir   = fs.String("state-dir", "", "durable state directory (content-addressed artifact store + registry journal); every lifecycle op is journaled, and a restart without -model recovers the exact pre-crash topology")
+		model      = fs.String("model", "", "model artifact to serve live (written by pelican-train -save); omit with -state-dir to recover the recorded topology")
+		stateDir   = fs.String("state-dir", "", "durable state directory (content-addressed artifact store + registry state file); every lifecycle op rewrites the state file, and a restart without -model recovers the exact pre-crash topology")
 		shadow     = fs.String("shadow", "", "optional artifact to preload into the shadow slot (mirrored, promotable via /v2/promote)")
 		addr       = fs.String("addr", "127.0.0.1:8080", "listen address (port 0 picks a free port)")
 		wireAddr   = fs.String("wire-addr", "", "also serve the binary wire transport on this address (e.g. 127.0.0.1:9090; empty disables)")
@@ -128,7 +128,7 @@ func runServer(out io.Writer, model, shadow, addr, wireAddr string, cfg serve.Co
 	var srv *serve.Server
 	switch {
 	case model != "":
-		// Fresh start: this artifact is the new truth, any journaled
+		// Fresh start: this artifact is the new truth, any recorded
 		// topology is discarded.
 		a, err := serve.LoadArtifactFile(model)
 		if err != nil {
@@ -143,8 +143,11 @@ func runServer(out io.Writer, model, shadow, addr, wireAddr string, cfg serve.Co
 			return err
 		}
 		rep := srv.Recovery()
-		fmt.Fprintf(out, "recovered from journal: %d slots restored, %d degraded (%d records replayed, %d truncated) in %s\n",
-			len(rep.Restored), len(rep.Degraded), rep.Replayed, rep.Truncated, rep.Duration.Round(time.Millisecond))
+		if rep.StateError != "" {
+			fmt.Fprintf(out, "registry state refused: %s\n", rep.StateError)
+		}
+		fmt.Fprintf(out, "recovered from journal/snapshot.json: %d slots restored, %d degraded in %s\n",
+			len(rep.Restored), len(rep.Degraded), rep.Duration.Round(time.Millisecond))
 		for tag, version := range rep.Restored {
 			fmt.Fprintf(out, "  %s: %s\n", tag, version)
 		}
@@ -155,7 +158,7 @@ func runServer(out io.Writer, model, shadow, addr, wireAddr string, cfg serve.Co
 			fmt.Fprintln(out, "no live slot recovered: /readyz answers 503 until a model is loaded")
 		}
 	default:
-		return fmt.Errorf("-model is required (train one with: pelican-train -save model.plcn), or pass -state-dir to recover a journaled topology")
+		return fmt.Errorf("-model is required (train one with: pelican-train -save model.plcn), or pass -state-dir to recover a recorded topology")
 	}
 	if shadow != "" {
 		sa, err := serve.LoadArtifactFile(shadow)

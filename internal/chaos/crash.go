@@ -11,9 +11,9 @@ import (
 
 // Crash-injection primitives: faults that model a process death or a
 // write cut short by one. The durability layer's recovery tests drive
-// these — truncating a journal tail reproduces a mid-append crash
-// byte-for-byte, and Proc lets an e2e kill a real serving process with
-// SIGKILL (no handlers, no drains, no goodbyes) and assert what the
+// these — truncating a file's tail reproduces a write the crash cut
+// short byte-for-byte, and Proc lets an e2e kill a real serving process
+// with SIGKILL (no handlers, no drains, no goodbyes) and assert what the
 // restart recovers.
 
 // TruncateTail cuts the last n bytes off the file at path, simulating a
@@ -48,7 +48,8 @@ func CorruptFileAt(path string, offset int64) error {
 // Proc is a child process under chaos control: started normally, killed
 // abruptly. The kill-9 harness for crash-recovery e2e tests — SIGKILL
 // gives the victim no chance to flush, drain, or checkpoint, which is
-// exactly the contract a write-ahead design must survive.
+// exactly the contract a design that writes its state before answering
+// must survive.
 type Proc struct {
 	Cmd *exec.Cmd
 

@@ -72,7 +72,7 @@ type Stats struct {
 }
 
 // StatsSnapshot is a plain-value copy of a Stats, used by the durable
-// control plane to checkpoint counters into the registry journal and
+// control plane to checkpoint counters into the registry state file and
 // restore them after a restart.
 type StatsSnapshot struct {
 	Records         int64
@@ -315,10 +315,10 @@ func (r *Registry) Unload(tag string) error {
 }
 
 // RestorePrevious installs inst as the retained rollback generation
-// without recording a transition. It exists for crash recovery: the
-// journal replay rebuilds the slot topology through Load, but the
-// rollback target is not a loadable tag, so recovery hands it back
-// directly. Any previously retained generation is retired.
+// without recording a transition. It exists for crash recovery: recovery
+// rebuilds the slot topology through Load, but the rollback target is not
+// a loadable tag, so recovery hands it back directly. Any previously
+// retained generation is retired.
 func (r *Registry) RestorePrevious(inst Instance) {
 	var retired []Instance
 	r.mu.Lock()
@@ -356,6 +356,36 @@ func (r *Registry) PreviousVersion() string {
 		return ""
 	}
 	return r.prev.inst.Version()
+}
+
+// Versions returns every occupied slot's version and the rollback
+// generation's ("" if none), read under one lock so the pair is a state
+// the registry actually held. It is what the durable control plane
+// persists after each lifecycle op.
+func (r *Registry) Versions() (slots map[string]string, prev string) {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	slots = make(map[string]string, len(r.slots))
+	for tag, s := range r.slots {
+		slots[tag] = s.inst.Version()
+	}
+	if r.prev != nil {
+		prev = r.prev.inst.Version()
+	}
+	return slots, prev
+}
+
+// Counters snapshots every tag's counters, including those of tags whose
+// slot is empty now: like the counters themselves, the checkpoint
+// outlives the generations a tag serves.
+func (r *Registry) Counters() map[string]StatsSnapshot {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	out := make(map[string]StatsSnapshot, len(r.stats))
+	for tag, st := range r.stats {
+		out[tag] = st.Snapshot()
+	}
+	return out
 }
 
 // Tags lists the occupied slots: live first, shadow second, then canary

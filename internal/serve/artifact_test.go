@@ -305,7 +305,7 @@ func TestArtifactRejectsBadMagic(t *testing.T) {
 }
 
 // TestRecoverQuarantinesFormat1Artifact pins the upgrade path: a state
-// dir whose journal references a format-1 (gob) artifact recovers through
+// dir whose state file references a format-1 (gob) artifact recovers through
 // the existing degrade path — the file hashes to its address but does not
 // load, so it is quarantined (kept, never deleted), the live slot is
 // reported degraded with a reason naming the format, and /readyz is 503.
@@ -316,14 +316,9 @@ func TestRecoverQuarantinesFormat1Artifact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	journal, _, err := store.OpenLog(st.JournalDir())
-	if err != nil {
+	if err := store.SaveTopology(st.JournalDir(), store.Topology{Slots: map[string]string{registry.Live: v}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := journal.Append(store.OpLoad, registry.Live, v, nil); err != nil {
-		t.Fatal(err)
-	}
-	journal.Close()
 
 	st2 := openStore(t, dir)
 	srv, ts := recoverServer(t, durableConfig(st2))

@@ -14,10 +14,15 @@ import (
 )
 
 // This file is the serve side of the durable control plane: persisting
-// artifacts into the content-addressed store, journaling every slot
-// lifecycle op, and rebuilding the exact slot→version topology (plus
-// per-tag counters) after a restart. Everything here is a no-op when
-// the server runs without a Config.Store.
+// artifacts into the content-addressed store, rewriting the registry
+// state file after every slot lifecycle op, and rebuilding the exact
+// slot→version topology (plus per-tag counters) after a restart.
+// Everything here is a no-op when the server runs without a Config.Store.
+
+// errNotDurable marks a lifecycle op the registry applied but the state
+// file did not record: the new topology serves, yet a restart before the
+// next successful write would not recover it.
+var errNotDurable = errors.New("applied but not durable")
 
 // DegradedSlot reports one slot recovery could not restore. The rest of
 // the topology is unaffected: a broken shadow or canary never blocks
@@ -30,13 +35,6 @@ type DegradedSlot struct {
 
 // RecoveryReport is what a Recover startup found and did.
 type RecoveryReport struct {
-	// SnapshotSeq, Replayed, and Truncated describe the journal replay:
-	// the compacted snapshot's sequence number, how many journal records
-	// were applied on top of it, and how many torn/corrupt trailing
-	// records were cut.
-	SnapshotSeq uint64 `json:"snapshot_seq"`
-	Replayed    int    `json:"replayed"`
-	Truncated   int    `json:"truncated"`
 	// Restored maps each recovered slot (plus "previous" for the
 	// rollback generation) to its artifact version.
 	Restored map[string]string `json:"restored"`
@@ -45,7 +43,11 @@ type RecoveryReport struct {
 	// GCRemoved lists artifact versions swept after recovery (resident
 	// in the CAS but referenced by no recovered slot).
 	GCRemoved []string `json:"gc_removed,omitempty"`
-	// Duration is the whole recovery: replay plus artifact re-lowering.
+	// StateError says why the state file was refused (torn, corrupt, or
+	// beside an older build's unreplayed write-ahead log); empty when it
+	// was read.
+	StateError string `json:"state_error,omitempty"`
+	// Duration is the whole recovery: state load plus artifact re-lowering.
 	Duration time.Duration `json:"-"`
 }
 
@@ -53,17 +55,20 @@ type RecoveryReport struct {
 // server was constructed with New.
 func (s *Server) Recovery() *RecoveryReport { return s.recovery }
 
-// Recover rebuilds a server from cfg.Store's journal instead of an
-// explicit artifact: the snapshot+journal replay yields the pre-crash
-// slot→version topology, every slot's artifact is fetched (verified)
-// from the CAS and re-lowered, per-tag counters are restored from the
-// last stats checkpoint, and the rollback generation is reinstated.
+// Recover rebuilds a server from cfg.Store's registry state file instead
+// of an explicit artifact: the file holds the pre-crash slot→version
+// topology, every slot's artifact is fetched (verified) from the CAS and
+// re-lowered, per-tag counters are restored from the last checkpoint,
+// and the rollback generation is reinstated.
 //
 // Failures degrade, never abort: a slot whose artifact is missing or
 // corrupt (corrupt ones are quarantined by the fetch) is dropped from
 // the topology and reported, while every other slot recovers. If the
 // live slot itself cannot be restored the server still starts — it
-// answers /readyz with 503 until an operator loads a live model.
+// answers /readyz with 503 until an operator loads a live model. A state
+// file that cannot be read restores no slot at all, and the server then
+// writes nothing to the state dir: every lifecycle op reports itself not
+// durable until a fresh start (New) replaces the state.
 func Recover(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Store == nil {
@@ -74,94 +79,70 @@ func Recover(cfg Config) (*Server, error) {
 		return nil, err
 	}
 	start := time.Now()
-	topo := s.journal.Topology()
-	rep := &RecoveryReport{
-		SnapshotSeq: s.replayInfo.SnapshotSeq,
-		Replayed:    s.replayInfo.Replayed,
-		Truncated:   s.replayInfo.Truncated,
-		Restored:    map[string]string{},
-	}
-	if rep.Truncated > 0 {
-		s.log.Warn("journal had torn trailing records; truncated to last valid prefix",
-			"truncated", rep.Truncated, "replayed", rep.Replayed)
+	rep := &RecoveryReport{Restored: map[string]string{}}
+	s.recovery = rep
+	topo, err := store.LoadTopology(s.store.JournalDir())
+	if err != nil {
+		// Never guess a topology and never sweep the CAS on a guess: an
+		// older generation must not answer silently, and the operator
+		// needs the files as they are.
+		s.stateErr = fmt.Errorf("registry state unreadable at startup: %w", err)
+		rep.StateError = err.Error()
+		rep.Duration = time.Since(start)
+		s.log.Error("registry state unreadable; no slot recovered, nothing will be written to the state dir until a fresh start with a model",
+			"error", err)
+		return s, nil
 	}
 	// Counters first, so the slots never take traffic with rewound stats.
 	for tag, sr := range topo.Stats {
 		s.reg.StatsFor(tag).Restore(registry.StatsSnapshot(sr))
 	}
-	restored := store.NewTopology()
-	restored.Stats = topo.Stats
-	for _, tag := range recoveryOrder(topo.Slots) {
-		version := topo.Slots[tag]
+	restore := func(tag, version string, install func(*slotInstance) error) {
 		si, err := s.recoverInstance(version)
+		if err == nil {
+			if err = install(si); err != nil {
+				si.scorer.close()
+			}
+		}
 		if err != nil {
 			rep.Degraded = append(rep.Degraded, DegradedSlot{Tag: tag, Version: version, Reason: err.Error()})
 			s.log.Error("slot not recovered; degrading it", "slot", tag, "version", version, "error", err)
-			continue
-		}
-		if err := s.reg.Load(tag, si); err != nil {
-			rep.Degraded = append(rep.Degraded, DegradedSlot{Tag: tag, Version: version, Reason: err.Error()})
-			continue
+			return
 		}
 		s.cfg.Store.Retain(version)
-		restored.Slots[tag] = version
 		rep.Restored[tag] = version
-		if tag == registry.Live {
-			s.ready.Store(true)
-		}
 		s.log.Info("slot recovered", "slot", tag, "version", version)
 	}
-	if topo.Prev != "" {
-		si, err := s.recoverInstance(topo.Prev)
-		if err != nil {
-			rep.Degraded = append(rep.Degraded, DegradedSlot{Tag: registry.Previous, Version: topo.Prev, Reason: err.Error()})
-			s.log.Error("rollback generation not recovered", "version", topo.Prev, "error", err)
-		} else {
-			s.reg.RestorePrevious(si)
-			s.cfg.Store.Retain(topo.Prev)
-			restored.Prev = topo.Prev
-			rep.Restored[registry.Previous] = topo.Prev
-		}
+	// Sorted only so the report and logs are deterministic: nothing is
+	// served before Recover returns, so no slot waits on another.
+	tags := make([]string, 0, len(topo.Slots))
+	for tag := range topo.Slots {
+		tags = append(tags, tag)
 	}
-	// The journal now reflects what actually recovered — degraded slots
-	// are pruned so the next restart replays a clean topology — and the
-	// CAS drops versions nothing references anymore.
-	if err := s.journal.Reset(restored); err != nil {
-		s.closeDurability()
+	sort.Strings(tags)
+	for _, tag := range tags {
+		restore(tag, topo.Slots[tag], func(si *slotInstance) error { return s.reg.Load(tag, si) })
+	}
+	if topo.Prev != "" {
+		restore(registry.Previous, topo.Prev, func(si *slotInstance) error { s.reg.RestorePrevious(si); return nil })
+	}
+	s.ready.Store(rep.Restored[registry.Live] != "")
+	// The state file now holds what actually recovered — degraded slots
+	// are pruned, so the next restart does not retry them — and the CAS
+	// drops versions nothing references anymore.
+	if err := s.persist(); err != nil {
+		s.Close()
 		return nil, err
 	}
 	if removed, err := s.store.GC(); err == nil {
 		rep.GCRemoved = removed
 	}
-	rep.Duration = time.Since(start) + s.replayInfo.Duration
-	s.recovery = rep
+	rep.Duration = time.Since(start)
+	s.startStatsFlusher()
 	s.log.Info("recovery complete",
 		"slots", len(rep.Restored), "degraded", len(rep.Degraded),
-		"replayed", rep.Replayed, "truncated", rep.Truncated,
 		"ready", s.ready.Load(), "dur", rep.Duration)
 	return s, nil
-}
-
-// recoveryOrder lists the topology's tags live-first (a degraded canary
-// must never delay live), then shadow, then canaries alphabetically.
-func recoveryOrder(slots map[string]string) []string {
-	var canaries []string
-	var out []string
-	for tag := range slots {
-		switch tag {
-		case registry.Live, registry.Shadow:
-		default:
-			canaries = append(canaries, tag)
-		}
-	}
-	sort.Strings(canaries)
-	if _, ok := slots[registry.Live]; ok {
-		out = append(out, registry.Live)
-	}
-	if _, ok := slots[registry.Shadow]; ok {
-		out = append(out, registry.Shadow)
-	}
-	return append(out, canaries...)
 }
 
 // recoverInstance fetches version from the CAS (verification and
@@ -179,7 +160,7 @@ func (s *Server) recoverInstance(version string) (*slotInstance, error) {
 	a, err := LoadArtifact(bytes.NewReader(b))
 	if err != nil {
 		// The bytes hash correctly but do not decode: they were bad at Put
-		// time. Quarantine so the journal never resurrects them.
+		// time. Quarantine so the state file never resurrects them.
 		s.store.Quarantine(version, err.Error())
 		return nil, err
 	}
@@ -231,21 +212,6 @@ func (s *Server) persistArtifact(a *Artifact) error {
 	return nil
 }
 
-// journalAppend records one lifecycle op, piggybacking a stats
-// checkpoint on the same fsync. Called with adminMu held, after the
-// registry op succeeded: the op is durable before its HTTP response,
-// and a crash between registry and journal loses only an op nobody was
-// told succeeded. No-op without a store.
-func (s *Server) journalAppend(op, tag, version string) {
-	if s.journal == nil {
-		return
-	}
-	if err := s.journal.Append(op, tag, version, s.statsCheckpoint()); err != nil {
-		s.log.Error("journal append failed; topology change will not survive a restart",
-			"op", op, "slot", tag, "version", version, "error", err)
-	}
-}
-
 // releaseArtifact drops a retired instance's CAS reference and sweeps
 // newly unreferenced versions. Called from the registry retire callback
 // (outside the registry lock). No-op without a store.
@@ -259,19 +225,63 @@ func (s *Server) releaseArtifact(si *slotInstance) {
 	}
 }
 
-// statsCheckpoint snapshots every occupied slot's counters for a
-// journal record.
-func (s *Server) statsCheckpoint() map[string]store.StatsRecord {
-	out := map[string]store.StatsRecord{}
-	for _, tag := range s.reg.Tags() {
-		out[tag] = store.StatsRecord(s.reg.StatsFor(tag).Snapshot())
+// persist atomically rewrites the registry state file with what the
+// registry holds now plus every tag's counters. Callers serialize on
+// adminMu (lifecycle ops, the stats flusher, the final checkpoint; New and
+// Recover call it before the server is shared), so writes never
+// interleave and the file only ever holds a state the registry held.
+// No-op without a store.
+func (s *Server) persist() error {
+	if s.store == nil {
+		return nil
 	}
-	return out
+	if s.stateErr != nil {
+		return s.stateErr
+	}
+	slots, prev := s.reg.Versions()
+	stats := map[string]store.StatsRecord{}
+	for tag, st := range s.reg.Counters() {
+		stats[tag] = store.StatsRecord(st)
+	}
+	return store.SaveTopology(s.store.JournalDir(), store.Topology{Slots: slots, Prev: prev, Stats: stats})
 }
 
-// statsFlusher periodically checkpoints per-slot counters into the
-// journal so a crash rewinds them at most statsInterval, preserving
-// monotonicity for scrapers across the restart.
+// persistOp persists after a lifecycle op the registry has applied. A
+// failed write is the op's error, wrapped in errNotDurable: the caller
+// must not be told the op is durable. The next successful write (the
+// next op, or the flusher within statsInterval) rewrites the whole state,
+// so durability heals itself.
+func (s *Server) persistOp() error {
+	if err := s.persist(); err != nil {
+		s.log.Error("registry state not written; the op is applied but a restart would not recover it", "error", err)
+		return fmt.Errorf("serve: %w: %v", errNotDurable, err)
+	}
+	return nil
+}
+
+// opStatus is the HTTP status of a failed lifecycle op: refused (the
+// handler's code) or applied but not durable (500).
+func opStatus(err error, refused int) int {
+	if errors.Is(err, errNotDurable) {
+		return http.StatusInternalServerError
+	}
+	return refused
+}
+
+// startStatsFlusher starts the periodic counter checkpoint of a
+// store-backed server.
+func (s *Server) startStatsFlusher() {
+	if s.store == nil || s.cfg.statsInterval <= 0 {
+		return
+	}
+	s.statsStop = make(chan struct{})
+	s.statsWG.Add(1)
+	go s.statsFlusher()
+}
+
+// statsFlusher periodically rewrites the state file so a crash rewinds
+// per-slot counters at most statsInterval, preserving monotonicity for
+// scrapers across the restart.
 func (s *Server) statsFlusher() {
 	defer s.statsWG.Done()
 	t := time.NewTicker(s.cfg.statsInterval)
@@ -281,33 +291,35 @@ func (s *Server) statsFlusher() {
 		case <-s.statsStop:
 			return
 		case <-t.C:
-			if err := s.journal.Append(store.OpStats, "", "", s.statsCheckpoint()); err != nil {
+			s.adminMu.Lock()
+			err := s.persist()
+			s.adminMu.Unlock()
+			if err != nil {
 				s.log.Warn("stats checkpoint failed", "error", err)
 			}
 		}
 	}
 }
 
-// closeDurability stops the stats flusher and closes the journal. Safe
-// without a store, and safe to call more than once.
+// closeDurability stops the stats flusher and writes a final checkpoint.
+// Safe without a store, and safe to call more than once.
 func (s *Server) closeDurability() {
 	if s.statsStop != nil {
 		close(s.statsStop)
 		s.statsWG.Wait()
 		s.statsStop = nil
 	}
-	if s.journal != nil {
-		s.journal.Append(store.OpStats, "", "", s.statsCheckpoint())
-		s.journal.Compact()
-		s.journal.Close()
-		s.journal = nil
+	s.adminMu.Lock()
+	defer s.adminMu.Unlock()
+	if err := s.persist(); err != nil && s.stateErr == nil {
+		s.log.Warn("final stats checkpoint failed", "error", err)
 	}
 }
 
 // handleReadyz is GET /readyz: 200 once a servable live slot exists,
-// 503 while recovery is still replaying, the live slot is degraded, or
-// the server is draining. Distinct from /healthz (process liveness) so
-// rolling restarts hold traffic until the journal replay has finished.
+// 503 while the live slot is missing or degraded, or the server is
+// draining. Distinct from /healthz (process liveness) so rolling
+// restarts hold traffic until recovery has re-lowered the live slot.
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	status, code := "ready", http.StatusOK
 	switch {

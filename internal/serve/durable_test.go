@@ -1,11 +1,17 @@
 package serve
 
 import (
+	"errors"
+	"fmt"
+	"hash/crc32"
 	"io"
+	"io/fs"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -29,7 +35,7 @@ func openStore(t *testing.T, dir string) *store.Store {
 
 // durableConfig is the store-backed test config. The stats flusher is
 // off (negative interval): crash tests abandon servers without Close,
-// and a leaked flusher must not keep appending to a journal a recovered
+// and a leaked flusher must not keep rewriting a state file a recovered
 // server has since taken over.
 func durableConfig(st *store.Store) Config {
 	return Config{Replicas: 1, MaxBatch: 8, MaxWait: time.Millisecond, Store: st, statsInterval: -1}
@@ -38,7 +44,7 @@ func durableConfig(st *store.Store) Config {
 // crashServer builds a store-backed server whose cleanup closes only the
 // HTTP listener. The Server itself is deliberately abandoned — never
 // Closed — so its state is exactly what a kill -9 leaves behind: whatever
-// the journal and CAS already fsynced. Leaked worker goroutines are the
+// the state file and CAS already fsynced. Leaked worker goroutines are the
 // price of the simulation and die with the test binary.
 func crashServer(t *testing.T, a *Artifact, cfg Config) (*Server, *httptest.Server) {
 	t.Helper()
@@ -51,7 +57,7 @@ func crashServer(t *testing.T, a *Artifact, cfg Config) (*Server, *httptest.Serv
 	return srv, ts
 }
 
-// recoverServer restarts from the journal and registers a full cleanup.
+// recoverServer restarts from the state dir and registers a full cleanup.
 func recoverServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	t.Helper()
 	srv, err := Recover(cfg)
@@ -89,7 +95,7 @@ func slotVersion(s *Server, tag string) string {
 
 // TestRecoverExactTopologyAfterCrash is the tentpole proof: a server
 // crashes (abandoned, never Closed) right after a promote, and the
-// restarted process replays the journal back to the exact slot→version
+// restarted process reads the state file back to the exact slot→version
 // topology — promoted live, rollback generation, emptied shadow — with
 // per-slot counters no lower than the last checkpoint, ready to serve.
 func TestRecoverExactTopologyAfterCrash(t *testing.T) {
@@ -323,10 +329,11 @@ func TestRollbackTwiceAcrossRestart(t *testing.T) {
 	}
 }
 
-// TestTornJournalTailRecovers cuts bytes off the journal mid-record — a
-// crash during an append — and asserts recovery lands on the last fully
-// durable topology, reports the truncation, and GC sweeps the version
-// the torn record would have referenced.
+// TestTornJournalTailRecovers models a crash in the middle of a state
+// write: the shadow artifact reached the CAS, but the state file naming
+// it was only partly written to its temp file when the process died.
+// Recovery must load the last complete state (live only), ignore the
+// torn temp file, and GC the orphaned shadow artifact.
 func TestTornJournalTailRecovers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains models")
@@ -335,27 +342,36 @@ func TestTornJournalTailRecovers(t *testing.T) {
 	a1, _, _ := trainTestArtifact(t, "mlp", 29, 2)
 	a2, _, _ := trainTestArtifact(t, "mlp", 30, 2)
 
-	srv, ts := crashServer(t, a1, durableConfig(openStore(t, dir)))
-	if err := srv.LoadSlot(registry.Shadow, a2); err != nil {
+	st := openStore(t, dir)
+	_, ts := crashServer(t, a1, durableConfig(st))
+	ts.Close()
+	// The shadow load got as far as persisting its artifact...
+	if _, err := st.Put(a2.Bytes()); err != nil {
 		t.Fatal(err)
 	}
-	ts.Close()
-	// Tear the tail of the shadow-load record: the append never fully
-	// landed, so the durable truth is "live only".
-	if err := chaos.TruncateTail(filepath.Join(dir, "journal", "wal.jsonl"), 5); err != nil {
+	// ...and as far as a torn temp file of the state that would name it.
+	good, err := os.ReadFile(filepath.Join(dir, "journal", "snapshot.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	torn := filepath.Join(dir, "journal", ".tmp-123456")
+	if err := os.WriteFile(torn, good, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := chaos.TruncateTail(torn, 5); err != nil {
 		t.Fatal(err)
 	}
 
-	srv2, ts2 := recoverServer(t, durableConfig(openStore(t, dir)))
+	srv2, _ := recoverServer(t, durableConfig(openStore(t, dir)))
 	if got := slotVersion(srv2, registry.Live); got != a1.Version() {
 		t.Fatalf("recovered live = %s, want %s", got, a1.Version())
 	}
 	if _, ok := srv2.slot(registry.Shadow); ok {
-		t.Fatal("shadow restored from a torn record")
+		t.Fatal("shadow restored from a torn write")
 	}
 	rep := srv2.Recovery()
-	if rep.Truncated != 1 {
-		t.Fatalf("truncated = %d, want 1", rep.Truncated)
+	if rep.StateError != "" || len(rep.Degraded) != 0 {
+		t.Fatalf("good state beside a torn temp file reported %+v", rep)
 	}
 	found := false
 	for _, v := range rep.GCRemoved {
@@ -366,8 +382,260 @@ func TestTornJournalTailRecovers(t *testing.T) {
 	if !found {
 		t.Fatalf("orphaned shadow artifact not swept: gc=%v, want %s", rep.GCRemoved, a2.Version())
 	}
-	if _, body := getStatus(t, ts2.URL+"/metrics"); !strings.Contains(body, "pelican_recovery_truncated_records_total 1") {
-		t.Fatal("/metrics does not report the truncation")
+}
+
+// TestLifecycleOpReportsUndurableState blocks the state file with a
+// non-empty directory: a promote still applies but must answer 500 and
+// say it is not durable, and so must the programmatic ops. Once the
+// block is gone, the next checkpoint rewrites the whole state and a
+// restart recovers the promoted topology.
+func TestLifecycleOpReportsUndurableState(t *testing.T) {
+	if testing.Short() {
+		t.Skip("trains models")
+	}
+	dir := t.TempDir()
+	a1, _, _ := trainTestArtifact(t, "mlp", 41, 2)
+	a2, _, _ := trainTestArtifact(t, "mlp", 42, 2)
+	cfg := durableConfig(openStore(t, dir))
+	cfg.statsInterval = 10 * time.Millisecond
+	srv, ts := newTestServer(t, a1, cfg)
+	if err := srv.LoadSlot(registry.Shadow, a2); err != nil {
+		t.Fatal(err)
+	}
+	state := filepath.Join(dir, "journal", "snapshot.json")
+	if err := os.Remove(state); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.MkdirAll(filepath.Join(state, "block"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+
+	resp, body := postJSON(t, ts.URL+"/v2/promote", struct{}{})
+	if resp.StatusCode != http.StatusInternalServerError || !strings.Contains(string(body), "not durable") {
+		t.Fatalf("promote with the state file blocked: %d %s, want 500 naming it not durable", resp.StatusCode, body)
+	}
+	if got := slotVersion(srv, registry.Live); got != a2.Version() {
+		t.Fatalf("live = %s after an undurable promote, want the applied %s", got, a2.Version())
+	}
+	if err := srv.LoadSlot("canary", a1); !errors.Is(err, errNotDurable) {
+		t.Fatalf("LoadSlot with the state file blocked: %v, want errNotDurable", err)
+	}
+	if err := srv.Unload("canary"); !errors.Is(err, errNotDurable) {
+		t.Fatalf("Unload with the state file blocked: %v, want errNotDurable", err)
+	}
+
+	if err := os.RemoveAll(state); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		if topo, err := store.LoadTopology(filepath.Join(dir, "journal")); err == nil && topo.Slots[registry.Live] == a2.Version() {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("no checkpoint rewrote the state file after the block was removed")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	srv.Close()
+
+	srv2, _ := recoverServer(t, durableConfig(openStore(t, dir)))
+	slots, prev := srv2.reg.Versions()
+	if want := map[string]string{registry.Live: a2.Version()}; !reflect.DeepEqual(slots, want) || prev != a1.Version() {
+		t.Fatalf("recovered slots %v prev %s, want %v prev %s", slots, prev, want, a1.Version())
+	}
+}
+
+// TestRecoverMatchesRegistryAtEveryCrashPoint drives a seeded sequence of
+// lifecycle ops (errors allowed) and copies the state dir after each one
+// — the disk a crash at that moment leaves. Recovering from every copy
+// must reproduce the slots and rollback generation the registry held.
+func TestRecoverMatchesRegistryAtEveryCrashPoint(t *testing.T) {
+	if testing.Short() {
+		t.Skip("trains models")
+	}
+	var arts []*Artifact
+	for seed := int64(51); seed <= 53; seed++ {
+		a, _, _ := trainTestArtifact(t, "mlp", seed, 1)
+		arts = append(arts, a)
+	}
+	dir := t.TempDir()
+	srv, _ := newTestServer(t, arts[0], durableConfig(openStore(t, dir)))
+	type crashPoint struct {
+		op    string
+		dir   string
+		slots map[string]string
+		prev  string
+	}
+	var points []crashPoint
+	rng := rand.New(rand.NewSource(7))
+	for i := 0; i < 24; i++ {
+		a := arts[rng.Intn(len(arts))]
+		var op string
+		switch rng.Intn(6) {
+		case 0:
+			op = "load live " + a.Version()
+			srv.LoadSlot(registry.Live, a)
+		case 1:
+			op = "load shadow " + a.Version()
+			srv.LoadSlot(registry.Shadow, a)
+		case 2:
+			op = "load canary " + a.Version()
+			srv.LoadSlot("canary", a)
+		case 3:
+			op = "promote"
+			srv.Promote()
+		case 4:
+			op = "rollback"
+			srv.Rollback()
+		case 5:
+			tag := []string{registry.Shadow, "canary"}[rng.Intn(2)]
+			op = "unload " + tag
+			srv.Unload(tag)
+		}
+		slots, prev := srv.reg.Versions()
+		cp := filepath.Join(t.TempDir(), "state")
+		copyTree(t, dir, cp)
+		points = append(points, crashPoint{op: fmt.Sprintf("op %d (%s)", i, op), dir: cp, slots: slots, prev: prev})
+	}
+	for _, p := range points {
+		srv2, err := Recover(durableConfig(openStore(t, p.dir)))
+		if err != nil {
+			t.Fatalf("after %s: %v", p.op, err)
+		}
+		slots, prev := srv2.reg.Versions()
+		degraded := srv2.Recovery().Degraded
+		srv2.Close()
+		if !reflect.DeepEqual(slots, p.slots) || prev != p.prev || len(degraded) != 0 {
+			t.Fatalf("crash after %s recovered slots %v prev %q (degraded %v), registry held %v prev %q",
+				p.op, slots, prev, degraded, p.slots, p.prev)
+		}
+	}
+}
+
+// TestRecoverKeepsCountersOfEmptiedSlots: a tag's counters outlive the
+// generations it serves, so the state rewritten after an unload still
+// carries them, and a re-load after the restart resumes from them.
+func TestRecoverKeepsCountersOfEmptiedSlots(t *testing.T) {
+	if testing.Short() {
+		t.Skip("trains a model")
+	}
+	dir := t.TempDir()
+	a1, _, _ := trainTestArtifact(t, "mlp", 46, 1)
+	srv, ts := crashServer(t, a1, durableConfig(openStore(t, dir)))
+	if err := srv.LoadSlot("canary", a1); err != nil {
+		t.Fatal(err)
+	}
+	srv.reg.StatsFor("canary").Records.Add(5)
+	if err := srv.Unload("canary"); err != nil {
+		t.Fatal(err)
+	}
+	ts.Close()
+
+	srv2, _ := recoverServer(t, durableConfig(openStore(t, dir)))
+	if got := srv2.reg.StatsFor("canary").Records.Load(); got != 5 {
+		t.Fatalf("canary records after unload and restart = %d, want 5", got)
+	}
+}
+
+// copyTree copies the regular files under src into dst.
+func copyTree(t *testing.T, src, dst string) {
+	t.Helper()
+	err := filepath.WalkDir(src, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		rel, _ := filepath.Rel(src, path)
+		if d.IsDir() {
+			return os.MkdirAll(filepath.Join(dst, rel), 0o755)
+		}
+		b, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		return os.WriteFile(filepath.Join(dst, rel), b, 0o644)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRecoverStateFromOlderBuild recovers a state dir as the
+// write-ahead-log build leaves it at a clean shutdown: its snapshot line
+// ("seq" included) beside an emptied log. The exact topology comes back,
+// and the first state this build writes retires the empty log.
+func TestRecoverStateFromOlderBuild(t *testing.T) {
+	if testing.Short() {
+		t.Skip("trains models")
+	}
+	dir := t.TempDir()
+	a1, _, _ := trainTestArtifact(t, "mlp", 43, 1)
+	a2, _, _ := trainTestArtifact(t, "mlp", 44, 1)
+	st := openStore(t, dir)
+	for _, a := range []*Artifact{a1, a2} {
+		if _, err := st.Put(a.Bytes()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	payload := fmt.Sprintf(`{"seq":9,"topology":{"slots":{"live":%q,"canary":%q},"prev":%q,"stats":{"live":{"records":77,"attacks":5}}},"at":"2026-10-01T12:00:00Z"}`,
+		a2.Version(), a1.Version(), a1.Version())
+	line := fmt.Sprintf("%08x %s\n", crc32.ChecksumIEEE([]byte(payload)), payload)
+	journal := filepath.Join(dir, "journal")
+	if err := os.WriteFile(filepath.Join(journal, "snapshot.json"), []byte(line), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(journal, "wal.jsonl"), nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	srv, _ := recoverServer(t, durableConfig(openStore(t, dir)))
+	slots, prev := srv.reg.Versions()
+	if want := map[string]string{registry.Live: a2.Version(), "canary": a1.Version()}; !reflect.DeepEqual(slots, want) || prev != a1.Version() {
+		t.Fatalf("recovered slots %v prev %s, want %v prev %s", slots, prev, want, a1.Version())
+	}
+	if got := srv.reg.StatsFor(registry.Live).Records.Load(); got != 77 {
+		t.Fatalf("live records = %d, want the checkpointed 77", got)
+	}
+	if _, err := os.Stat(filepath.Join(journal, "wal.jsonl")); !os.IsNotExist(err) {
+		t.Fatalf("empty legacy log not retired: %v", err)
+	}
+}
+
+// TestRecoverRefusesLegacyWAL: a non-empty write-ahead log from an older
+// build's crash may hold ops newer than the snapshot. Recovery restores
+// no slot (not ready) rather than serve an older generation, keeps the
+// log and every artifact on disk, and reports each later op as not
+// durable instead of overwriting the evidence.
+func TestRecoverRefusesLegacyWAL(t *testing.T) {
+	if testing.Short() {
+		t.Skip("trains a model")
+	}
+	dir := t.TempDir()
+	a1, _, _ := trainTestArtifact(t, "mlp", 45, 1)
+	_, ts := crashServer(t, a1, durableConfig(openStore(t, dir)))
+	ts.Close()
+	wal := filepath.Join(dir, "journal", "wal.jsonl")
+	rec := `{"seq":3,"op":"promote","tag":"live","version":"0123456789ab","at":"2026-10-01T12:00:00Z"}`
+	if err := os.WriteFile(wal, []byte(fmt.Sprintf("%08x %s\n", crc32.ChecksumIEEE([]byte(rec)), rec)), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	srv, ts2 := recoverServer(t, durableConfig(openStore(t, dir)))
+	rep := srv.Recovery()
+	if len(rep.Restored) != 0 || !strings.Contains(rep.StateError, "wal.jsonl") {
+		t.Fatalf("recovery beside a legacy log: %+v, want nothing restored and the log named", rep)
+	}
+	if code, body := getStatus(t, ts2.URL+"/readyz"); code != http.StatusServiceUnavailable || !strings.Contains(body, "state_error") {
+		t.Fatalf("/readyz = %d %s, want 503 with the state error", code, body)
+	}
+	if err := srv.LoadSlot(registry.Live, a1); !errors.Is(err, errNotDurable) {
+		t.Fatalf("LoadSlot after a refused state: %v, want errNotDurable", err)
+	}
+	if _, err := os.Stat(wal); err != nil {
+		t.Fatalf("legacy log removed: %v", err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "cas", a1.Version()+".plcn")); err != nil {
+		t.Fatalf("artifact swept after a refused state: %v", err)
 	}
 }
 

@@ -200,8 +200,8 @@ func (m *serverMetrics) writeProm(w io.Writer, snap promSnapshot) {
 		func(st *stageMetrics) *obs.Histogram { return st.batchSize })
 
 	// Durable-control-plane families: present only when the server runs
-	// with an artifact store (and, for the recovery set, only after a
-	// journal recovery actually happened).
+	// with an artifact store (and, for the recovery gauge, only after a
+	// recovery actually happened).
 	if snap.store != nil {
 		obs.WritePromHeader(w, "pelican_store_artifacts", "gauge", "Verified artifacts resident in the content-addressed store.")
 		fmt.Fprintf(w, "pelican_store_artifacts %d\n", snap.store.Artifacts)
@@ -211,9 +211,7 @@ func (m *serverMetrics) writeProm(w io.Writer, snap promSnapshot) {
 		counter("pelican_store_quarantined_total", "Artifacts quarantined after failing verification since process start.", snap.store.Quarantined)
 	}
 	if snap.recovery != nil {
-		counter("pelican_recovery_journal_replayed_total", "Journal records replayed during startup recovery.", int64(snap.recovery.Replayed))
-		counter("pelican_recovery_truncated_records_total", "Torn or corrupt trailing journal records truncated during recovery.", int64(snap.recovery.Truncated))
-		obs.WritePromHeader(w, "pelican_recovery_duration_seconds", "gauge", "Wall time of the startup journal replay and artifact re-lowering.")
+		obs.WritePromHeader(w, "pelican_recovery_duration_seconds", "gauge", "Wall time of the startup state load and artifact re-lowering.")
 		fmt.Fprintf(w, "pelican_recovery_duration_seconds %.6f\n", snap.recovery.Duration.Seconds())
 	}
 

@@ -79,10 +79,10 @@ type Config struct {
 	Logger *obs.Logger
 	// Store, when non-nil, makes the control plane durable: every loaded
 	// artifact is persisted to the content-addressed store and every slot
-	// lifecycle op is journaled before its caller is answered, so a
-	// restarted process recovers the exact slot→version topology (via
-	// Recover). Nil disables all persistence — the pre-durability
-	// behavior, and the default for tests and embedded use.
+	// lifecycle op rewrites the registry state file before its caller is
+	// answered, so a restarted process recovers the exact slot→version
+	// topology (via Recover). Nil disables all persistence — the
+	// pre-durability behavior, and the default for tests and embedded use.
 	Store *store.Store
 
 	// mirrorConcurrency bounds how many mirrored requests may be in flight
@@ -91,7 +91,7 @@ type Config struct {
 	// an in-package test narrows it.
 	mirrorConcurrency int
 	// statsInterval is how often per-slot counters are checkpointed into
-	// the journal (so a crash rewinds them by at most this much). Only
+	// the state file (so a crash rewinds them by at most this much). Only
 	// meaningful with Store set. 5s; in-package tests set it negative to
 	// disable periodic checkpoints (lifecycle ops still carry them).
 	statsInterval time.Duration
@@ -165,60 +165,53 @@ type Server struct {
 	wireWG    sync.WaitGroup
 
 	// Durable control plane (nil/zero without Config.Store): the CAS the
-	// artifacts persist into, the lifecycle journal, what its replay
-	// found, readiness (a servable live slot exists), and the recovery
-	// report when the server was built by Recover.
-	store      *store.Store
-	journal    *store.Log
-	replayInfo store.RecoverInfo
-	ready      atomic.Bool
-	recovery   *RecoveryReport
-	statsStop  chan struct{}
-	statsWG    sync.WaitGroup
+	// artifacts persist into, readiness (a servable live slot exists), the
+	// recovery report when the server was built by Recover, and why its
+	// state file was refused (then nothing is written to the state dir).
+	store     *store.Store
+	ready     atomic.Bool
+	recovery  *RecoveryReport
+	stateErr  error
+	statsStop chan struct{}
+	statsWG   sync.WaitGroup
 }
 
 // New builds a server with a in its live slot and starts the scoring
 // workers. With Config.Store set, New means "start fresh with this
-// artifact": any prior journaled topology is discarded (use Recover to
-// restore one) and the initial live load is journaled like any other op.
+// artifact": the state file is rewritten to hold just this live load
+// (use Recover to restore a prior topology).
 func New(a *Artifact, cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
 	s, err := newServer(cfg)
 	if err != nil {
 		return nil, err
 	}
-	if s.journal != nil {
-		if err := s.journal.Reset(store.NewTopology()); err != nil {
-			s.closeDurability()
-			return nil, err
-		}
-	}
 	if err := s.persistArtifact(a); err != nil {
-		s.closeDurability()
 		return nil, err
 	}
 	si, err := s.newInstance(a)
 	if err != nil {
-		s.closeDurability()
 		return nil, err
 	}
 	if s.store != nil {
 		s.store.Retain(a.Version())
 	}
 	if err := s.reg.Load(registry.Live, si); err != nil {
-		s.closeDurability()
+		si.scorer.close()
 		return nil, err
 	}
-	s.journalAppend(store.OpLoad, registry.Live, a.Version())
+	if err := s.persist(); err != nil {
+		s.Close()
+		return nil, err
+	}
+	s.startStatsFlusher()
 	s.ready.Store(true)
 	s.log.Info("model loaded", "slot", registry.Live, "version", a.Version(), "model", a.ModelName)
 	return s, nil
 }
 
-// newServer builds everything but the model slots: metrics, routes, the
-// registry with its retire hook, and — with Config.Store — the opened
-// (and replayed) journal plus the periodic stats checkpointer. Both New
-// and Recover start here.
+// newServer builds everything but the model slots: metrics, routes, and
+// the registry with its retire hook. Both New and Recover start here.
 func newServer(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:       cfg,
@@ -244,19 +237,6 @@ func newServer(cfg Config) (*Server, error) {
 			si.scorer.close()
 		}()
 	})
-	if s.store != nil {
-		l, info, err := store.OpenLog(s.store.JournalDir())
-		if err != nil {
-			return nil, err
-		}
-		s.journal = l
-		s.replayInfo = info
-		if cfg.statsInterval > 0 {
-			s.statsStop = make(chan struct{})
-			s.statsWG.Add(1)
-			go s.statsFlusher()
-		}
-	}
 
 	routes := map[string]http.HandlerFunc{
 		"/v2/models":       s.handleModels,
@@ -335,7 +315,8 @@ func (s *Server) Artifact() *Artifact {
 // slot and Promote for schema evolution); any other tag accepts any valid
 // artifact. A displaced live generation is retained for Rollback; any
 // displaced generation finishes its in-flight work on its own replicas, so
-// no request is ever dropped.
+// no request is ever dropped. An error wrapping errNotDurable means the
+// load is serving but the state file did not record it.
 func (s *Server) LoadSlot(tag string, a *Artifact) error {
 	if err := registry.ValidateTag(tag); err != nil {
 		return err
@@ -369,13 +350,12 @@ func (s *Server) LoadSlot(tag string, a *Artifact) error {
 		}
 		return err
 	}
-	s.journalAppend(store.OpLoad, tag, a.Version())
 	if tag == registry.Live {
 		s.ready.Store(true)
 	}
 	s.m.reloads.Add(1)
 	s.log.Info("model loaded", "slot", tag, "version", a.Version(), "model", a.ModelName)
-	return nil
+	return s.persistOp()
 }
 
 // Promote atomically makes the shadow generation live (retaining the
@@ -386,12 +366,12 @@ func (s *Server) Promote() error {
 	s.adminMu.Lock()
 	defer s.adminMu.Unlock()
 	inst, err := s.reg.Promote()
-	if err == nil {
-		s.journalAppend(store.OpPromote, registry.Live, inst.Version())
-		s.ready.Store(true)
-		s.log.Info("model promoted", "slot", registry.Live, "version", inst.Version())
+	if err != nil {
+		return err
 	}
-	return err
+	s.ready.Store(true)
+	s.log.Info("model promoted", "slot", registry.Live, "version", inst.Version())
+	return s.persistOp()
 }
 
 // Rollback restores the exact generation (and version) that was live
@@ -401,25 +381,21 @@ func (s *Server) Rollback() error {
 	s.adminMu.Lock()
 	defer s.adminMu.Unlock()
 	inst, err := s.reg.Rollback()
-	if err == nil {
-		s.journalAppend(store.OpRollback, registry.Live, inst.Version())
-		s.log.Warn("model rolled back", "slot", registry.Live, "version", inst.Version())
+	if err != nil {
+		return err
 	}
-	return err
+	s.log.Warn("model rolled back", "slot", registry.Live, "version", inst.Version())
+	return s.persistOp()
 }
 
 // Unload removes the model under tag (not live) and drains its replicas.
 func (s *Server) Unload(tag string) error {
 	s.adminMu.Lock()
 	defer s.adminMu.Unlock()
-	si, ok := s.slot(tag)
 	if err := s.reg.Unload(tag); err != nil {
 		return err
 	}
-	if ok {
-		s.journalAppend(store.OpUnload, tag, si.artifact.Version())
-	}
-	return nil
+	return s.persistOp()
 }
 
 // BeginDrain makes the server answer new scoring requests with 503 while
@@ -430,8 +406,7 @@ func (s *Server) BeginDrain() { s.draining.Store(true) }
 // the HTTP listener has stopped accepting (so no handler can still
 // enqueue); queued records — including mirrored ones — are all scored
 // before Close returns. With a store configured, a final stats
-// checkpoint and a journal compaction land first, so a clean shutdown
-// restarts from a one-line snapshot.
+// checkpoint lands first.
 func (s *Server) Close() {
 	s.closed.Do(func() {
 		s.draining.Store(true)
@@ -874,7 +849,7 @@ func (s *Server) handleModelTag(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		if err := s.Unload(tag); err != nil {
-			s.httpError(w, http.StatusNotFound, "%v", err)
+			s.httpError(w, opStatus(err, http.StatusNotFound), "%v", err)
 			return
 		}
 		writeJSON(w, s.Models())
@@ -926,7 +901,7 @@ func (s *Server) handleLoad(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if err := s.LoadSlot(tag, a); err != nil {
-		s.httpError(w, http.StatusConflict, "%s: %v", op, err)
+		s.httpError(w, opStatus(err, http.StatusConflict), "%s: %v", op, err)
 		return
 	}
 	info, err := s.InfoTag(tag)
@@ -947,7 +922,7 @@ func (s *Server) handlePromote(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if err := s.Promote(); err != nil {
-		s.httpError(w, http.StatusConflict, "%v", err)
+		s.httpError(w, opStatus(err, http.StatusConflict), "%v", err)
 		return
 	}
 	info, _ := s.InfoTag(registry.Live)
@@ -962,7 +937,7 @@ func (s *Server) handleRollback(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if err := s.Rollback(); err != nil {
-		s.httpError(w, http.StatusConflict, "%v", err)
+		s.httpError(w, opStatus(err, http.StatusConflict), "%v", err)
 		return
 	}
 	info, _ := s.InfoTag(registry.Live)

@@ -1,302 +1,192 @@
 package store
 
 import (
-	"bytes"
+	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
 )
 
-func openLog(t *testing.T, dir string) (*Log, RecoverInfo) {
+func mustSave(t *testing.T, dir string, topo Topology) {
 	t.Helper()
-	l, info, err := OpenLog(dir)
+	if err := SaveTopology(dir, topo); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func mustLoad(t *testing.T, dir string) Topology {
+	t.Helper()
+	topo, err := LoadTopology(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { l.Close() })
-	return l, info
+	return topo
 }
 
+// TestJournalRoundTrip saves a topology and reads back exactly it; a
+// directory that never held one reads as an empty topology.
 func TestJournalRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	l, info := openLog(t, dir)
-	if info.Replayed != 0 || info.Truncated != 0 {
-		t.Fatalf("fresh log reported %+v", info)
+	if topo := mustLoad(t, dir); len(topo.Slots) != 0 || topo.Prev != "" || topo.Slots == nil {
+		t.Fatalf("fresh dir loaded %+v, want an empty topology", topo)
 	}
-	mustAppend(t, l, OpLoad, "live", "v1aaaaaaaaaa")
-	mustAppend(t, l, OpLoad, "shadow", "v2bbbbbbbbbb")
-	mustAppend(t, l, OpPromote, "live", "v2bbbbbbbbbb")
-	l.Close()
-
-	l2, info := openLog(t, dir)
-	if info.Replayed != 3 || info.Truncated != 0 {
-		t.Fatalf("replay reported %+v, want 3 replayed", info)
+	want := Topology{
+		Slots: map[string]string{"live": "v2bbbbbbbbbb", "canary-1": "v3cccccccccc"},
+		Prev:  "v1aaaaaaaaaa",
+		Stats: map[string]StatsRecord{"live": {Records: 40, Attacks: 3}, "shadow": {Records: 9, Mirrored: 9, Agreements: 8, Disagreements: 1}},
 	}
-	topo := l2.Topology()
-	want := map[string]string{"live": "v2bbbbbbbbbb"}
-	if !reflect.DeepEqual(topo.Slots, want) || topo.Prev != "v1aaaaaaaaaa" {
-		t.Fatalf("topology %+v, want slots %v prev v1aaaaaaaaaa", topo, want)
+	mustSave(t, dir, want)
+	if got := mustLoad(t, dir); !reflect.DeepEqual(got, want) {
+		t.Fatalf("round trip = %+v, want %+v", got, want)
 	}
 }
 
-func mustAppend(t *testing.T, l *Log, op, tag, version string) {
-	t.Helper()
-	if err := l.Append(op, tag, version, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestTopologySemantics(t *testing.T) {
-	topo := NewTopology()
-	apply := func(op, tag, version string) {
-		topo.Apply(Record{Op: op, Tag: tag, Version: version})
-	}
-	apply(OpLoad, "live", "v1")
-	apply(OpLoad, "live", "v2") // displaces v1 into the rollback slot
-	if topo.Slots["live"] != "v2" || topo.Prev != "v1" {
-		t.Fatalf("after live reload: %+v", topo)
-	}
-	apply(OpLoad, "shadow", "v3")
-	apply(OpPromote, "live", "v3")
-	if topo.Slots["live"] != "v3" || topo.Prev != "v2" {
-		t.Fatalf("after promote: %+v", topo)
-	}
-	if _, ok := topo.Slots["shadow"]; ok {
-		t.Fatal("promote left the shadow slot occupied")
-	}
-	// Rollback twice rolls forward.
-	apply(OpRollback, "live", "v2")
-	if topo.Slots["live"] != "v2" || topo.Prev != "v3" {
-		t.Fatalf("after rollback: %+v", topo)
-	}
-	apply(OpRollback, "live", "v3")
-	if topo.Slots["live"] != "v3" || topo.Prev != "v2" {
-		t.Fatalf("after second rollback: %+v", topo)
-	}
-	apply(OpLoad, "canary1", "v4")
-	apply(OpUnload, "canary1", "v4")
-	if _, ok := topo.Slots["canary1"]; ok {
-		t.Fatal("unload left the canary slot occupied")
-	}
-	topo.Apply(Record{Op: OpStats, Stats: map[string]StatsRecord{"live": {Records: 10}}})
-	topo.Apply(Record{Op: OpStats, Stats: map[string]StatsRecord{"live": {Records: 25}}})
-	if topo.Stats["live"].Records != 25 {
-		t.Fatalf("stats replay: %+v, want latest-wins 25", topo.Stats)
-	}
-}
-
-// TestRollbackTwiceAcrossRestart journals rollback records around a
-// reopen and asserts roll-forward semantics survive the restart
-// boundary.
+// TestRollbackTwiceAcrossRestart rewrites the state a rollback leaves
+// and then the one a second rollback leaves, reading each back as a
+// restart would: the rollback generation survives every rewrite.
 func TestRollbackTwiceAcrossRestart(t *testing.T) {
 	dir := t.TempDir()
-	l, _ := openLog(t, dir)
-	mustAppend(t, l, OpLoad, "live", "v1")
-	mustAppend(t, l, OpLoad, "shadow", "v2")
-	mustAppend(t, l, OpPromote, "live", "v2")
-	mustAppend(t, l, OpRollback, "live", "v1")
-	l.Close()
-
-	l2, _ := openLog(t, dir)
-	topo := l2.Topology()
+	mustSave(t, dir, Topology{Slots: map[string]string{"live": "v1"}, Prev: "v2"})
+	topo := mustLoad(t, dir)
 	if topo.Slots["live"] != "v1" || topo.Prev != "v2" {
 		t.Fatalf("recovered mid-rollback topology %+v", topo)
 	}
-	mustAppend(t, l2, OpRollback, "live", "v2")
-	l2.Close()
-
-	l3, _ := openLog(t, dir)
-	topo = l3.Topology()
+	mustSave(t, dir, Topology{Slots: map[string]string{"live": "v2"}, Prev: "v1"})
+	topo = mustLoad(t, dir)
 	if topo.Slots["live"] != "v2" || topo.Prev != "v1" {
 		t.Fatalf("rollback-twice across restart: %+v, want live v2 prev v1", topo)
 	}
 }
 
-// TestTornTailFuzz truncates the journal at every byte offset of its
-// last record and asserts replay never fails, recovers the exact
-// pre-append state, and truncates the torn bytes so the next append
-// lands cleanly.
-func TestTornTailFuzz(t *testing.T) {
-	dir := t.TempDir()
-	l, _ := openLog(t, dir)
-	mustAppend(t, l, OpLoad, "live", "v1aaaaaaaaaa")
-	mustAppend(t, l, OpLoad, "shadow", "v2bbbbbbbbbb")
-	path := l.journal
-	intact, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mustAppend(t, l, OpPromote, "live", "v2bbbbbbbbbb")
-	full, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	l.Close()
-	if len(full) <= len(intact) {
-		t.Fatal("third append did not grow the journal")
-	}
-	for cut := len(intact); cut < len(full); cut++ {
-		work := filepath.Join(t.TempDir(), "journal")
-		if err := os.MkdirAll(work, 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(work, "wal.jsonl"), full[:cut], 0o644); err != nil {
-			t.Fatal(err)
-		}
-		lr, info, err := OpenLog(work)
-		if err != nil {
-			t.Fatalf("cut=%d: open failed: %v", cut, err)
-		}
-		wantTrunc := 0
-		if cut > len(intact) {
-			wantTrunc = 1
-		}
-		if info.Replayed != 2 || info.Truncated != wantTrunc {
-			t.Fatalf("cut=%d: info %+v, want 2 replayed %d truncated", cut, info, wantTrunc)
-		}
-		topo := lr.Topology()
-		if topo.Slots["live"] != "v1aaaaaaaaaa" || topo.Slots["shadow"] != "v2bbbbbbbbbb" {
-			t.Fatalf("cut=%d: topology %+v is not the valid prefix", cut, topo)
-		}
-		// The torn bytes are gone: the file is exactly the valid prefix.
-		onDisk, _ := os.ReadFile(filepath.Join(work, "wal.jsonl"))
-		if !bytes.Equal(onDisk, intact) {
-			t.Fatalf("cut=%d: journal not truncated to valid prefix (%d bytes, want %d)", cut, len(onDisk), len(intact))
-		}
-		// And the log is writable: the lost op can be re-journaled.
-		if err := lr.Append(OpPromote, "live", "v2bbbbbbbbbb", nil); err != nil {
-			t.Fatalf("cut=%d: append after truncation: %v", cut, err)
-		}
-		lr.Close()
-		lr2, info2, err := OpenLog(work)
-		if err != nil || info2.Replayed != 3 {
-			t.Fatalf("cut=%d: re-replay %+v err %v, want 3 replayed", cut, info2, err)
-		}
-		if lr2.Topology().Slots["live"] != "v2bbbbbbbbbb" {
-			t.Fatalf("cut=%d: re-journaled promote lost", cut)
-		}
-		lr2.Close()
-	}
-}
-
-func TestGarbageMidJournalTruncatesSuffix(t *testing.T) {
-	dir := t.TempDir()
-	l, _ := openLog(t, dir)
-	mustAppend(t, l, OpLoad, "live", "v1")
-	intact, _ := os.ReadFile(l.journal)
-	mustAppend(t, l, OpLoad, "shadow", "v2")
-	l.Close()
-	// Corrupt the middle record's checksum, leaving the file length alone.
-	b, _ := os.ReadFile(filepath.Join(dir, "wal.jsonl"))
-	b[len(intact)] ^= 0xFF
-	os.WriteFile(filepath.Join(dir, "wal.jsonl"), b, 0o644)
-
-	l2, info := openLog(t, dir)
-	if info.Replayed != 1 || info.Truncated != 1 {
-		t.Fatalf("info %+v, want 1 replayed 1 truncated", info)
-	}
-	topo := l2.Topology()
-	if topo.Slots["live"] != "v1" {
-		t.Fatalf("topology %+v", topo)
-	}
-	if _, ok := topo.Slots["shadow"]; ok {
-		t.Fatal("corrupt record was applied")
-	}
-}
-
-func TestCompactionAndSnapshot(t *testing.T) {
-	dir := t.TempDir()
-	l, _ := openLog(t, dir)
-	mustAppend(t, l, OpLoad, "live", "v1")
-	mustAppend(t, l, OpLoad, "shadow", "v2")
-	if err := l.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	// Journal emptied, snapshot holds the state.
-	if fi, err := os.Stat(filepath.Join(dir, "wal.jsonl")); err != nil || fi.Size() != 0 {
-		t.Fatalf("journal not emptied by compaction: %v", err)
-	}
-	mustAppend(t, l, OpPromote, "live", "v2")
-	l.Close()
-
-	l2, info := openLog(t, dir)
-	if info.SnapshotSeq != 2 || info.Replayed != 1 {
-		t.Fatalf("info %+v, want snapshot seq 2 + 1 replayed", info)
-	}
-	topo := l2.Topology()
-	if topo.Slots["live"] != "v2" || topo.Prev != "v1" {
-		t.Fatalf("post-compaction topology %+v", topo)
-	}
-}
-
-func TestAutoCompaction(t *testing.T) {
-	dir := t.TempDir()
-	l, _ := openLog(t, dir)
-	for i := 0; i < compactEvery+3; i++ {
-		mustAppend(t, l, OpLoad, "live", "v1")
-	}
-	fi, err := os.Stat(filepath.Join(dir, "wal.jsonl"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The journal crossed the threshold and folded into the snapshot:
-	// only the post-compaction tail remains.
-	if got := fi.Size(); got > int64(3*128) {
-		t.Fatalf("journal is %d bytes after auto-compaction threshold", got)
-	}
-	l.Close()
-	l2, info := openLog(t, dir)
-	if l2.Topology().Slots["live"] != "v1" {
-		t.Fatalf("state lost across auto-compaction: %+v (info %+v)", l2.Topology(), info)
-	}
-}
-
+// TestResetPrunesState: each save replaces the whole state, so a slot or
+// counter left out of a later save (recovery pruned a quarantined shadow)
+// never comes back.
 func TestResetPrunesState(t *testing.T) {
 	dir := t.TempDir()
-	l, _ := openLog(t, dir)
-	mustAppend(t, l, OpLoad, "live", "v1")
-	mustAppend(t, l, OpLoad, "shadow", "vbad")
-	topo := l.Topology()
-	delete(topo.Slots, "shadow") // recovery quarantined the shadow artifact
-	if err := l.Reset(topo); err != nil {
-		t.Fatal(err)
-	}
-	l.Close()
-	l2, _ := openLog(t, dir)
-	got := l2.Topology()
+	mustSave(t, dir, Topology{
+		Slots: map[string]string{"live": "v1", "shadow": "vbad"},
+		Stats: map[string]StatsRecord{"live": {Records: 5}, "shadow": {Records: 2}},
+	})
+	mustSave(t, dir, Topology{Slots: map[string]string{"live": "v1"}, Stats: map[string]StatsRecord{"live": {Records: 6}}})
+	got := mustLoad(t, dir)
 	if _, ok := got.Slots["shadow"]; ok {
-		t.Fatal("pruned slot resurrected on replay")
+		t.Fatal("pruned slot resurrected")
 	}
-	if got.Slots["live"] != "v1" {
+	if _, ok := got.Stats["shadow"]; ok {
+		t.Fatal("pruned counters resurrected")
+	}
+	if got.Slots["live"] != "v1" || got.Stats["live"].Records != 6 {
 		t.Fatalf("topology %+v", got)
 	}
 }
 
-func TestCrashBetweenSnapshotAndTruncate(t *testing.T) {
+// TestTornTailFuzz cuts a saved state file at every offset and flips
+// every byte two ways (xor 0x01, xor 0xFF): every damaged file must be
+// refused whole with ErrCorrupt, never read as a partial topology.
+func TestTornTailFuzz(t *testing.T) {
 	dir := t.TempDir()
-	l, _ := openLog(t, dir)
-	mustAppend(t, l, OpLoad, "live", "v1")
-	mustAppend(t, l, OpLoad, "shadow", "v2")
-	// Simulate the torn compaction: snapshot written, journal NOT
-	// truncated (crash between the two steps).
-	pre, _ := os.ReadFile(l.journal)
-	if err := l.Compact(); err != nil {
+	mustSave(t, dir, Topology{
+		Slots: map[string]string{"live": "v2bbbbbbbbbb", "shadow": "v3cccccccccc"},
+		Prev:  "v1aaaaaaaaaa",
+		Stats: map[string]StatsRecord{"live": {Records: 12, Attacks: 2}},
+	})
+	path := filepath.Join(dir, "snapshot.json")
+	good, err := os.ReadFile(path)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(l.journal, pre, 0o644); err != nil {
-		t.Fatal(err)
+	check := func(what string, b []byte) {
+		t.Helper()
+		if err := os.WriteFile(path, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		topo, err := LoadTopology(dir)
+		if !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("%s: err = %v, want ErrCorrupt", what, err)
+		}
+		if topo.Slots != nil || topo.Prev != "" || topo.Stats != nil {
+			t.Fatalf("%s: partial topology %+v returned with the error", what, topo)
+		}
 	}
-	l.Close()
+	for cut := 0; cut < len(good); cut++ {
+		check(fmt.Sprintf("cut at %d", cut), good[:cut])
+	}
+	for i := range good {
+		for _, mask := range []byte{0x01, 0xFF} {
+			bad := append([]byte(nil), good...)
+			bad[i] ^= mask
+			check(fmt.Sprintf("byte %d xor %#x", i, mask), bad)
+		}
+	}
+}
 
-	l2, info := openLog(t, dir)
-	// The stale journal records are at/below the snapshot seq: skipped,
-	// not double-applied, not treated as corruption.
-	if info.Replayed != 0 || info.Truncated != 0 {
-		t.Fatalf("info %+v, want 0 replayed 0 truncated", info)
+// TestGarbageMidJournalTruncatesSuffix: bytes written past a valid state
+// line (a second line, or trailing garbage) make the file unreadable as a
+// whole; the valid prefix is not trusted on its own.
+func TestGarbageMidJournalTruncatesSuffix(t *testing.T) {
+	dir := t.TempDir()
+	mustSave(t, dir, Topology{Slots: map[string]string{"live": "v1"}})
+	path := filepath.Join(dir, "snapshot.json")
+	good, _ := os.ReadFile(path)
+	for _, tail := range [][]byte{good, []byte("garbage\n"), []byte("x")} {
+		if err := os.WriteFile(path, append(append([]byte(nil), good...), tail...), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := LoadTopology(dir); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("state line + %q: err = %v, want ErrCorrupt", tail, err)
+		}
 	}
-	topo := l2.Topology()
-	if topo.Slots["live"] != "v1" || topo.Slots["shadow"] != "v2" {
-		t.Fatalf("topology %+v", topo)
+}
+
+// TestLoadsStateWrittenByOlderBuild reads a snapshot line exactly as the
+// write-ahead-log build wrote it at a clean shutdown, "seq" included: the
+// topology comes back unchanged.
+func TestLoadsStateWrittenByOlderBuild(t *testing.T) {
+	dir := t.TempDir()
+	const line = "0d00e37d {\"seq\":5,\"topology\":{\"slots\":{\"canary-1\":\"aaaabbbbcccc\",\"live\":\"5f4e3d2c1b0a\"},\"prev\":\"0a1b2c3d4e5f\",\"stats\":{\"live\":{\"records\":130,\"attacks\":8},\"shadow\":{\"records\":64,\"attacks\":5,\"mirrored\":64,\"agreements\":60,\"disagreements\":4}}},\"at\":\"2026-10-17T08:18:32.52729583Z\"}\n"
+	if err := os.WriteFile(filepath.Join(dir, "snapshot.json"), []byte(line), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	// A clean shutdown left the emptied log beside it.
+	if err := os.WriteFile(filepath.Join(dir, "wal.jsonl"), nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	want := Topology{
+		Slots: map[string]string{"canary-1": "aaaabbbbcccc", "live": "5f4e3d2c1b0a"},
+		Prev:  "0a1b2c3d4e5f",
+		Stats: map[string]StatsRecord{
+			"live":   {Records: 130, Attacks: 8},
+			"shadow": {Records: 64, Attacks: 5, Mirrored: 64, Agreements: 60, Disagreements: 4},
+		},
+	}
+	if got := mustLoad(t, dir); !reflect.DeepEqual(got, want) {
+		t.Fatalf("older build's state = %+v, want %+v", got, want)
+	}
+}
+
+// TestLegacyWALRefused: a non-empty write-ahead log from an older build's
+// crash may hold ops newer than the snapshot, so the state is refused and
+// the log is left on disk; the next state this build saves retires it.
+func TestLegacyWALRefused(t *testing.T) {
+	dir := t.TempDir()
+	mustSave(t, dir, Topology{Slots: map[string]string{"live": "v1"}})
+	wal := filepath.Join(dir, "wal.jsonl")
+	if err := os.WriteFile(wal, []byte("00000000 {\"seq\":6,\"op\":\"promote\"}\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if topo, err := LoadTopology(dir); err == nil || topo.Slots != nil {
+		t.Fatalf("state beside a non-empty legacy log loaded: %+v, %v", topo, err)
+	}
+	if _, err := os.Stat(wal); err != nil {
+		t.Fatalf("legacy log not left on disk: %v", err)
+	}
+	mustSave(t, dir, Topology{Slots: map[string]string{"live": "v9"}})
+	if _, err := os.Stat(wal); !os.IsNotExist(err) {
+		t.Fatalf("legacy log survived a save: %v", err)
+	}
+	if got := mustLoad(t, dir); got.Slots["live"] != "v9" {
+		t.Fatalf("topology %+v", got)
 	}
 }

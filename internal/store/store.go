@@ -1,9 +1,9 @@
 // Package store is the durable half of the control plane: a
-// content-addressed artifact store (CAS) plus an append-only registry
-// journal with compacted snapshots. pelican-serve writes every slot
-// lifecycle op through the journal and every artifact through the CAS,
-// so a process death — clean or kill -9 — loses nothing but the ops
-// that had not yet returned to their caller.
+// content-addressed artifact store (CAS) plus one registry state file.
+// pelican-serve writes every artifact through the CAS and, after every
+// slot lifecycle op, atomically rewrites the state file, so a process
+// death — clean or kill -9 — loses nothing but the ops that had not yet
+// returned to their caller.
 //
 // The package is stdlib-only and deliberately silent: it returns
 // structured recovery reports instead of logging, so callers own the
@@ -28,11 +28,12 @@ const (
 	reasonExt   = ".plcn.reason"
 )
 
-// ErrCorrupt wraps an integrity failure on read: the bytes no longer
-// hash to their content address. A corrupt artifact is moved to
-// quarantine before the error is returned, so it can never be served and
-// never silently vanishes.
-var ErrCorrupt = errors.New("store: artifact failed verification")
+// ErrCorrupt wraps an integrity failure on read: an artifact's bytes no
+// longer hash to their content address, or the registry state file is
+// torn or fails its checksum. A corrupt artifact is moved to quarantine
+// before the error is returned, so it can never be served and never
+// silently vanishes.
+var ErrCorrupt = errors.New("store: integrity check failed")
 
 // ErrNotFound reports a version absent from the CAS.
 var ErrNotFound = errors.New("store: artifact not found")
@@ -55,8 +56,8 @@ type Stats struct {
 }
 
 // Store is the on-disk state directory: CAS under cas/, quarantine
-// under cas/quarantine/, journal under journal/. Safe for concurrent
-// use.
+// under cas/quarantine/, the registry state file under journal/. Safe
+// for concurrent use.
 type Store struct {
 	dir     string
 	casDir  string
@@ -104,7 +105,7 @@ func Open(dir string) (*Store, error) {
 	return s, nil
 }
 
-// JournalDir returns the directory the registry journal lives in.
+// JournalDir returns the directory the registry state file lives in.
 func (s *Store) JournalDir() string { return filepath.Join(s.dir, "journal") }
 
 func (s *Store) artifactPath(version string) string {
@@ -155,7 +156,7 @@ func (s *Store) Fetch(version string) ([]byte, error) {
 
 // Retain adds one reference to version. References are in-memory —
 // they encode the live topology (slots plus the rollback target) and
-// are rebuilt from the journal at recovery.
+// are rebuilt from the state file at recovery.
 func (s *Store) Retain(version string) {
 	s.mu.Lock()
 	s.refs[version]++
@@ -261,8 +262,8 @@ func (s *Store) Stats() Stats {
 }
 
 // WriteAtomic writes b to path via tmp + rename with fsync of both the
-// file and its directory. Every durable file — CAS entries, journal
-// snapshots, adapt checkpoints, saved artifacts — shares this one write
+// file and its directory. Every durable file — CAS entries, the registry
+// state file, adapt checkpoints, saved artifacts — shares this one write
 // discipline.
 func WriteAtomic(path string, b []byte) error {
 	dir := filepath.Dir(path)
