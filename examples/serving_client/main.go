@@ -6,12 +6,14 @@
 // the evidence a promotion decision reads. The shadow is promoted to live
 // with the prior generation retained, and rolled back to show the exact
 // prior version restored — the deployment story pelican-train and
-// pelican-serve provide as separate binaries.
+// pelican-serve provide as separate binaries. main_test.go pins every
+// line it prints but the listen address.
 package main
 
 import (
 	"context"
 	"fmt"
+	"io"
 	"log"
 	"math/rand"
 	"net"
@@ -30,12 +32,12 @@ import (
 const trainRecords = 1200
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Stdout); err != nil {
 		log.Fatal(err)
 	}
 }
 
-func run() error {
+func run(w io.Writer) error {
 	gen, err := synth.New(synth.NSLKDDConfig())
 	if err != nil {
 		return err
@@ -43,7 +45,7 @@ func run() error {
 
 	// Train two detector generations: the artifact we serve first and the
 	// candidate we stage, mirror, and promote on the running server.
-	fmt.Println("training two mlp generations...")
+	fmt.Fprintln(w, "training two mlp generations...")
 	gen1, err := trainArtifact(gen, 1)
 	if err != nil {
 		return err
@@ -65,7 +67,7 @@ func run() error {
 	go httpSrv.Serve(ln)
 	base := "http://" + ln.Addr().String()
 	client := serve.NewClient(base)
-	fmt.Printf("serving %s version %s at %s (live slot)\n", gen1.ModelName, gen1.Version(), base)
+	fmt.Fprintf(w, "serving %s version %s at %s (live slot)\n", gen1.ModelName, gen1.Version(), base)
 
 	// Score a few live flows over HTTP.
 	flows := gen.Generate(8, 99)
@@ -79,7 +81,7 @@ func run() error {
 	}
 	for i, v := range verdicts {
 		truth := gen.Schema().ClassNames[flows.Records[i].Label]
-		fmt.Printf("  flow %d: class=%-2d attack=%-5v score=%.2f (truth: %s)\n",
+		fmt.Fprintf(w, "  flow %d: class=%-2d attack=%-5v score=%.2f (truth: %s)\n",
 			i, v.Class, v.IsAttack, v.Score, truth)
 	}
 
@@ -98,7 +100,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("staged %s into the shadow slot (live stays %s)\n", info.Version, liveVersion)
+	fmt.Fprintf(w, "staged %s into the shadow slot (live stays %s)\n", info.Version, liveVersion)
 
 	// Drive evaluation traffic at live; the mirrors accumulate agreement
 	// counters on the shadow slot.
@@ -113,12 +115,13 @@ func run() error {
 			return err
 		}
 	}
-	// Mirrors are asynchronous: give them a moment to land.
-	shadowStats, err := waitForMirrors(client, int64(len(evalRecs))/2)
+	// Mirrors are asynchronous: wait until every evaluation record's
+	// mirror has landed or been dropped.
+	shadowStats, err := waitForMirrors(client, int64(len(evalRecs)))
 	if err != nil {
 		return err
 	}
-	fmt.Printf("shadow evaluation: %d mirrored, %d agree, %d disagree (%d dropped)\n",
+	fmt.Fprintf(w, "shadow evaluation: %d mirrored, %d agree, %d disagree (%d dropped)\n",
 		shadowStats.Mirrored, shadowStats.Agreements, shadowStats.Disagreements, shadowStats.MirrorDropped)
 
 	// Promote: the shadow becomes live atomically; the displaced live
@@ -127,7 +130,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("promoted: now serving version %s (was %s, retained for rollback)\n",
+	fmt.Fprintf(w, "promoted: now serving version %s (was %s, retained for rollback)\n",
 		info.Version, info.PreviousVersion)
 	if _, v2, err := client.Score(recs[:2]); err != nil {
 		return err
@@ -140,7 +143,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("rolled back: serving version %s again\n", info.Version)
+	fmt.Fprintf(w, "rolled back: serving version %s again\n", info.Version)
 	if info.Version != gen1.Version() {
 		return fmt.Errorf("rollback restored %s, want %s", info.Version, gen1.Version())
 	}
@@ -151,12 +154,13 @@ func run() error {
 		return err
 	}
 	srv.Close()
-	fmt.Println("clean shutdown")
+	fmt.Fprintln(w, "clean shutdown")
 	return nil
 }
 
-// waitForMirrors polls /v2/models until at least want mirrors have landed
-// on the shadow slot (they are asynchronous and best-effort).
+// waitForMirrors polls /v2/models until want mirrors have been settled on
+// the shadow slot, scored or dropped (they are asynchronous and
+// best-effort).
 func waitForMirrors(client *serve.Client, want int64) (serve.SlotStatsJSON, error) {
 	deadline := time.Now().Add(5 * time.Second)
 	var last serve.SlotStatsJSON
@@ -170,7 +174,7 @@ func waitForMirrors(client *serve.Client, want int64) (serve.SlotStatsJSON, erro
 				last = sl.Stats
 			}
 		}
-		if last.Mirrored >= want || time.Now().After(deadline) {
+		if last.Mirrored+last.MirrorDropped >= want || time.Now().After(deadline) {
 			return last, nil
 		}
 		time.Sleep(20 * time.Millisecond)

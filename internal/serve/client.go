@@ -301,8 +301,7 @@ type RemoteDetector struct {
 	// side by side over the same traffic.
 	Tag string
 
-	errs    atomic.Int64
-	version atomic.Value // string: last model version that answered
+	errs atomic.Int64
 }
 
 var _ nids.BatchDetector = (*RemoteDetector)(nil)
@@ -324,7 +323,7 @@ func (d *RemoteDetector) Detect(rec *data.Record) nids.Verdict {
 
 // DetectBatch implements nids.BatchDetector over one /v2/detect-batch call.
 func (d *RemoteDetector) DetectBatch(recs []*data.Record, verdicts []nids.Verdict) {
-	got, version, err := d.Client.ScoreTag(d.Tag, recs)
+	got, _, err := d.Client.ScoreTag(d.Tag, recs)
 	if err != nil {
 		d.errs.Add(1)
 		for i := range verdicts[:len(recs)] {
@@ -332,16 +331,8 @@ func (d *RemoteDetector) DetectBatch(recs []*data.Record, verdicts []nids.Verdic
 		}
 		return
 	}
-	d.version.Store(version)
 	copy(verdicts, got)
 }
 
 // Errors returns how many scoring requests have failed.
 func (d *RemoteDetector) Errors() int64 { return d.errs.Load() }
-
-// ModelVersion returns the version of the model generation that answered
-// the most recent successful request ("" before the first).
-func (d *RemoteDetector) ModelVersion() string {
-	v, _ := d.version.Load().(string)
-	return v
-}

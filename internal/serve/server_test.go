@@ -424,7 +424,7 @@ func TestClientScoreAndRemoteDetector(t *testing.T) {
 		t.Skip("trains a model")
 	}
 	a, orig, recs := trainTestArtifact(t, "mlp", 47, 2)
-	_, ts := newTestServer(t, a, Config{Replicas: 2, MaxBatch: 8, MaxWait: time.Millisecond})
+	srv, ts := newTestServer(t, a, Config{Replicas: 2, MaxBatch: 8, MaxWait: time.Millisecond})
 
 	want := make([]nids.Verdict, len(recs))
 	orig.DetectBatch(recs, want)
@@ -445,14 +445,15 @@ func TestClientScoreAndRemoteDetector(t *testing.T) {
 
 	det := &RemoteDetector{Client: c}
 	verdicts := make([]nids.Verdict, len(recs))
+	before := srv.reg.StatsFor(registry.Live).Records.Load()
 	det.DetectBatch(recs, verdicts)
 	for i := range verdicts {
 		if verdicts[i].Class != want[i].Class {
 			t.Fatalf("remote detector verdict %d mismatched", i)
 		}
 	}
-	if det.ModelVersion() != a.Version() {
-		t.Fatalf("remote detector tracked version %q", det.ModelVersion())
+	if got := srv.reg.StatsFor(registry.Live).Records.Load() - before; got != int64(len(recs)) {
+		t.Fatalf("remote detector scored %d records on live, want %d", got, len(recs))
 	}
 	if det.Errors() != 0 {
 		t.Fatalf("unexpected errors: %d", det.Errors())

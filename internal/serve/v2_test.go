@@ -302,7 +302,7 @@ func TestClientBackwardCompat(t *testing.T) {
 	a2, _, _ := trainTestArtifact(t, "mlp", 101, 3)
 	p2 := saveArtifact(t, a2)
 
-	_, ts := newTestServer(t, a1, Config{Replicas: 2, MaxBatch: 8, MaxWait: time.Millisecond})
+	srv, ts := newTestServer(t, a1, Config{Replicas: 2, MaxBatch: 8, MaxWait: time.Millisecond})
 	c := NewClient(ts.URL)
 
 	want := make([]nids.Verdict, len(recs))
@@ -338,20 +338,28 @@ func TestClientBackwardCompat(t *testing.T) {
 		t.Fatalf("rollback after a live load: %+v, %v — want %s", info, err, a1.Version())
 	}
 
-	// RemoteDetector: default hits live, Tag pins a slot.
+	// RemoteDetector: default hits live, Tag pins a slot. Each detector's
+	// records land on its own slot's direct count: records scored there,
+	// less those mirrored onto it from live.
 	if _, err := c.LoadTag(p2, "shadow"); err != nil {
 		t.Fatal(err)
+	}
+	direct := func() (live, shadow int64) {
+		srv.mirrorWG.Wait()
+		l, s := srv.reg.StatsFor(registry.Live), srv.reg.StatsFor(registry.Shadow)
+		return l.Records.Load() - l.Mirrored.Load(), s.Records.Load() - s.Mirrored.Load()
 	}
 	liveDet := &RemoteDetector{Client: c}
 	shadowDet := &RemoteDetector{Client: c, Tag: "shadow"}
 	verdicts := make([]nids.Verdict, 4)
+	live0, shadow0 := direct()
 	liveDet.DetectBatch(recs[:4], verdicts)
-	if liveDet.ModelVersion() != a1.Version() {
-		t.Fatalf("live detector hit %s, want %s", liveDet.ModelVersion(), a1.Version())
+	if live, shadow := direct(); live-live0 != 4 || shadow != shadow0 {
+		t.Fatalf("live detector scored %d records on live and %d on shadow, want 4 and 0", live-live0, shadow-shadow0)
 	}
 	shadowDet.DetectBatch(recs[:4], verdicts)
-	if shadowDet.ModelVersion() != a2.Version() {
-		t.Fatalf("shadow detector hit %s, want %s", shadowDet.ModelVersion(), a2.Version())
+	if live, shadow := direct(); live-live0 != 4 || shadow-shadow0 != 4 {
+		t.Fatalf("shadow detector scored %d records on live and %d on shadow, want 0 and 4", live-live0-4, shadow-shadow0)
 	}
 	if liveDet.Errors() != 0 || shadowDet.Errors() != 0 {
 		t.Fatalf("unexpected errors: %d/%d", liveDet.Errors(), shadowDet.Errors())
