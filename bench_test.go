@@ -1,186 +1,24 @@
-// Package repro_test holds the benchmark harness: one testing.B benchmark
-// per table and figure in the paper's evaluation (§V), each running the
-// corresponding experiment at the smoke profile so `go test -bench=.`
-// regenerates every artifact's machinery in minutes, plus kernel
-// micro-benchmarks for the layers Pelican is built from.
+// Package repro_test holds the kernel micro-benchmarks: the cost of one
+// forward pass, one train step and one compiled f32 inference pass of
+// Residual-41 at the paper's UNSW width, of the layers it is built from
+// (ResBlk, GRU, Conv1D), and of synthetic data generation.
 //
-// The default profile is reached through cmd/pelican-bench (no results
-// file is checked in: `pelican-bench -exp all` prints them); these
-// benchmarks verify the same code paths end-to-end and measure their cost.
+// Each number has one home. These measure kernels; the paper's tables and
+// figures come from cmd/pelican-bench (its smoke runs are the Test*Smoke
+// tests of internal/experiments and cmd/pelican-bench); serving
+// performance comes from the ledger, go run ./bench.
 package repro_test
 
 import (
-	"io"
 	"math/rand"
 	"testing"
 
-	"repro/internal/experiments"
 	"repro/internal/infer"
 	"repro/internal/models"
 	"repro/internal/nn"
 	"repro/internal/synth"
 	"repro/internal/tensor"
 )
-
-// smoke returns the benchmark workload profile.
-func smoke() experiments.Profile { return experiments.SmokeProfile() }
-
-// BenchmarkTable1ParameterSetting regenerates Table I (parameter echo).
-func BenchmarkTable1ParameterSetting(b *testing.B) {
-	p := smoke()
-	for i := 0; i < b.N; i++ {
-		if out := experiments.FormatTable1(p); out == "" {
-			b.Fatal("empty Table I")
-		}
-	}
-}
-
-// BenchmarkFig2Degradation regenerates Fig. 2: the LuNet depth sweep whose
-// accuracy degradation motivates residual learning.
-func BenchmarkFig2Degradation(b *testing.B) {
-	p := smoke()
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunFig2(p, io.Discard)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(res.Points) == 0 {
-			b.Fatal("no sweep points")
-		}
-	}
-}
-
-// benchFourNets runs the four-network experiment that powers Fig. 5 and
-// Tables II–IV on one dataset.
-func benchFourNets(b *testing.B, id experiments.DatasetID) {
-	b.Helper()
-	p := smoke()
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunFourNets(p, id, io.Discard)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(res.Evals) != 4 {
-			b.Fatalf("got %d evals", len(res.Evals))
-		}
-	}
-}
-
-// BenchmarkFourNetsUNSWNB15 is one run for two artifacts: Fig. 5(a)/(b),
-// the four networks' train and test loss curves on UNSW-NB15, and Table IV,
-// their DR/ACC/FAR there.
-func BenchmarkFourNetsUNSWNB15(b *testing.B) { benchFourNets(b, experiments.UNSW) }
-
-// BenchmarkFourNetsNSLKDD is the same on NSL-KDD: Fig. 5(c)/(d) and
-// Table III.
-func BenchmarkFourNetsNSLKDD(b *testing.B) { benchFourNets(b, experiments.NSL) }
-
-// BenchmarkTable2TruePositivesFalseAlarms regenerates Table II: total TP
-// and FP of the four networks on both datasets.
-func BenchmarkTable2TruePositivesFalseAlarms(b *testing.B) {
-	p := smoke()
-	for i := 0; i < b.N; i++ {
-		nsl, err := experiments.RunFourNets(p, experiments.NSL, io.Discard)
-		if err != nil {
-			b.Fatal(err)
-		}
-		unsw, err := experiments.RunFourNets(p, experiments.UNSW, io.Discard)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if out := experiments.FormatTable2(nsl, unsw); out == "" {
-			b.Fatal("empty Table II")
-		}
-	}
-}
-
-// BenchmarkTable5ComparativeStudy regenerates Table V: Pelican against
-// AdaBoost, SVM (RBF), HAST-IDS, CNN, LSTM, MLP, RF and LuNet.
-func BenchmarkTable5ComparativeStudy(b *testing.B) {
-	p := smoke()
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunTable5(p, io.Discard)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(res.Rows) != len(experiments.Table5Designs) {
-			b.Fatalf("got %d rows", len(res.Rows))
-		}
-	}
-}
-
-// BenchmarkExtAnomalyComparison runs the §VI anomaly-vs-supervised study.
-func BenchmarkExtAnomalyComparison(b *testing.B) {
-	p := smoke()
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.RunAnomalyComparison(p, io.Discard)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(rows) != 3 {
-			b.Fatalf("got %d rows", len(rows))
-		}
-	}
-}
-
-// BenchmarkExtSignatureStudy runs the §VI signature variant-blindness
-// study.
-func BenchmarkExtSignatureStudy(b *testing.B) {
-	p := smoke()
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.RunSignatureStudy(p, io.Discard)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(rows) != 2 {
-			b.Fatalf("got %d rows", len(rows))
-		}
-	}
-}
-
-// BenchmarkExtResBlkAblation runs the shortcut-placement ablation.
-func BenchmarkExtResBlkAblation(b *testing.B) {
-	p := smoke()
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.RunAblation(p, io.Discard)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(rows) != len(experiments.AblationVariants) {
-			b.Fatalf("got %d rows", len(rows))
-		}
-	}
-}
-
-// BenchmarkExtTransferLearning runs the §V-G transfer-learning study.
-func BenchmarkExtTransferLearning(b *testing.B) {
-	p := smoke()
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunTransfer(p, io.Discard)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if res.TargetRecords <= 0 {
-			b.Fatal("bad transfer result")
-		}
-	}
-}
-
-// BenchmarkTable5ExtendedBaselines runs the extra classical baselines.
-func BenchmarkTable5ExtendedBaselines(b *testing.B) {
-	p := smoke()
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunTable5Extended(p, io.Discard)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(res.Rows) != len(experiments.Table5XDesigns) {
-			b.Fatalf("got %d rows", len(res.Rows))
-		}
-	}
-}
-
-// --- kernel micro-benchmarks ------------------------------------------------
 
 // pelicanAtPaperWidth builds Pelican at the UNSW feature width (196) for
 // layer-cost measurement.

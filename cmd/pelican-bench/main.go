@@ -7,9 +7,11 @@
 //	pelican-bench -exp all
 //
 // Experiments: table1, table2, table3, table4, table5, table5x, fig2,
-// fig5a, fig5b, fig5c, fig5d, ext-*, all. Profiles: paper, default, smoke
-// (defined in internal/experiments/profile.go). Serving performance is
-// measured by the ledger, not here: go run ./bench (see bench/README.md).
+// fig5a, fig5b, fig5c, fig5d, the §IV and §VI studies ext-anomaly,
+// ext-signature, ext-drift and ext-ablation, and all (the paper's tables
+// and figures). Profiles: paper, default, smoke (defined in
+// internal/experiments/profile.go). Serving performance is measured by
+// the ledger, not here: go run ./bench (see bench/README.md).
 package main
 
 import (
@@ -35,7 +37,7 @@ func main() {
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("pelican-bench", flag.ContinueOnError)
 	var (
-		exp        = fs.String("exp", "all", "experiment id: table1..table5, table5x, fig2, fig5a..fig5d, ext-*, all")
+		exp        = fs.String("exp", "all", "experiment id: table1..table5, table5x, fig2, fig5a..fig5d, ext-anomaly, ext-signature, ext-drift, ext-ablation, all")
 		profile    = fs.String("profile", "default", "workload profile: paper, default, smoke")
 		records    = fs.Int("records", 0, "override records per dataset (0 = profile default)")
 		epochs     = fs.Int("epochs", 0, "override training epochs (0 = profile default)")
@@ -183,12 +185,6 @@ func dispatch(exp string, p experiments.Profile, out, log io.Writer) error {
 			return err
 		}
 		fmt.Fprint(out, experiments.FormatDrift(res))
-	case "ext-transfer":
-		res, err := experiments.RunTransfer(p, log)
-		if err != nil {
-			return err
-		}
-		fmt.Fprint(out, experiments.FormatTransfer(res))
 	case "ext-ablation":
 		rows, err := experiments.RunAblation(p, log)
 		if err != nil {

@@ -58,13 +58,12 @@ func (c MonitorConfig) withDefaults() MonitorConfig {
 	return c
 }
 
-// Monitor is a streaming drift detector over one scalar signal — the
-// promotion of the offline drift study (experiments.RunDriftStudy) into a
-// form a live pipeline can consume observation by observation. The first
-// RefWindow observations after construction or Reset are frozen as the
-// reference distribution; after that, a sliding window of the most recent
-// Window observations is compared against the reference with a two-sample
-// z-test on means, and the monitor trips when |z| exceeds Threshold.
+// Monitor is a streaming drift detector over one scalar signal, fed by a
+// live pipeline one observation at a time. The first RefWindow
+// observations after construction or Reset are frozen as the reference
+// distribution; after that, a sliding window of the most recent Window
+// observations is compared against the reference with a two-sample z-test
+// on means, and the monitor trips when |z| exceeds Threshold.
 //
 // All methods are safe for concurrent use; Observe is cheap enough for a
 // scoring hot path (a ring-buffer update and a handful of floats).

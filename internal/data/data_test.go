@@ -154,17 +154,6 @@ func TestEncoderUnknownCategoryIsAllZeros(t *testing.T) {
 	}
 }
 
-func TestEncoderFeatureNames(t *testing.T) {
-	enc := NewEncoder(testSchema())
-	names := enc.FeatureNames()
-	if len(names) != 7 {
-		t.Fatalf("got %d names, want 7", len(names))
-	}
-	if names[0] != "duration" || names[2] != "proto=tcp" || names[6] != "flag=S0" {
-		t.Fatalf("names = %v", names)
-	}
-}
-
 func TestScalerStandardizes(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	x := tensor.RandNormal(rng, 7, 3, 500, 4)
@@ -362,35 +351,4 @@ func TestReadCSVRejectsUnknownClass(t *testing.T) {
 	if _, err := ReadCSV(bytes.NewBufferString(s), ds.Schema); err == nil {
 		t.Fatal("unknown class accepted")
 	}
-}
-
-func TestSubset(t *testing.T) {
-	ds := testDataset()
-	sub := ds.Subset([]int{2, 0})
-	if sub.Len() != 2 || sub.Records[0].Label != 2 || sub.Records[1].Label != 0 {
-		t.Fatalf("Subset wrong: %+v", sub.Records)
-	}
-}
-
-// Subset returns a new dataset containing the records at idx (records are
-// shared, not copied).
-func (d *Dataset) Subset(idx []int) *Dataset {
-	out := &Dataset{Schema: d.Schema, Records: make([]Record, len(idx))}
-	for i, j := range idx {
-		out.Records[i] = d.Records[j]
-	}
-	return out
-}
-
-// FeatureNames returns the encoded column names in order: numeric names,
-// then "<feature>=<value>" per one-hot column.
-func (e *Encoder) FeatureNames() []string {
-	out := make([]string, 0, e.width)
-	out = append(out, e.schema.NumericNames...)
-	for _, c := range e.schema.Categorical {
-		for _, v := range c.Values {
-			out = append(out, c.Name+"="+v)
-		}
-	}
-	return out
 }

@@ -3,10 +3,8 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"math"
 	"math/rand"
 
-	"repro/internal/adapt"
 	"repro/internal/anomaly"
 	"repro/internal/data"
 	"repro/internal/metrics"
@@ -24,14 +22,6 @@ type DriftPoint struct {
 	Supervised metrics.BinaryCounts
 	// Anomaly is the normal-profile detector's metrics at this stage.
 	Anomaly metrics.BinaryCounts
-	// MonitorZ is the largest-magnitude drift statistic an adapt.Monitor
-	// reports for this mix against the mix-0 reference (the same windowed
-	// z the online adaptation loop trips on), and MonitorSignal names the
-	// signal that produced it. MonitorTrip is whether the loop's default
-	// thresholds would trigger a retrain at this mix.
-	MonitorZ      float64
-	MonitorSignal string
-	MonitorTrip   bool
 }
 
 // DriftResult is the full sweep.
@@ -48,10 +38,7 @@ var DriftMixes = []float64{0, 0.25, 0.5, 0.75, 1}
 // supervised LuNet and a calibrated Gaussian anomaly profile are trained
 // on the original distribution, then evaluated on traffic mixes that
 // drift toward a shifted-profile domain. The anomaly detector's FAR should
-// inflate with drift much faster than the supervised model degrades. Each
-// mix is also judged by the online adaptation loop's drift monitor
-// (internal/adapt): the reported z statistic and trip verdict show at what
-// drift level the closed loop would trigger a retrain.
+// inflate with drift much faster than the supervised model degrades.
 func RunDriftStudy(p Profile, log io.Writer) (*DriftResult, error) {
 	cfg, records, epochs, err := p.DatasetConfig(NSL)
 	if err != nil {
@@ -102,19 +89,12 @@ func RunDriftStudy(p Profile, log io.Writer) (*DriftResult, error) {
 		return nil, err
 	}
 
-	// Sweep drift mixes. Alongside the confusion counts, record the
-	// supervised detector's per-flow drift observables (score, verdict,
-	// raw feature mean) so each mix can also be judged the way the online
-	// adaptation loop would judge it.
 	res := &DriftResult{}
 	testN := records / 4
-	obs := make([]driftObs, 0, testN*len(DriftMixes))
-	var refObs []driftObs
 	for mi, mix := range DriftMixes {
 		testRNG := rand.New(rand.NewSource(p.Seed + 100 + int64(mi)))
 		supConf := metrics.NewConfusion(2)
 		anoConf := metrics.NewConfusion(2)
-		obs = obs[:0]
 		for i := 0; i < testN; i++ {
 			gen := baseGen
 			if testRNG.Float64() < mix {
@@ -132,17 +112,11 @@ func RunDriftStudy(p Profile, log io.Writer) (*DriftResult, error) {
 			}
 
 			logits := net.Predict(tensor.FromSlice(row, 1, 1, features))
-			supCls := logits.ArgmaxRow()[0]
 			supPred := 0
-			if supCls != 0 {
+			if logits.ArgmaxRow()[0] != 0 {
 				supPred = 1
 			}
 			supConf.Add(actual, supPred)
-			obs = append(obs, driftObs{
-				score:    logits.Row(0)[supCls],
-				isAttack: supPred != 0,
-				featMean: meanOf(rec.Numeric),
-			})
 
 			anoPred := 0
 			if profile.IsAttack(row) {
@@ -150,21 +124,11 @@ func RunDriftStudy(p Profile, log io.Writer) (*DriftResult, error) {
 			}
 			anoConf.Add(actual, anoPred)
 		}
-		pt := DriftPoint{
+		res.Points = append(res.Points, DriftPoint{
 			Mix:        mix,
 			Supervised: supConf.Binary(0),
 			Anomaly:    anoConf.Binary(0),
-		}
-		if mi == 0 {
-			// Mix 0 is the reference distribution; its own monitor row is
-			// the null comparison of one half against the other.
-			refObs = append(refObs, obs...)
-			half := len(refObs) / 2
-			pt.MonitorSignal, pt.MonitorZ, pt.MonitorTrip = monitorJudgement(refObs[:half], refObs[half:])
-		} else {
-			pt.MonitorSignal, pt.MonitorZ, pt.MonitorTrip = monitorJudgement(refObs, obs)
-		}
-		res.Points = append(res.Points, pt)
+		})
 		if log != nil {
 			fmt.Fprintf(log, "  [ext-drift] mix %.2f done\n", mix)
 		}
@@ -172,104 +136,17 @@ func RunDriftStudy(p Profile, log io.Writer) (*DriftResult, error) {
 	return res, nil
 }
 
-// driftObs is one scored flow's drift observables.
-type driftObs struct {
-	score    float64
-	isAttack bool
-	featMean float64
-}
-
-func meanOf(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := 0.0
-	for _, x := range xs {
-		s += x
-	}
-	return s / float64(len(xs))
-}
-
-// monitorJudgement replays ref then cur through the adaptation loop's
-// drift signals (verdict-conditioned scores, alert rate, feature mean) and
-// returns the strongest signal, its z statistic, and whether the loop's
-// default thresholds would trip — the offline study asking exactly the
-// question the streaming monitor answers online.
-func monitorJudgement(ref, cur []driftObs) (signal string, z float64, trip bool) {
-	project := func(obs []driftObs, f func(driftObs) (float64, bool)) []float64 {
-		var out []float64
-		for _, o := range obs {
-			if v, ok := f(o); ok {
-				out = append(out, v)
-			}
-		}
-		return out
-	}
-	const baseThreshold = adapt.DefaultThreshold
-	signals := []struct {
-		name      string
-		threshold float64
-		pick      func(driftObs) (float64, bool)
-	}{
-		// Thresholds mirror the online loop's per-signal scaling
-		// (adapt.NewLoop): attack-score 1.5x, alert-rate 2x.
-		{"normal-score", baseThreshold, func(o driftObs) (float64, bool) { return o.score, !o.isAttack }},
-		{"attack-score", baseThreshold * 1.5, func(o driftObs) (float64, bool) { return o.score, o.isAttack }},
-		{"alert-rate", baseThreshold * 2, func(o driftObs) (float64, bool) {
-			if o.isAttack {
-				return 1, true
-			}
-			return 0, true
-		}},
-		{"feature-mean", baseThreshold, func(o driftObs) (float64, bool) { return o.featMean, true }},
-	}
-	var tripSignal string
-	var tripZ float64
-	for _, s := range signals {
-		r, c := project(ref, s.pick), project(cur, s.pick)
-		if len(r) < 8 || len(c) < 8 {
-			continue
-		}
-		m := adapt.NewMonitor(adapt.MonitorConfig{RefWindow: len(r), Window: len(c), Threshold: s.threshold})
-		for _, v := range r {
-			m.Observe(v)
-		}
-		for _, v := range c {
-			m.Observe(v)
-		}
-		zs := m.Stat()
-		if math.Abs(zs) > math.Abs(z) {
-			signal, z = s.name, zs
-		}
-		if math.Abs(zs) > s.threshold && math.Abs(zs) > math.Abs(tripZ) {
-			tripSignal, tripZ = s.name, zs
-		}
-	}
-	// When a trip happened, attribute it to the strongest signal that
-	// actually crossed its own threshold (thresholds differ per signal, so
-	// the overall-max signal may not be the tripping one).
-	if tripSignal != "" {
-		return tripSignal, tripZ, true
-	}
-	return signal, z, false
-}
-
 // FormatDrift renders the sweep.
 func FormatDrift(res *DriftResult) string {
 	out := "EXT: DETECTOR BEHAVIOUR UNDER TRAFFIC DRIFT (paper §VI \"Reason two\")\n"
-	out += fmt.Sprintf("%8s %28s %28s %22s\n", "", "supervised (LuNet)", "anomaly (gaussian)", "adapt monitor")
-	out += fmt.Sprintf("%8s %9s %9s %8s %9s %9s %8s %8s %13s\n",
-		"drift", "DR%", "FAR%", "ACC%", "DR%", "FAR%", "ACC%", "|z|", "trip?")
+	out += fmt.Sprintf("%8s %28s %28s\n", "", "supervised (LuNet)", "anomaly (gaussian)")
+	out += fmt.Sprintf("%8s %9s %9s %8s %9s %9s %8s\n",
+		"drift", "DR%", "FAR%", "ACC%", "DR%", "FAR%", "ACC%")
 	for _, pt := range res.Points {
-		trip := ""
-		if pt.MonitorTrip {
-			trip = "RETRAIN (" + pt.MonitorSignal + ")"
-		}
-		out += fmt.Sprintf("%8.2f %9.2f %9.2f %8.2f %9.2f %9.2f %8.2f %8.1f %13s\n",
+		out += fmt.Sprintf("%8.2f %9.2f %9.2f %8.2f %9.2f %9.2f %8.2f\n",
 			pt.Mix,
 			pt.Supervised.DR()*100, pt.Supervised.FAR()*100, pt.Supervised.ACC()*100,
-			pt.Anomaly.DR()*100, pt.Anomaly.FAR()*100, pt.Anomaly.ACC()*100,
-			math.Abs(pt.MonitorZ), trip)
+			pt.Anomaly.DR()*100, pt.Anomaly.FAR()*100, pt.Anomaly.ACC()*100)
 	}
 	return out
 }

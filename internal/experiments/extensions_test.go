@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"math"
 	"strings"
 	"testing"
 )
@@ -65,28 +64,6 @@ func TestRunAblationSmoke(t *testing.T) {
 	}
 }
 
-func TestRunTransferSmoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("training test")
-	}
-	res, err := RunTransfer(SmokeProfile(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, acc := range []float64{res.ScratchACC, res.TransferACC, res.SourceACC} {
-		if acc < 0 || acc > 100 {
-			t.Fatalf("ACC out of range: %+v", res)
-		}
-	}
-	if res.TargetRecords <= 0 {
-		t.Fatalf("bad target record count: %d", res.TargetRecords)
-	}
-	out := FormatTransfer(res)
-	if !strings.Contains(out, "TRANSFER LEARNING") || !strings.Contains(out, "fine-tuned") {
-		t.Fatalf("format missing content:\n%s", out)
-	}
-}
-
 func TestRunTable5ExtendedSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("training test")
@@ -129,12 +106,15 @@ func TestRunDriftStudySmoke(t *testing.T) {
 			t.Fatalf("drift point %v evaluated nothing", pt.Mix)
 		}
 	}
-	// The streaming monitor's judgement must strengthen with drift: the
-	// fully drifted mix reads a (much) larger statistic than the null
-	// comparison at mix 0.
+	// §VI "Reason two": a fixed normal profile goes stale, so from mix 0
+	// to mix 1 the anomaly detector's FAR rises by more than the
+	// supervised model's (+98.2 vs +70.0 points at seed 1).
 	first, last := res.Points[0], res.Points[len(res.Points)-1]
-	if math.Abs(last.MonitorZ) <= math.Abs(first.MonitorZ) {
-		t.Fatalf("monitor z did not grow with drift: mix0 %.2f vs mix1 %.2f", first.MonitorZ, last.MonitorZ)
+	anoRise := last.Anomaly.FAR() - first.Anomaly.FAR()
+	supRise := last.Supervised.FAR() - first.Supervised.FAR()
+	if anoRise <= supRise {
+		t.Fatalf("anomaly FAR rose %.1f points, supervised %.1f: want the anomaly profile to degrade faster",
+			anoRise*100, supRise*100)
 	}
 	if out := FormatDrift(res); !strings.Contains(out, "DRIFT") {
 		t.Fatalf("bad formatting:\n%s", out)

@@ -1,16 +1,18 @@
 // Package experiments reproduces every table and figure of the paper's
 // evaluation (§V): Fig. 2 (depth-degradation sweep), Fig. 5 (loss curves),
 // Table II (TP/FP), Tables III/IV (DR/ACC/FAR for the four networks) and
-// Table V (the comparative study), plus the extension experiments in
-// extensions.go (anomaly-detection FAR comparison, shortcut-placement
-// ablation).
+// Table V (the comparative study), plus Table Vx (three more classical
+// baselines, table5x.go) and the studies behind the paper's §IV and §VI
+// arguments: anomaly detection vs supervised, signatures vs attack
+// variants, shortcut placement (extensions.go) and detector behaviour
+// under traffic drift (drift.go). It imports only the paper's layers,
+// never the serving stack.
 //
 // Experiments run under a Profile that scales the workload: "paper"
 // replicates Table I exactly (full record counts, 50/100 epochs — hours of
 // CPU time in pure Go), "default" is the scaled profile `pelican-bench`
 // runs unless told otherwise (its output is the record; no results file is
-// checked in), and "smoke" is a tiny shape used by unit tests and
-// testing.B benchmarks.
+// checked in), and "smoke" is a tiny shape used by unit tests.
 package experiments
 
 import (
@@ -74,7 +76,7 @@ func DefaultProfile() Profile {
 	}
 }
 
-// SmokeProfile is the miniature profile for tests and benchmarks.
+// SmokeProfile is the miniature profile for tests.
 func SmokeProfile() Profile {
 	return Profile{
 		Name:       "smoke",

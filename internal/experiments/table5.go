@@ -41,17 +41,24 @@ func table5DisplayName(id string) string {
 	return id
 }
 
-// classicalBaseline builds the non-neural classifiers of §V-H.
-func classicalBaseline(id string, classes int, seed int64) (ml.Classifier, bool) {
+// classicalBaseline returns the per-fold constructor of a non-neural
+// classifier of §V-H, or nil for a neural design.
+func classicalBaseline(id string, classes int) func(seed int64) ml.Classifier {
 	switch id {
 	case "adaboost":
-		return ml.NewAdaBoost(ml.AdaBoostConfig{Rounds: 50, StumpDepth: 1, Classes: classes, Seed: seed}), true
+		return func(seed int64) ml.Classifier {
+			return ml.NewAdaBoost(ml.AdaBoostConfig{Rounds: 50, StumpDepth: 1, Classes: classes, Seed: seed})
+		}
 	case "rf":
-		return ml.NewForest(ml.ForestConfig{Trees: 100, MaxDepth: 16, Classes: classes, Seed: seed}), true
+		return func(seed int64) ml.Classifier {
+			return ml.NewForest(ml.ForestConfig{Trees: 100, MaxDepth: 16, Classes: classes, Seed: seed})
+		}
 	case "svm-rbf":
-		return ml.NewSVM(ml.SVMConfig{C: 1, Classes: classes, Subsample: 2500, Seed: seed}), true
+		return func(seed int64) ml.Classifier {
+			return ml.NewSVM(ml.SVMConfig{C: 1, Classes: classes, Subsample: 2500, Seed: seed})
+		}
 	}
-	return nil, false
+	return nil
 }
 
 // Table5Result is the comparative study's outcome.
@@ -69,8 +76,8 @@ func RunTable5(p Profile, log io.Writer) (*Table5Result, error) {
 	}
 	res := &Table5Result{Dataset: UNSW}
 	for _, id := range Table5Designs {
-		if clf, ok := classicalBaseline(id, prep.classes, p.Seed); ok {
-			summary, err := evalClassical(p, prep, id, clf, log)
+		if build := classicalBaseline(id, prep.classes); build != nil {
+			summary, err := evalClassical(p, prep, table5DisplayName(id), build, log)
 			if err != nil {
 				return nil, fmt.Errorf("%s: %w", id, err)
 			}
@@ -88,27 +95,24 @@ func RunTable5(p Profile, log io.Writer) (*Table5Result, error) {
 	return res, nil
 }
 
-// evalClassical fits a classical classifier on each fold's rank-2 features.
-func evalClassical(p Profile, prep *prepared, id string, clf ml.Classifier, log io.Writer) (metrics.Summary, error) {
+// evalClassical fits a classical classifier on each fold's rank-2
+// features, building a fresh one per fold from build.
+func evalClassical(p Profile, prep *prepared, design string, build func(seed int64) ml.Classifier, log io.Writer) (metrics.Summary, error) {
 	conf := metrics.NewConfusion(prep.classes)
 	for fi, fold := range prep.folds {
 		// Re-seed per fold so CV folds are independent fits.
-		if fi > 0 {
-			if c, ok := classicalBaseline(id, prep.classes, p.Seed+int64(fi)); ok {
-				clf = c
-			}
-		}
+		clf := build(p.Seed + int64(fi))
 		xTr, yTr := gatherFlat(prep.x, prep.y, fold.Train)
 		xTe, yTe := gatherFlat(prep.x, prep.y, fold.Test)
 		if log != nil {
-			fmt.Fprintf(log, "  [%s/%s fold %d] fitting on %d records\n", prep.id, id, fi, xTr.Dim(0))
+			fmt.Fprintf(log, "  [%s/%s fold %d] fitting on %d records\n", prep.id, design, fi, xTr.Dim(0))
 		}
 		if err := clf.Fit(xTr, yTr); err != nil {
 			return metrics.Summary{}, err
 		}
 		conf.AddAll(yTe, clf.Predict(xTe))
 	}
-	return metrics.Summarize(table5DisplayName(id), conf, 0), nil
+	return metrics.Summarize(design, conf, 0), nil
 }
 
 // gatherFlat copies rows into a rank-2 tensor for classical classifiers.

@@ -14,24 +14,29 @@ import (
 // comparison inside a broader classical spectrum.
 var Table5XDesigns = []string{"logistic", "naive-bayes", "knn"}
 
-// extendedBaseline builds the extra classifiers.
-func extendedBaseline(id string, classes int, seed int64) (ml.Classifier, string, error) {
+// extendedBaseline returns the display label and per-fold constructor of
+// one extra classifier.
+func extendedBaseline(id string, classes int) (string, func(seed int64) ml.Classifier, error) {
 	switch id {
 	case "logistic":
-		return ml.NewLogistic(ml.LogisticConfig{Classes: classes, Epochs: 40, Seed: seed}), "Logistic Regression", nil
+		return "Logistic Regression", func(seed int64) ml.Classifier {
+			return ml.NewLogistic(ml.LogisticConfig{Classes: classes, Epochs: 40, Seed: seed})
+		}, nil
 	case "naive-bayes":
-		return ml.NewNaiveBayes(classes), "Naive Bayes", nil
+		return "Naive Bayes", func(int64) ml.Classifier { return ml.NewNaiveBayes(classes) }, nil
 	case "knn":
-		c := ml.NewKNNClassifier(5, classes)
-		c.MaxRef = 2500
-		return c, "k-NN (k=5)", nil
+		return "k-NN (k=5)", func(int64) ml.Classifier {
+			c := ml.NewKNNClassifier(5, classes)
+			c.MaxRef = 2500
+			return c
+		}, nil
 	}
-	return nil, "", fmt.Errorf("experiments: unknown extended baseline %q", id)
+	return "", nil, fmt.Errorf("experiments: unknown extended baseline %q", id)
 }
 
 // RunTable5Extended evaluates the extra classical baselines on the same
-// UNSW-NB15 workload Table V uses. Combine with RunTable5 for the full
-// twelve-design picture.
+// UNSW-NB15 workload and folds Table V uses. Combine with RunTable5 for
+// the full twelve-design picture.
 func RunTable5Extended(p Profile, log io.Writer) (*Table5Result, error) {
 	prep, err := prepare(p, UNSW)
 	if err != nil {
@@ -39,28 +44,15 @@ func RunTable5Extended(p Profile, log io.Writer) (*Table5Result, error) {
 	}
 	res := &Table5Result{Dataset: UNSW}
 	for _, id := range Table5XDesigns {
-		clf, label, err := extendedBaseline(id, prep.classes, p.Seed)
+		label, build, err := extendedBaseline(id, prep.classes)
 		if err != nil {
 			return nil, err
 		}
-		conf := metrics.NewConfusion(prep.classes)
-		for fi, fold := range prep.folds {
-			if fi > 0 {
-				if c, _, err := extendedBaseline(id, prep.classes, p.Seed+int64(fi)); err == nil {
-					clf = c
-				}
-			}
-			xTr, yTr := gatherFlat(prep.x, prep.y, fold.Train)
-			xTe, yTe := gatherFlat(prep.x, prep.y, fold.Test)
-			if log != nil {
-				fmt.Fprintf(log, "  [table5x/%s fold %d] fitting on %d records\n", id, fi, xTr.Dim(0))
-			}
-			if err := clf.Fit(xTr, yTr); err != nil {
-				return nil, fmt.Errorf("%s: %w", id, err)
-			}
-			conf.AddAll(yTe, clf.Predict(xTe))
+		summary, err := evalClassical(p, prep, label, build, log)
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", id, err)
 		}
-		res.Rows = append(res.Rows, metrics.Summarize(label, conf, 0))
+		res.Rows = append(res.Rows, summary)
 	}
 	return res, nil
 }

@@ -2,12 +2,13 @@
 // validation accuracy (ACC), detection rate (DR) and false-alarm rate
 // (FAR), computed from a multi-class confusion matrix collapsed into the
 // binary attack-vs-normal view the paper's Eqs. (3)–(5) use, plus per-class
-// precision/recall and k-fold aggregation helpers.
+// precision/recall and the paper's table layout.
 package metrics
 
 import (
 	"fmt"
 	"strings"
+	"unicode/utf8"
 )
 
 // Confusion is a multi-class confusion matrix: Counts[actual][predicted].
@@ -187,13 +188,18 @@ func Summarize(design string, c *Confusion, normalClass int) Summary {
 }
 
 // FormatTable renders summaries in the paper's table layout
-// (Design | DR% | ACC% | FAR%).
+// (Design | DR% | ACC% | FAR%). The design column is 26 characters wide,
+// or as wide as the longest name.
 func FormatTable(title string, rows []Summary) string {
+	width := 26
+	for _, r := range rows {
+		width = max(width, utf8.RuneCountInString(r.Design))
+	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s\n", title)
-	fmt.Fprintf(&b, "%-26s %8s %8s %8s\n", "Design", "DR%", "ACC%", "FAR%")
+	fmt.Fprintf(&b, "%-*s %8s %8s %8s\n", width, "Design", "DR%", "ACC%", "FAR%")
 	for _, r := range rows {
-		fmt.Fprintf(&b, "%-26s %8.2f %8.2f %8.2f\n", r.Design, r.DR, r.ACC, r.FAR)
+		fmt.Fprintf(&b, "%-*s %8.2f %8.2f %8.2f\n", width, r.Design, r.DR, r.ACC, r.FAR)
 	}
 	return b.String()
 }

@@ -1,7 +1,6 @@
 package metrics
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 	"strings"
@@ -74,27 +73,6 @@ func TestMetricsEmptyDenominators(t *testing.T) {
 	}
 }
 
-func TestMerge(t *testing.T) {
-	a := NewConfusion(2)
-	a.Add(0, 0)
-	b := NewConfusion(2)
-	b.Add(0, 0)
-	b.Add(1, 0)
-	a.Merge(b)
-	if a.Counts[0][0] != 2 || a.Counts[1][0] != 1 {
-		t.Fatalf("merge wrong: %v", a.Counts)
-	}
-}
-
-func TestMergeSizeMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("mismatched Merge did not panic")
-		}
-	}()
-	NewConfusion(2).Merge(NewConfusion(3))
-}
-
 func TestPerClassReport(t *testing.T) {
 	c := NewConfusion(2)
 	// class 0: 3 correct, 1 predicted as 1; class 1: 2 correct, 2 as 0.
@@ -137,6 +115,21 @@ func TestFormatTableContainsRows(t *testing.T) {
 	out := FormatTable("TABLE V", rows)
 	if !strings.Contains(out, "Pelican") || !strings.Contains(out, "86.64") {
 		t.Fatalf("table missing content:\n%s", out)
+	}
+	if want := "Pelican                       97.75    86.64     1.30\n"; !strings.HasSuffix(out, want) {
+		t.Fatalf("short names pad to 26 columns:\n%s", out)
+	}
+
+	// A name longer than 26 characters widens the column for every row,
+	// so each number stays under its header.
+	rows = append(rows, Summary{Design: "signatures vs attack variants", DR: 33.80, ACC: 54.17, FAR: 16.33})
+	out = FormatTable("EXT", rows)
+	want := "EXT\n" +
+		"Design                             DR%     ACC%     FAR%\n" +
+		"Pelican                          97.75    86.64     1.30\n" +
+		"signatures vs attack variants    33.80    54.17    16.33\n"
+	if out != want {
+		t.Fatalf("got\n%s\nwant\n%s", out, want)
 	}
 }
 
@@ -186,17 +179,5 @@ func TestPropPerClassRecallMatchesDiagonal(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
-	}
-}
-
-// Merge accumulates another confusion matrix (e.g., across CV folds).
-func (c *Confusion) Merge(o *Confusion) {
-	if c.K != o.K {
-		panic(fmt.Sprintf("metrics: merging %d-class into %d-class confusion", o.K, c.K))
-	}
-	for i := range c.Counts {
-		for j := range c.Counts[i] {
-			c.Counts[i][j] += o.Counts[i][j]
-		}
 	}
 }
