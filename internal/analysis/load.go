@@ -3,6 +3,7 @@ package analysis
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -252,7 +253,10 @@ func (l *Loader) check(pkgPath, dir string) (*Package, error) {
 	return pkg, nil
 }
 
-// parseDir parses dir's _test.go files (tests) or its other .go files.
+// parseDir parses dir's _test.go files (tests) or its other .go files,
+// keeping only those the go tool would build for this GOOS/GOARCH (file
+// name suffixes and //go:build lines), so that per-architecture files
+// declaring the same names do not collide.
 func (l *Loader) parseDir(dir string, tests bool) ([]*ast.File, error) {
 	ents, err := os.ReadDir(dir)
 	if err != nil {
@@ -262,6 +266,11 @@ func (l *Loader) parseDir(dir string, tests bool) ([]*ast.File, error) {
 	for _, e := range ents {
 		name := e.Name()
 		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") != tests {
+			continue
+		}
+		if ok, err := build.Default.MatchFile(dir, name); err != nil {
+			return nil, err
+		} else if !ok {
 			continue
 		}
 		f, err := parser.ParseFile(l.fset, filepath.Join(dir, name), nil, parser.ParseComments)

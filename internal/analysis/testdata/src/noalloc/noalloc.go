@@ -162,3 +162,9 @@ func badBoxing(v val) int {
 func badMethodValue(v *val) func() int {
 	return v.Sum // want "method value Sum allocates"
 }
+
+// asmKernel is an assembly stub: it has no Go body to check, so the
+// annotation is the promise its .s file keeps.
+//
+//pelican:noalloc
+func asmKernel(dst *float32, n int)

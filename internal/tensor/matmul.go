@@ -129,8 +129,12 @@ var (
 	gemmQueue   chan gemmTask
 	gemmWorkers int
 	// gemmWGs recycles the completion WaitGroups so a parallel dispatch
-	// never heap-allocates one per call.
-	gemmWGs = sync.Pool{New: func() any { return new(sync.WaitGroup) }}
+	// never heap-allocates one per call. A sync.Pool did not: a WaitGroup
+	// Put on one P and wanted by a Get on another missed and allocated.
+	// The buffer holds more WaitGroups than goroutines dispatch GEMMs at
+	// once (serving replicas, training), so after warm-up every dispatch
+	// finds one.
+	gemmWGs = make(chan *sync.WaitGroup, 64)
 )
 
 // startGEMMPool launches the persistent worker goroutines. The pool size is
@@ -180,7 +184,14 @@ func parallelRows(m int, args gemmArgs) {
 	}
 	gemmOnce.Do(startGEMMPool)
 	band := (m + workers - 1) / workers
-	wg := gemmWGs.Get().(*sync.WaitGroup)
+	var wg *sync.WaitGroup
+	select {
+	case wg = <-gemmWGs:
+	default:
+	}
+	if wg == nil {
+		wg = new(sync.WaitGroup)
+	}
 	for r0 := band; r0 < m; r0 += band {
 		r1 := r0 + band
 		if r1 > m {
@@ -191,7 +202,10 @@ func parallelRows(m int, args gemmArgs) {
 	}
 	args.run(0, band)
 	wg.Wait()
-	gemmWGs.Put(wg)
+	select {
+	case gemmWGs <- wg:
+	default:
+	}
 }
 
 // The three kernels below are cache-blocked in row panels: each pass

@@ -6,12 +6,17 @@ package tensor
 // natural (k, n) layout — the inference compiler owns the weight layout and
 // pre-transposes every matrix to (n, k) at lowering time: one contiguous
 // row per *output* column. That turns the product into pure dot products
-// over contiguous operand rows, so the kernel can hold a 2×4 register tile
-// of accumulators (two input rows against four weight rows) with no
-// read-modify-write of dst inside the k loop — the shape the float64
-// TransB kernel measured fastest in PERF.md. Bias add and activation run
-// in the tile epilogue while the results are still in registers, and rows
-// are parallelized in bands over the persistent GEMM worker pool.
+// over contiguous operand rows, so the kernel holds a 2×4 tile of
+// accumulators (two input rows against four weight rows) with no
+// read-modify-write of dst inside the k loop. On amd64 CPUs with AVX2 and
+// FMA the k loop of that tile runs in assembly (matmul32_amd64.s): eight
+// 8-lane VFMADD231PS accumulators, reduced horizontally once per tile; the
+// 1-row remainder uses a 1×4 tile with the same lane order, so a record's
+// scores do not depend on its position in the batch. The k tail (k mod 8),
+// bias add and activation run in the Go epilogue. Elsewhere, or with the
+// purego build tag, the pure-Go tiles below run; they are also the oracle
+// the assembly is tested against. Rows are parallelized in bands over the
+// persistent GEMM worker pool.
 
 // Act selects the activation fused into the GEMM epilogue.
 type Act uint8
@@ -43,12 +48,23 @@ func GemmBiasActF32(dst, a, w, bias []float32, m, k, n int, act Act) {
 	parallelRows(m, gemmArgs{kind: gemmF32Fused, dst32: dst, a32: a, w32: w, b32: bias, m: m, k: k, n: n, act: act})
 }
 
+// simdF32 selects the assembly dot tiles (matmul32_amd64.s) over the
+// pure-Go ones. It is set once from the CPU's features; tests flip it to
+// run both on the same inputs.
+var simdF32 = haveSIMDF32
+
 // gemmBlockF32 computes rows [r0, r1) of dst = act(a @ wᵀ + bias) in 2×4
-// register tiles: eight dot accumulators live in registers across the
-// whole k loop.
+// tiles, with 1×4 tiles for an odd last row. A tile kernel sums the first
+// kt products of each dot: all k in pure Go, the multiple of 8 below k in
+// assembly. The epilogue adds the remaining products, the bias and the
+// activation while the eight sums are still in registers.
 //
 //pelican:noalloc
 func gemmBlockF32(dst, a, w, bias []float32, r0, r1, k, n int, act Act) {
+	kt := k
+	if simdF32 {
+		kt = k &^ 7
+	}
 	i := r0
 	for ; i+2 <= r1; i += 2 {
 		a0 := a[(i+0)*k : (i+1)*k]
@@ -57,15 +73,20 @@ func gemmBlockF32(dst, a, w, bias []float32, r0, r1, k, n int, act Act) {
 		d1 := dst[(i+1)*n : (i+2)*n]
 		j := 0
 		for ; j+4 <= n; j += 4 {
-			w0 := w[(j+0)*k : (j+1)*k]
-			w1 := w[(j+1)*k : (j+2)*k]
-			w2 := w[(j+2)*k : (j+3)*k]
-			w3 := w[(j+3)*k : (j+4)*k]
-			var s00, s01, s02, s03 float32
-			var s10, s11, s12, s13 float32
-			for p := 0; p < k; p++ {
+			wt := w[j*k : (j+4)*k]
+			var s [8]float32
+			if kt > 0 {
+				if simdF32 {
+					dotTile2x4F32(&a0[0], &wt[0], kt, k, &s)
+				} else {
+					dotTile2x4F32Go(a0, a1, wt, kt, k, &s)
+				}
+			}
+			s00, s01, s02, s03 := s[0], s[1], s[2], s[3]
+			s10, s11, s12, s13 := s[4], s[5], s[6], s[7]
+			for p := kt; p < k; p++ {
 				av0, av1 := a0[p], a1[p]
-				wv0, wv1, wv2, wv3 := w0[p], w1[p], w2[p], w3[p]
+				wv0, wv1, wv2, wv3 := wt[p], wt[k+p], wt[2*k+p], wt[3*k+p]
 				s00 += av0 * wv0
 				s01 += av0 * wv1
 				s02 += av0 * wv2
@@ -110,16 +131,22 @@ func gemmBlockF32(dst, a, w, bias []float32, r0, r1, k, n int, act Act) {
 		drow := dst[i*n : (i+1)*n]
 		j := 0
 		for ; j+4 <= n; j += 4 {
-			w0 := w[(j+0)*k : (j+1)*k]
-			w1 := w[(j+1)*k : (j+2)*k]
-			w2 := w[(j+2)*k : (j+3)*k]
-			w3 := w[(j+3)*k : (j+4)*k]
-			var s0, s1, s2, s3 float32
-			for p, av := range arow {
-				s0 += av * w0[p]
-				s1 += av * w1[p]
-				s2 += av * w2[p]
-				s3 += av * w3[p]
+			wt := w[j*k : (j+4)*k]
+			var s [4]float32
+			if kt > 0 {
+				if simdF32 {
+					dotTile1x4F32(&arow[0], &wt[0], kt, k, &s)
+				} else {
+					dotTile1x4F32Go(arow, wt, kt, k, &s)
+				}
+			}
+			s0, s1, s2, s3 := s[0], s[1], s[2], s[3]
+			for p := kt; p < k; p++ {
+				av := arow[p]
+				s0 += av * wt[p]
+				s1 += av * wt[k+p]
+				s2 += av * wt[2*k+p]
+				s3 += av * wt[3*k+p]
 			}
 			if bias != nil {
 				s0, s1, s2, s3 = s0+bias[j], s1+bias[j+1], s2+bias[j+2], s3+bias[j+3]
@@ -144,6 +171,48 @@ func gemmBlockF32(dst, a, w, bias []float32, r0, r1, k, n int, act Act) {
 			drow[j] = s
 		}
 	}
+}
+
+// dotTile2x4F32Go sets s[4r+c] to the dot product of input row r (a0,
+// a1) with weight row c (wt at offsets 0, k, 2k, 3k) over the first kt
+// elements, summed in order: eight accumulators live in registers across
+// the whole loop.
+//
+//pelican:noalloc
+func dotTile2x4F32Go(a0, a1, wt []float32, kt, k int, s *[8]float32) {
+	a0, a1 = a0[:kt], a1[:kt]
+	w0, w1, w2, w3 := wt[:kt], wt[k:k+kt], wt[2*k:2*k+kt], wt[3*k:3*k+kt]
+	var s00, s01, s02, s03 float32
+	var s10, s11, s12, s13 float32
+	for p := range a0 {
+		av0, av1 := a0[p], a1[p]
+		wv0, wv1, wv2, wv3 := w0[p], w1[p], w2[p], w3[p]
+		s00 += av0 * wv0
+		s01 += av0 * wv1
+		s02 += av0 * wv2
+		s03 += av0 * wv3
+		s10 += av1 * wv0
+		s11 += av1 * wv1
+		s12 += av1 * wv2
+		s13 += av1 * wv3
+	}
+	*s = [8]float32{s00, s01, s02, s03, s10, s11, s12, s13}
+}
+
+// dotTile1x4F32Go is dotTile2x4F32Go for one input row.
+//
+//pelican:noalloc
+func dotTile1x4F32Go(arow, wt []float32, kt, k int, s *[4]float32) {
+	arow = arow[:kt]
+	w0, w1, w2, w3 := wt[:kt], wt[k:k+kt], wt[2*k:2*k+kt], wt[3*k:3*k+kt]
+	var s0, s1, s2, s3 float32
+	for p, av := range arow {
+		s0 += av * w0[p]
+		s1 += av * w1[p]
+		s2 += av * w2[p]
+		s3 += av * w3[p]
+	}
+	*s = [4]float32{s0, s1, s2, s3}
 }
 
 //pelican:noalloc
