@@ -13,9 +13,6 @@
 //   - ctxflow:   request-path code must thread context.Context — no fresh
 //     Background/TODO contexts, no dropped ctx parameters, no
 //     goroutines without cancellation/completion discipline.
-//   - metricreg: every pelican_* metric is declared exactly once, named by
-//     Prometheus conventions, and emitted with one consistent
-//     label set; doc mode cross-checks the SERVING.md catalog.
 //   - unused:    every exported name under internal/ has a caller other
 //     than its own package's tests, and every exported field of
 //     a serving-stack Config struct is set by some binary.
@@ -106,8 +103,8 @@ type Analyzer struct {
 	// Run inspects one package and reports findings through the pass.
 	Run func(*Pass)
 	// Finish, when set, runs once after every in-scope package has been
-	// visited — the hook whole-module analyzers (metricreg, unused) use to
-	// report on state accumulated across packages.
+	// visited — the hook a whole-module analyzer (unused) uses to report
+	// on state accumulated across packages.
 	Finish func(report func(Diagnostic))
 }
 
@@ -126,7 +123,7 @@ func (a *Analyzer) InScope(pkgPath string) bool {
 
 // All returns the full analyzer suite in stable order.
 func All() []*Analyzer {
-	return []*Analyzer{NoAlloc(), LockScope(), CtxFlow(), MetricReg(), Unused()}
+	return []*Analyzer{NoAlloc(), LockScope(), CtxFlow(), Unused()}
 }
 
 // Run applies each analyzer to each package it is in scope for and returns

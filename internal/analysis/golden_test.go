@@ -121,5 +121,4 @@ func runGolden(t *testing.T, a *Analyzer, names ...string) {
 func TestNoAllocGolden(t *testing.T)   { runGolden(t, NoAlloc(), "noalloc") }
 func TestLockScopeGolden(t *testing.T) { runGolden(t, LockScope(), "lockscope") }
 func TestCtxFlowGolden(t *testing.T)   { runGolden(t, CtxFlow(), "ctxflow") }
-func TestMetricRegGolden(t *testing.T) { runGolden(t, MetricReg(), "metricreg") }
 func TestUnusedGolden(t *testing.T)    { runGolden(t, Unused(), "unused", "unused/user") }

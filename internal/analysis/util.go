@@ -2,7 +2,6 @@ package analysis
 
 import (
 	"go/ast"
-	"go/constant"
 	"go/types"
 	"strings"
 )
@@ -96,16 +95,6 @@ func pkgPathOfCallee(info *types.Info, call *ast.CallExpr) string {
 		return ""
 	}
 	return obj.Pkg().Path()
-}
-
-// stringLit returns the constant string value of e (string literal or
-// typed/untyped string constant), if any.
-func stringLit(info *types.Info, e ast.Expr) (string, bool) {
-	tv, ok := info.Types[e]
-	if !ok || tv.Value == nil || tv.Value.Kind() != constant.String {
-		return "", false
-	}
-	return constant.StringVal(tv.Value), true
 }
 
 // hasDirective reports whether the doc comment group carries the given

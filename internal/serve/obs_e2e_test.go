@@ -3,15 +3,26 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"io"
+	"io/fs"
 	"math"
 	"net/http"
+	"os"
+	"path/filepath"
+	"regexp"
+	"sort"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/chaos"
 	"repro/internal/obs"
+	"repro/internal/registry"
 )
 
 // scrapeProm fetches /metrics and parses it; ParseProm failing (malformed
@@ -30,17 +41,40 @@ func scrapeProm(t *testing.T, baseURL string) map[string]*obs.PromFamily {
 	return fams
 }
 
-// TestMetricsExpositionFormat is the format-contract test: after real
-// traffic, /metrics must parse cleanly (which enforces unique HELP/TYPE
-// per family), every histogram family must have monotone non-decreasing
-// cumulative buckets ending in +Inf == _count, and _sum must be
-// consistent with the bucketed distribution.
+// TestMetricsExpositionFormat is the /metrics contract, checked on what
+// /metrics serves. It scrapes one server in which every family has
+// samples: store-backed (the pelican_store_* families), with a promoted
+// generation (model_info{slot="previous"}), closed and brought back by
+// Recover (pelican_recovery_duration_seconds), then scored. The scrape
+// must parse (ParseProm refuses a duplicate HELP or TYPE), and then:
+//   - every family has HELP, TYPE and at least one sample;
+//   - every name is pelican_ plus lower-case words, and TYPE is counter
+//     exactly when the name ends in _total;
+//   - the samples of a family carry one label-key set, le aside;
+//   - the family set is SERVING.md's catalogue, row for row;
+//   - every pelican_* string literal in the module's non-test Go names a
+//     served family or one of a histogram's _bucket/_sum/_count series;
+//   - every histogram series is cumulative, ends in +Inf == _count, and
+//     has a _sum its buckets allow.
 func TestMetricsExpositionFormat(t *testing.T) {
 	if testing.Short() {
-		t.Skip("trains a model")
+		t.Skip("trains models")
 	}
-	a, _, recs := trainTestArtifact(t, "mlp", 11, 1)
-	_, ts := newTestServer(t, a, Config{Replicas: 1, MaxBatch: 8, MaxWait: time.Millisecond})
+	dir := t.TempDir()
+	a1, _, recs := trainTestArtifact(t, "mlp", 11, 1)
+	a2, _, _ := trainTestArtifact(t, "mlp", 12, 1)
+	first, err := New(a1, durableConfig(openStore(t, dir)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := first.LoadSlot(registry.Shadow, a2); err != nil {
+		t.Fatal(err)
+	}
+	if err := first.Promote(); err != nil {
+		t.Fatal(err)
+	}
+	first.Close()
+	_, ts := recoverServer(t, durableConfig(openStore(t, dir)))
 
 	for i := 0; i < 4; i++ {
 		resp, body := postJSON(t, ts.URL+"/v1/detect-batch", detectBatchRequest{Records: recordsJSON(recs)})
@@ -51,27 +85,57 @@ func TestMetricsExpositionFormat(t *testing.T) {
 
 	fams := scrapeProm(t, ts.URL)
 
-	// Families the serving plane promises.
-	for _, name := range []string{
-		"pelican_serve_records_total",
-		"pelican_serve_request_errors_total",
-		"pelican_serve_request_seconds",
-		"pelican_serve_queue_wait_seconds",
-		"pelican_serve_batch_assembly_seconds",
-		"pelican_serve_infer_seconds",
-		"pelican_serve_encode_seconds",
-		"pelican_serve_batch_size",
-		"pelican_runtime_goroutines",
-		"pelican_runtime_uptime_seconds",
-	} {
-		f := fams[name]
-		if f == nil {
-			t.Fatalf("family %s missing from /metrics", name)
+	nameRE := regexp.MustCompile(`^pelican(_[a-z][a-z0-9]*)+$`)
+	for name, f := range fams {
+		if f.Help == "" || f.Type == "" || len(f.Samples) == 0 {
+			t.Errorf("%s: HELP %q, TYPE %q, %d samples; a family needs all three", name, f.Help, f.Type, len(f.Samples))
 		}
-		if f.Help == "" || f.Type == "" {
-			t.Fatalf("family %s missing HELP or TYPE metadata", name)
+		if !nameRE.MatchString(name) {
+			t.Errorf("%s: name is not pelican_ plus lower-case words", name)
+		}
+		if (f.Type == "counter") != strings.HasSuffix(name, "_total") {
+			t.Errorf("%s: TYPE %s; a family is a counter exactly when its name ends in _total", name, f.Type)
+		}
+		for _, s := range f.Samples {
+			if got, want := promLabelKeys(s), promLabelKeys(f.Samples[0]); got != want {
+				t.Errorf("%s: sample %s has label keys [%s], the family's first has [%s]", name, s.Name, got, want)
+				break
+			}
 		}
 	}
+
+	moduleRoot := filepath.Join("..", "..") // go test runs in the package directory
+	doc, err := os.ReadFile(filepath.Join(moduleRoot, "SERVING.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, catalogue, _ := strings.Cut(string(doc), "<!-- metrics:begin -->")
+	catalogue, _, found := strings.Cut(catalogue, "<!-- metrics:end -->")
+	if !found {
+		t.Fatal("SERVING.md has no metrics:begin / metrics:end catalogue")
+	}
+	documented := map[string]bool{}
+	for _, m := range regexp.MustCompile("(?m)^\\| `(pelican[A-Za-z0-9_]*)`").FindAllStringSubmatch(catalogue, -1) {
+		documented[m[1]] = true
+	}
+	for name := range fams {
+		if !documented[name] {
+			t.Errorf("%s is served but has no row in SERVING.md's metric catalogue", name)
+		}
+	}
+	for name := range documented {
+		if fams[name] == nil {
+			t.Errorf("SERVING.md's metric catalogue lists %s, which /metrics does not serve", name)
+		}
+	}
+
+	lits := pelicanLiterals(t, moduleRoot)
+	for _, lit := range lits {
+		if !servesSeries(fams, lit.name) {
+			t.Errorf("%s: %q names no family /metrics serves", lit.pos, lit.name)
+		}
+	}
+	t.Logf("%d families served and catalogued; %d pelican_* literals name them", len(fams), len(lits))
 
 	// Error counters must be split by class, not collapsed.
 	var codes []string
@@ -97,7 +161,7 @@ func TestMetricsExpositionFormat(t *testing.T) {
 		if f.Type != "histogram" {
 			continue
 		}
-		for _, series := range promSeriesKeys(f) {
+		for _, series := range promSeries(f) {
 			h := f.Histogram(series)
 			if h == nil {
 				t.Fatalf("%s: series %v disappeared on extraction", name, series)
@@ -147,31 +211,100 @@ func TestMetricsExpositionFormat(t *testing.T) {
 	}
 }
 
-// promSeriesKeys returns the distinct non-le label sets of a family's
-// samples, so each histogram series can be checked independently.
-func promSeriesKeys(f *obs.PromFamily) []map[string]string {
-	seen := map[string]map[string]string{}
-	for _, s := range f.Samples {
-		key := ""
-		labels := map[string]string{}
-		for k, v := range s.Labels {
-			if k == "le" {
-				continue
-			}
-			labels[k] = v
-		}
-		for _, k := range []string{"slot", "code", "model", "version", "engine"} {
-			if v, ok := labels[k]; ok {
-				key += k + "=" + v + ";"
-			}
-		}
-		if _, ok := seen[key]; !ok {
-			seen[key] = labels
+// promLabelKeys renders a sample's label keys, le aside, sorted.
+func promLabelKeys(s obs.PromSample) string {
+	var keys []string
+	for k := range s.Labels {
+		if k != "le" {
+			keys = append(keys, k)
 		}
 	}
-	out := make([]map[string]string, 0, len(seen))
-	for _, labels := range seen {
-		out = append(out, labels)
+	sort.Strings(keys)
+	return strings.Join(keys, ",")
+}
+
+// promSeries returns the distinct label sets, le aside, of a family's
+// samples, so each histogram series can be checked on its own.
+func promSeries(f *obs.PromFamily) []map[string]string {
+	seen := map[string]bool{}
+	var out []map[string]string
+	for _, s := range f.Samples {
+		labels := map[string]string{}
+		for k, v := range s.Labels {
+			if k != "le" {
+				labels[k] = v
+			}
+		}
+		if key := fmt.Sprint(labels); !seen[key] { // fmt sorts map keys
+			seen[key] = true
+			out = append(out, labels)
+		}
+	}
+	return out
+}
+
+// servesSeries reports whether name is a served family, or the _bucket,
+// _sum or _count series of a served histogram.
+func servesSeries(fams map[string]*obs.PromFamily, name string) bool {
+	if fams[name] != nil {
+		return true
+	}
+	for _, suffix := range []string{"_bucket", "_sum", "_count"} {
+		if base, ok := strings.CutSuffix(name, suffix); ok && fams[base] != nil && fams[base].Type == "histogram" {
+			return true
+		}
+	}
+	return false
+}
+
+type pelicanLiteral struct {
+	pos  token.Position
+	name string
+}
+
+// pelicanLiterals returns every string literal shaped like a metric name
+// (pelican_ then word characters) in the module's non-test Go files,
+// skipping testdata and dot-directories: the names the binaries, the
+// bench harness and the server itself read or write.
+func pelicanLiterals(t *testing.T, root string) []pelicanLiteral {
+	t.Helper()
+	litRE := regexp.MustCompile(`^pelican_[A-Za-z0-9_]+$`)
+	fset := token.NewFileSet()
+	var out []pelicanLiteral
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != root && (d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".")) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			lit, ok := n.(*ast.BasicLit)
+			if !ok || lit.Kind != token.STRING {
+				return true
+			}
+			if v, err := strconv.Unquote(lit.Value); err == nil && litRE.MatchString(v) {
+				out = append(out, pelicanLiteral{pos: fset.Position(lit.Pos()), name: v})
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(out) == 0 {
+		t.Fatal("no pelican_* literal found in the module: the walk is broken")
 	}
 	return out
 }

@@ -84,7 +84,6 @@ const (
 	gemmF64 gemmKind = iota
 	gemmF64TransA
 	gemmF64TransB
-	gemmF32Fused
 )
 
 // gemmArgs carries one kernel invocation's operands by value. Dispatch
@@ -92,12 +91,9 @@ const (
 // closure and its captured variables on every parallel GEMM; a value
 // struct copied into the channel buffer allocates nothing.
 type gemmArgs struct {
-	kind       gemmKind
-	dst, a, b  []float64
-	dst32, a32 []float32
-	w32, b32   []float32
-	m, k, n    int
-	act        Act
+	kind      gemmKind
+	dst, a, b []float64
+	m, k, n   int
 }
 
 // run executes rows [r0, r1) of the invocation on the calling goroutine.
@@ -111,8 +107,6 @@ func (g *gemmArgs) run(r0, r1 int) {
 		mulBlockTransA(g.dst, g.a, g.b, r0, r1, g.m, g.k, g.n)
 	case gemmF64TransB:
 		mulBlockTransB(g.dst, g.a, g.b, r0, r1, g.k, g.n)
-	case gemmF32Fused:
-		gemmBlockF32(g.dst32, g.a32, g.w32, g.b32, r0, r1, g.k, g.n, g.act)
 	}
 }
 
@@ -132,7 +126,7 @@ var (
 	// never heap-allocates one per call. A sync.Pool did not: a WaitGroup
 	// Put on one P and wanted by a Get on another missed and allocated.
 	// The buffer holds more WaitGroups than goroutines dispatch GEMMs at
-	// once (serving replicas, training), so after warm-up every dispatch
+	// once (training, adapt's retrains), so after warm-up every dispatch
 	// finds one.
 	gemmWGs = make(chan *sync.WaitGroup, 64)
 )

@@ -15,8 +15,10 @@ package tensor
 // scores do not depend on its position in the batch. The k tail (k mod 8),
 // bias add and activation run in the Go epilogue. Elsewhere, or with the
 // purego build tag, the pure-Go tiles below run; they are also the oracle
-// the assembly is tested against. Rows are parallelized in bands over the
-// persistent GEMM worker pool.
+// the assembly is tested against. The whole product runs on the caller's
+// goroutine: with the SIMD tile, fanning rows out over the GEMM worker
+// pool bought no throughput on the serving rows and cost CPU in hand-offs
+// (PERF.md, Fan-out); serving parallelism comes from its replicas.
 
 // Act selects the activation fused into the GEMM epilogue.
 type Act uint8
@@ -41,11 +43,7 @@ func GemmBiasActF32(dst, a, w, bias []float32, m, k, n int, act Act) {
 	if bias != nil && len(bias) < n {
 		panic("tensor: GemmBiasActF32 bias shorter than n")
 	}
-	if serialRows(m, k*n) {
-		gemmBlockF32(dst, a, w, bias, 0, m, k, n, act)
-		return
-	}
-	parallelRows(m, gemmArgs{kind: gemmF32Fused, dst32: dst, a32: a, w32: w, b32: bias, m: m, k: k, n: n, act: act})
+	gemmBlockF32(dst, a, w, bias, m, k, n, act)
 }
 
 // simdF32 selects the assembly dot tiles (matmul32_amd64.s) over the
@@ -53,20 +51,20 @@ func GemmBiasActF32(dst, a, w, bias []float32, m, k, n int, act Act) {
 // run both on the same inputs.
 var simdF32 = haveSIMDF32
 
-// gemmBlockF32 computes rows [r0, r1) of dst = act(a @ wᵀ + bias) in 2×4
+// gemmBlockF32 computes the m rows of dst = act(a @ wᵀ + bias) in 2×4
 // tiles, with 1×4 tiles for an odd last row. A tile kernel sums the first
 // kt products of each dot: all k in pure Go, the multiple of 8 below k in
 // assembly. The epilogue adds the remaining products, the bias and the
 // activation while the eight sums are still in registers.
 //
 //pelican:noalloc
-func gemmBlockF32(dst, a, w, bias []float32, r0, r1, k, n int, act Act) {
+func gemmBlockF32(dst, a, w, bias []float32, m, k, n int, act Act) {
 	kt := k
 	if simdF32 {
 		kt = k &^ 7
 	}
-	i := r0
-	for ; i+2 <= r1; i += 2 {
+	i := 0
+	for ; i+2 <= m; i += 2 {
 		a0 := a[(i+0)*k : (i+1)*k]
 		a1 := a[(i+1)*k : (i+2)*k]
 		d0 := dst[(i+0)*n : (i+1)*n]
@@ -126,7 +124,7 @@ func gemmBlockF32(dst, a, w, bias []float32, r0, r1, k, n int, act Act) {
 		}
 	}
 	// Remainder row: 1×4 tiles.
-	for ; i < r1; i++ {
+	for ; i < m; i++ {
 		arow := a[i*k : (i+1)*k]
 		drow := dst[i*n : (i+1)*n]
 		j := 0

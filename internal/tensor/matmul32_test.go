@@ -3,7 +3,6 @@ package tensor
 import (
 	"math"
 	"math/rand"
-	"runtime"
 	"testing"
 )
 
@@ -123,9 +122,9 @@ func TestGemmF32EpilogueOnZeroInput(t *testing.T) {
 	}
 }
 
-// TestGemmF32Parallel runs a product large enough to cross the worker-pool
-// threshold and checks it against the reference (exercised under -race in
-// CI).
+// TestGemmF32Parallel checks a product of many whole tiles in both
+// directions against the reference; CI runs it under -race beside the
+// infer parity tests, whose detectors call the GEMM concurrently.
 func TestGemmF32Parallel(t *testing.T) {
 	for _, path := range gemmPaths {
 		t.Run(path.name, func(t *testing.T) {
@@ -346,33 +345,5 @@ func BenchmarkGemmF32(b *testing.B) {
 				b.ReportMetric(2*float64(rows*f*sh.n)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
 			})
 		}
-	}
-}
-
-// TestGemmF32FanOutRecyclesWaitGroup pins that a GEMM fanned out over the
-// worker pool hands its completion WaitGroup back for the next dispatch
-// instead of allocating one per call. (A sync.Pool here missed whenever
-// the Get ran on another P than the Put: infer.allocs_per_run read 0.04
-// on Residual-41 at GOMAXPROCS 2. testing.AllocsPerRun cannot see it, as
-// it runs at GOMAXPROCS 1, where every GEMM stays on the caller.)
-func TestGemmF32FanOutRecyclesWaitGroup(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
-	rng := rand.New(rand.NewSource(1))
-	m, k, n := 32, 196, 196
-	a, w := randF32(rng, m*k), randF32(rng, k*n)
-	dst := make([]float32, m*n)
-	if serialRows(m, k*n) {
-		t.Fatal("shape does not fan out at GOMAXPROCS 2")
-	}
-	GemmBiasActF32(dst, a, w, nil, m, k, n, ActNone)
-	held := len(gemmWGs)
-	if held == 0 {
-		t.Fatal("no WaitGroup returned to the free list after a dispatch")
-	}
-	for i := 0; i < 100; i++ {
-		GemmBiasActF32(dst, a, w, nil, m, k, n, ActNone)
-	}
-	if got := len(gemmWGs); got != held {
-		t.Fatalf("free list holds %d WaitGroups after 100 serial dispatches, want %d", got, held)
 	}
 }

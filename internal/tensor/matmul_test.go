@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -438,5 +439,34 @@ func Shuffle(rng *rand.Rand, t *Tensor, labels []int) {
 		if labels != nil {
 			labels[i], labels[j] = labels[j], labels[i]
 		}
+	}
+}
+
+// TestGemmFanOutRecyclesWaitGroup pins that a GEMM fanned out over the
+// worker pool hands its completion WaitGroup back for the next dispatch
+// instead of allocating one per call. (A sync.Pool here missed whenever
+// the Get ran on another P than the Put: infer.allocs_per_run read 0.04
+// on Residual-41 at GOMAXPROCS 2 while the f32 GEMM still fanned out.
+// testing.AllocsPerRun cannot see it, as it runs at GOMAXPROCS 1, where
+// every GEMM stays on the caller.) Only the f64 training kernels fan out.
+func TestGemmFanOutRecyclesWaitGroup(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	rng := rand.New(rand.NewSource(1))
+	m, k, n := 32, 196, 196
+	a, b := RandNormal(rng, 0, 1, m, k), RandNormal(rng, 0, 1, k, n)
+	dst := New(m, n)
+	if serialRows(m, k*n) {
+		t.Fatal("shape does not fan out at GOMAXPROCS 2")
+	}
+	MatMulInto(dst, a, b)
+	held := len(gemmWGs)
+	if held == 0 {
+		t.Fatal("no WaitGroup returned to the free list after a dispatch")
+	}
+	for i := 0; i < 100; i++ {
+		MatMulInto(dst, a, b)
+	}
+	if got := len(gemmWGs); got != held {
+		t.Fatalf("free list holds %d WaitGroups after 100 serial dispatches, want %d", got, held)
 	}
 }

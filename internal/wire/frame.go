@@ -12,9 +12,9 @@
 // The package is stdlib-only and deliberately knows nothing about the
 // serving plane: internal/serve owns the listener that bridges decoded
 // score requests onto its per-slot batcher/scorer path (inheriting
-// admission control, deadlines, tracing, and graceful drain), and the
-// Client here implements nids.BatchDetector so a pipeline can swap
-// transports without touching scoring code.
+// admission control, deadlines, tracing, and graceful drain). The Client
+// here is a scoring client only: a nids pipeline scores remotely through
+// serve.RemoteDetector, not through this package.
 //
 // Frame layout (all integers little-endian):
 //
