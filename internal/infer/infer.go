@@ -649,7 +649,7 @@ func (e *Engine) Run(rows int) []float32 {
 				dst[j] = v + src2[j]
 			}
 		case opGRUGate:
-			runGRUGate(dst, src, e.plan.widths[s.dst])
+			tensor.GRUGateF32(dst, src, e.plan.widths[s.dst])
 		case opLSTMGate:
 			runLSTMGate(dst, src, e.plan.widths[s.dst])
 		}
@@ -677,20 +677,6 @@ func runAffine(dst, src, scale, shift []float32) {
 	}
 }
 
-// runGRUGate combines packed (B, 2H) GRU pre-activations [z | h~] into
-// (B, H) hidden states for zero initial state: h = (1 − hardsig(z))·tanh(h~).
-//
-//pelican:noalloc
-func runGRUGate(dst, src []float32, h int) {
-	for r := 0; r*2*h < len(src); r++ {
-		arow := src[r*2*h : (r+1)*2*h]
-		drow := dst[r*h : (r+1)*h]
-		for j := 0; j < h; j++ {
-			drow[j] = (1 - hardSigmoid32(arow[j])) * tanh32(arow[h+j])
-		}
-	}
-}
-
 // runLSTMGate combines packed (B, 3H) LSTM pre-activations [i | g | o]
 // into (B, H) hidden states for zero initial state:
 // h = sig(o)·tanh(sig(i)·tanh(g)).
@@ -701,26 +687,14 @@ func runLSTMGate(dst, src []float32, h int) {
 		arow := src[r*3*h : (r+1)*3*h]
 		drow := dst[r*h : (r+1)*h]
 		for j := 0; j < h; j++ {
-			c := sigmoid32(arow[j]) * tanh32(arow[h+j])
-			drow[j] = sigmoid32(arow[2*h+j]) * tanh32(c)
+			c := sigmoid32(arow[j]) * tensor.TanhF32(arow[h+j])
+			drow[j] = sigmoid32(arow[2*h+j]) * tensor.TanhF32(c)
 		}
 	}
 }
 
-// hardSigmoid32 is Keras's piecewise-linear sigmoid max(0, min(1, 0.2x+0.5)).
+// sigmoid32 is the logistic function through tensor.TanhF32, by the
+// identity σ(x) = (1 + tanh(x/2))/2.
 //
 //pelican:noalloc
-func hardSigmoid32(v float32) float32 {
-	y := 0.2*v + 0.5
-	if y < 0 {
-		return 0
-	}
-	if y > 1 {
-		return 1
-	}
-	return y
-}
-
-func tanh32(v float32) float32 { return float32(math.Tanh(float64(v))) }
-
-func sigmoid32(v float32) float32 { return float32(1 / (1 + math.Exp(-float64(v)))) }
+func sigmoid32(v float32) float32 { return 0.5*tensor.TanhF32(0.5*v) + 0.5 }

@@ -87,12 +87,13 @@ type slotMetrics struct {
 // promSnapshot carries the registry-side state /metrics renders alongside
 // the server-wide counters.
 type promSnapshot struct {
-	queueDepth      int
-	slots           []slotMetrics
-	promotes        int64
-	rollbacks       int64
-	previousVersion string
-	started         time.Time
+	queueDepth int
+	slots      []slotMetrics
+	promotes   int64
+	rollbacks  int64
+	// previous is the retained rollback generation's artifact (nil if none).
+	previous *Artifact
+	started  time.Time
 	// store holds the artifact-store counters (nil without Config.Store —
 	// the families are then absent, not zero); recovery is non-nil only
 	// on a server built by Recover.
@@ -141,8 +142,8 @@ func (m *serverMetrics) writeProm(w io.Writer, snap promSnapshot) {
 	for _, sl := range snap.slots {
 		fmt.Fprintf(w, "pelican_serve_model_info{slot=%q,model=%q,version=%q} 1\n", sl.tag, sl.model, sl.version)
 	}
-	if snap.previousVersion != "" {
-		fmt.Fprintf(w, "pelican_serve_model_info{slot=\"previous\",model=\"\",version=%q} 1\n", snap.previousVersion)
+	if p := snap.previous; p != nil {
+		fmt.Fprintf(w, "pelican_serve_model_info{slot=%q,model=%q,version=%q} 1\n", registry.Previous, p.ModelName, p.Version())
 	}
 
 	slotCounter := func(name, help string, load func(*registry.Stats) int64) {

@@ -54,6 +54,8 @@ func scrapeProm(t *testing.T, baseURL string) map[string]*obs.PromFamily {
 //   - the family set is SERVING.md's catalogue, row for row;
 //   - every pelican_* string literal in the module's non-test Go names a
 //     served family or one of a histogram's _bucket/_sum/_count series;
+//   - every model_info sample, the previous generation's too, names its
+//     model;
 //   - every histogram series is cumulative, ends in +Inf == _count, and
 //     has a _sum its buckets allow.
 func TestMetricsExpositionFormat(t *testing.T) {
@@ -152,6 +154,19 @@ func TestMetricsExpositionFormat(t *testing.T) {
 		if !found {
 			t.Fatalf("pelican_serve_request_errors_total has no code=%q series (got %v)", want, codes)
 		}
+	}
+
+	// Every model_info sample names its model, the held rollback
+	// generation's included.
+	slots := map[string]string{}
+	for _, s := range fams["pelican_serve_model_info"].Samples {
+		slots[s.Label("slot")] = s.Label("model")
+		if s.Label("model") == "" {
+			t.Errorf("pelican_serve_model_info{slot=%q} has an empty model label", s.Label("slot"))
+		}
+	}
+	if _, ok := slots[registry.Previous]; !ok {
+		t.Errorf("pelican_serve_model_info has no slot=%q sample (got %v)", registry.Previous, slots)
 	}
 
 	// Every histogram family: group samples by label set and check the

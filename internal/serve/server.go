@@ -983,6 +983,10 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			stages:  si.scorer.stages,
 		})
 	}
+	var previous *Artifact
+	if si, ok := s.slot(registry.Previous); ok {
+		previous = si.artifact
+	}
 	var storeStats *store.Stats
 	if s.store != nil {
 		st := s.store.Stats()
@@ -990,14 +994,14 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 	s.m.writeProm(w, promSnapshot{
-		queueDepth:      queueDepth,
-		slots:           slots,
-		promotes:        s.reg.Promotes(),
-		rollbacks:       s.reg.Rollbacks(),
-		previousVersion: s.reg.PreviousVersion(),
-		started:         s.started,
-		store:           storeStats,
-		recovery:        s.recovery,
+		queueDepth: queueDepth,
+		slots:      slots,
+		promotes:   s.reg.Promotes(),
+		rollbacks:  s.reg.Rollbacks(),
+		previous:   previous,
+		started:    s.started,
+		store:      storeStats,
+		recovery:   s.recovery,
 	})
 }
 

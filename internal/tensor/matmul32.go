@@ -8,17 +8,21 @@ package tensor
 // row per *output* column. That turns the product into pure dot products
 // over contiguous operand rows, so the kernel holds a 2×4 tile of
 // accumulators (two input rows against four weight rows) with no
-// read-modify-write of dst inside the k loop. On amd64 CPUs with AVX2 and
-// FMA the k loop of that tile runs in assembly (matmul32_amd64.s): eight
-// 8-lane VFMADD231PS accumulators, reduced horizontally once per tile; the
-// 1-row remainder uses a 1×4 tile with the same lane order, so a record's
-// scores do not depend on its position in the batch. The k tail (k mod 8),
-// bias add and activation run in the Go epilogue. Elsewhere, or with the
-// purego build tag, the pure-Go tiles below run; they are also the oracle
-// the assembly is tested against. The whole product runs on the caller's
-// goroutine: with the SIMD tile, fanning rows out over the GEMM worker
-// pool bought no throughput on the serving rows and cost CPU in hand-offs
-// (PERF.md, Fan-out); serving parallelism comes from its replicas.
+// read-modify-write of dst inside the k loop. On amd64 CPUs with AVX2
+// and FMA a row kernel in assembly (matmul32_amd64.s) walks every
+// 4-column tile of two rows: eight 8-lane VFMADD231PS accumulators over
+// k &^ 7, reduced horizontally once per tile, then the k tail (k mod 8,
+// one VMULPS and one VADDPS per step, in the pure-Go tile's order), the
+// bias and the ReLU in registers, and one 4-wide store per row. A 1-row
+// kernel with the same lane order takes an odd last row, so a record's
+// scores do not depend on its position in the batch. The n mod 4
+// columns are single dot products in Go. Elsewhere, or with the purego
+// build tag, the pure-Go tiles below run; they are also the oracle the
+// assembly is tested against. The whole product runs on the caller's
+// goroutine: with the SIMD kernel, fanning rows out over the GEMM worker
+// pool bought no throughput on the serving rows and cost CPU in
+// hand-offs (PERF.md, Fan-out); serving parallelism comes from its
+// replicas.
 
 // Act selects the activation fused into the GEMM epilogue.
 type Act uint8
@@ -46,116 +50,41 @@ func GemmBiasActF32(dst, a, w, bias []float32, m, k, n int, act Act) {
 	gemmBlockF32(dst, a, w, bias, m, k, n, act)
 }
 
-// simdF32 selects the assembly dot tiles (matmul32_amd64.s) over the
-// pure-Go ones. It is set once from the CPU's features; tests flip it to
-// run both on the same inputs.
+// simdF32 selects the assembly kernels (matmul32_amd64.s, gate32_amd64.s)
+// over the pure-Go code. It is set once from the CPU's features; tests
+// flip it to run both on the same inputs.
 var simdF32 = haveSIMDF32
 
-// gemmBlockF32 computes the m rows of dst = act(a @ wᵀ + bias) in 2×4
-// tiles, with 1×4 tiles for an odd last row. A tile kernel sums the first
-// kt products of each dot: all k in pure Go, the multiple of 8 below k in
-// assembly. The epilogue adds the remaining products, the bias and the
-// activation while the eight sums are still in registers.
+// gemmBlockF32 computes the m rows of dst = act(a @ wᵀ + bias) two rows
+// at a time, with a 1-row kernel for an odd last row. A row kernel walks
+// the 4-column tiles of its rows and finishes each in registers: dot
+// products, bias, activation, one store. The n mod 4 columns are single
+// dot products in Go.
 //
 //pelican:noalloc
 func gemmBlockF32(dst, a, w, bias []float32, m, k, n int, act Act) {
-	kt := k
-	if simdF32 {
-		kt = k &^ 7
-	}
+	relu := act == ActReLU
 	i := 0
 	for ; i+2 <= m; i += 2 {
-		a0 := a[(i+0)*k : (i+1)*k]
-		a1 := a[(i+1)*k : (i+2)*k]
-		d0 := dst[(i+0)*n : (i+1)*n]
-		d1 := dst[(i+1)*n : (i+2)*n]
-		j := 0
-		for ; j+4 <= n; j += 4 {
-			wt := w[j*k : (j+4)*k]
-			var s [8]float32
-			if kt > 0 {
-				if simdF32 {
-					dotTile2x4F32(&a0[0], &wt[0], kt, k, &s)
-				} else {
-					dotTile2x4F32Go(a0, a1, wt, kt, k, &s)
-				}
-			}
-			s00, s01, s02, s03 := s[0], s[1], s[2], s[3]
-			s10, s11, s12, s13 := s[4], s[5], s[6], s[7]
-			for p := kt; p < k; p++ {
-				av0, av1 := a0[p], a1[p]
-				wv0, wv1, wv2, wv3 := wt[p], wt[k+p], wt[2*k+p], wt[3*k+p]
-				s00 += av0 * wv0
-				s01 += av0 * wv1
-				s02 += av0 * wv2
-				s03 += av0 * wv3
-				s10 += av1 * wv0
-				s11 += av1 * wv1
-				s12 += av1 * wv2
-				s13 += av1 * wv3
-			}
-			if bias != nil {
-				b0, b1, b2, b3 := bias[j], bias[j+1], bias[j+2], bias[j+3]
-				s00, s01, s02, s03 = s00+b0, s01+b1, s02+b2, s03+b3
-				s10, s11, s12, s13 = s10+b0, s11+b1, s12+b2, s13+b3
-			}
-			if act == ActReLU {
-				s00, s01, s02, s03 = relu32(s00), relu32(s01), relu32(s02), relu32(s03)
-				s10, s11, s12, s13 = relu32(s10), relu32(s11), relu32(s12), relu32(s13)
-			}
-			d0[j], d0[j+1], d0[j+2], d0[j+3] = s00, s01, s02, s03
-			d1[j], d1[j+1], d1[j+2], d1[j+3] = s10, s11, s12, s13
-		}
-		for ; j < n; j++ {
-			wrow := w[j*k : (j+1)*k]
-			var s0, s1 float32
-			for p, wv := range wrow {
-				s0 += a0[p] * wv
-				s1 += a1[p] * wv
-			}
-			if bias != nil {
-				s0 += bias[j]
-				s1 += bias[j]
-			}
-			if act == ActReLU {
-				s0, s1 = relu32(s0), relu32(s1)
-			}
-			d0[j], d1[j] = s0, s1
+		d, ar := dst[i*n:(i+2)*n], a[i*k:(i+2)*k]
+		if simdF32 {
+			gemmRows2F32(d, ar, w, bias, k, n, relu)
+		} else {
+			gemmRows2F32Go(d, ar, w, bias, k, n, relu)
 		}
 	}
-	// Remainder row: 1×4 tiles.
-	for ; i < m; i++ {
-		arow := a[i*k : (i+1)*k]
-		drow := dst[i*n : (i+1)*n]
-		j := 0
-		for ; j+4 <= n; j += 4 {
-			wt := w[j*k : (j+4)*k]
-			var s [4]float32
-			if kt > 0 {
-				if simdF32 {
-					dotTile1x4F32(&arow[0], &wt[0], kt, k, &s)
-				} else {
-					dotTile1x4F32Go(arow, wt, kt, k, &s)
-				}
-			}
-			s0, s1, s2, s3 := s[0], s[1], s[2], s[3]
-			for p := kt; p < k; p++ {
-				av := arow[p]
-				s0 += av * wt[p]
-				s1 += av * wt[k+p]
-				s2 += av * wt[2*k+p]
-				s3 += av * wt[3*k+p]
-			}
-			if bias != nil {
-				s0, s1, s2, s3 = s0+bias[j], s1+bias[j+1], s2+bias[j+2], s3+bias[j+3]
-			}
-			if act == ActReLU {
-				s0, s1, s2, s3 = relu32(s0), relu32(s1), relu32(s2), relu32(s3)
-			}
-			drow[j], drow[j+1], drow[j+2], drow[j+3] = s0, s1, s2, s3
+	if i < m {
+		d, ar := dst[i*n:(i+1)*n], a[i*k:(i+1)*k]
+		if simdF32 {
+			gemmRow1F32(d, ar, w, bias, k, n, relu)
+		} else {
+			gemmRow1F32Go(d, ar, w, bias, k, n, relu)
 		}
-		for ; j < n; j++ {
-			wrow := w[j*k : (j+1)*k]
+	}
+	for j := n &^ 3; j < n; j++ {
+		wrow := w[j*k : (j+1)*k]
+		for i := 0; i < m; i++ {
+			arow := a[i*k : (i+1)*k]
 			var s float32
 			for p, wv := range wrow {
 				s += arow[p] * wv
@@ -163,54 +92,73 @@ func gemmBlockF32(dst, a, w, bias []float32, m, k, n int, act Act) {
 			if bias != nil {
 				s += bias[j]
 			}
-			if act == ActReLU {
+			if relu {
 				s = relu32(s)
 			}
-			drow[j] = s
+			dst[i*n+j] = s
 		}
 	}
 }
 
-// dotTile2x4F32Go sets s[4r+c] to the dot product of input row r (a0,
-// a1) with weight row c (wt at offsets 0, k, 2k, 3k) over the first kt
-// elements, summed in order: eight accumulators live in registers across
-// the whole loop.
+// gemmRows2F32Go is gemmRows2F32 in pure Go: per 2×4 tile, eight
+// accumulators live in registers across the whole k loop, each summing
+// its dot product in order.
 //
 //pelican:noalloc
-func dotTile2x4F32Go(a0, a1, wt []float32, kt, k int, s *[8]float32) {
-	a0, a1 = a0[:kt], a1[:kt]
-	w0, w1, w2, w3 := wt[:kt], wt[k:k+kt], wt[2*k:2*k+kt], wt[3*k:3*k+kt]
-	var s00, s01, s02, s03 float32
-	var s10, s11, s12, s13 float32
-	for p := range a0 {
-		av0, av1 := a0[p], a1[p]
-		wv0, wv1, wv2, wv3 := w0[p], w1[p], w2[p], w3[p]
-		s00 += av0 * wv0
-		s01 += av0 * wv1
-		s02 += av0 * wv2
-		s03 += av0 * wv3
-		s10 += av1 * wv0
-		s11 += av1 * wv1
-		s12 += av1 * wv2
-		s13 += av1 * wv3
+func gemmRows2F32Go(dst, a, w, bias []float32, k, n int, relu bool) {
+	a0, a1 := a[:k], a[k:][:k]
+	d0, d1 := dst[:n], dst[n:2*n]
+	for j := 0; j+4 <= n; j += 4 {
+		w0, w1, w2, w3 := w[j*k:(j+1)*k], w[(j+1)*k:(j+2)*k], w[(j+2)*k:(j+3)*k], w[(j+3)*k:(j+4)*k]
+		var s00, s01, s02, s03 float32
+		var s10, s11, s12, s13 float32
+		for p := range a0 {
+			av0, av1 := a0[p], a1[p]
+			wv0, wv1, wv2, wv3 := w0[p], w1[p], w2[p], w3[p]
+			s00 += av0 * wv0
+			s01 += av0 * wv1
+			s02 += av0 * wv2
+			s03 += av0 * wv3
+			s10 += av1 * wv0
+			s11 += av1 * wv1
+			s12 += av1 * wv2
+			s13 += av1 * wv3
+		}
+		store4F32(d0, bias, j, s00, s01, s02, s03, relu)
+		store4F32(d1, bias, j, s10, s11, s12, s13, relu)
 	}
-	*s = [8]float32{s00, s01, s02, s03, s10, s11, s12, s13}
 }
 
-// dotTile1x4F32Go is dotTile2x4F32Go for one input row.
+// gemmRow1F32Go is gemmRows2F32Go for one row.
 //
 //pelican:noalloc
-func dotTile1x4F32Go(arow, wt []float32, kt, k int, s *[4]float32) {
-	arow = arow[:kt]
-	w0, w1, w2, w3 := wt[:kt], wt[k:k+kt], wt[2*k:2*k+kt], wt[3*k:3*k+kt]
-	var s0, s1, s2, s3 float32
-	for p, av := range arow {
-		s0 += av * w0[p]
-		s1 += av * w1[p]
-		s2 += av * w2[p]
-		s3 += av * w3[p]
+func gemmRow1F32Go(dst, a, w, bias []float32, k, n int, relu bool) {
+	a = a[:k]
+	for j := 0; j+4 <= n; j += 4 {
+		w0, w1, w2, w3 := w[j*k:(j+1)*k], w[(j+1)*k:(j+2)*k], w[(j+2)*k:(j+3)*k], w[(j+3)*k:(j+4)*k]
+		var s0, s1, s2, s3 float32
+		for p, av := range a {
+			s0 += av * w0[p]
+			s1 += av * w1[p]
+			s2 += av * w2[p]
+			s3 += av * w3[p]
+		}
+		store4F32(dst, bias, j, s0, s1, s2, s3, relu)
 	}
-	*s = [4]float32{s0, s1, s2, s3}
+}
+
+// store4F32 adds bias[j:j+4] (if any) to four sums, applies the ReLU if
+// asked and stores them at d[j:j+4].
+//
+//pelican:noalloc
+func store4F32(d, bias []float32, j int, s0, s1, s2, s3 float32, relu bool) {
+	if bias != nil {
+		s0, s1, s2, s3 = s0+bias[j], s1+bias[j+1], s2+bias[j+2], s3+bias[j+3]
+	}
+	if relu {
+		s0, s1, s2, s3 = relu32(s0), relu32(s1), relu32(s2), relu32(s3)
+	}
+	d[j], d[j+1], d[j+2], d[j+3] = s0, s1, s2, s3
 }
 
 //pelican:noalloc

@@ -2,6 +2,8 @@
 
 package tensor
 
+import "math"
+
 // haveSIMDF32 reports whether the CPU has AVX2 and FMA and the OS saves
 // the YMM registers across context switches.
 var haveSIMDF32 = cpuHasAVX2FMA()
@@ -12,18 +14,45 @@ var haveSIMDF32 = cpuHasAVX2FMA()
 //pelican:noalloc
 func cpuHasAVX2FMA() bool
 
-// dotTile2x4F32 sets out[4r+c] to the dot product of input row r (a, then
-// a+ld) with weight row c (w, w+ld, w+2·ld, w+3·ld) over their first k8
-// elements. k8 must be a positive multiple of 8 and ld the row stride in
-// elements.
+// gemmRows2F32 computes columns [0, n &^ 3) of two rows of
+// dst = act(a @ wᵀ + bias): a holds the rows (stride k), w the weight
+// rows (stride k), dst the output rows (stride n). bias may be nil; relu
+// selects ActReLU. The k loop accumulates in eight 8-lane FMA registers
+// over k &^ 7; the tail, bias and ReLU run in registers after the
+// horizontal reduction, one multiply and one add at a time.
 //
 //go:noescape
 //pelican:noalloc
-func dotTile2x4F32(a, w *float32, k8, ld int, out *[8]float32)
+func gemmRows2F32(dst, a, w, bias []float32, k, n int, relu bool)
 
-// dotTile1x4F32 is dotTile2x4F32 for one input row, with the same lane
-// order and reduction, so a row's sums are bit-identical in either tile.
+// gemmRow1F32 is gemmRows2F32 for one row, with the same lane order,
+// reduction and epilogue, so a row's outputs are bit-identical in either
+// kernel.
 //
 //go:noescape
 //pelican:noalloc
-func dotTile1x4F32(a, w *float32, k8, ld int, out *[4]float32)
+func gemmRow1F32(dst, a, w, bias []float32, k, n int, relu bool)
+
+// gruGate8F32 sets dst[j] = (1 − hardSigmoid32(z[j]))·TanhF32(a[j]) for
+// j < len(dst), a positive multiple of 8, bit-identical to the scalar
+// functions (gate32_amd64.s).
+//
+//go:noescape
+//pelican:noalloc
+func gruGate8F32(dst, z, a []float32)
+
+// gateK holds gruGate8F32's constants, each broadcast to eight lanes, in
+// the order gate32_amd64.s addresses them.
+var gateK = func() (k [18][8]float32) {
+	for i, v := range [...]float32{
+		tanhClamp, -tanhClamp, tanhTiny, math.Float32frombits(0x7fffffff),
+		tanhA13, tanhA11, tanhA9, tanhA7, tanhA5, tanhA3, tanhA1,
+		tanhB6, tanhB4, tanhB2, tanhB0,
+		0.2, 0.5, 1,
+	} {
+		for l := range k[i] {
+			k[i][l] = v
+		}
+	}
+	return k
+}()

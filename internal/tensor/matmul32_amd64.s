@@ -39,20 +39,37 @@ no:
 	MOVB $0, ret+0(FP)
 	RET
 
-// func dotTile2x4F32(a, w *float32, k8, ld int, out *[8]float32)
+// func gemmRows2F32(dst, a, w, bias []float32, k, n int, relu bool)
 //
-// Y0..Y3 accumulate input row 0 against weight rows 0..3, Y4..Y7 input
-// row 1; lane l of each sums the products at p ≡ l (mod 8).
-TEXT ·dotTile2x4F32(SB), NOSPLIT, $0-40
-	MOVQ a+0(FP), SI
-	MOVQ w+8(FP), DI
-	MOVQ k8+16(FP), CX
-	MOVQ ld+24(FP), DX
-	MOVQ out+32(FP), R8
+// Rows 0 and 1 of a (stride k) against every 4-column tile of w's first
+// n &^ 3 rows (stride k), into rows 0 and 1 of dst (stride n). Per tile,
+// Y0..Y3 accumulate input row 0 against weight rows 0..3 and Y4..Y7 input
+// row 1; lane l of each sums the products at p ≡ l (mod 8) below k &^ 7.
+// The horizontal reduction leaves the four sums of a row in one XMM
+// register, which then takes the k tail in order (VMULPS + VADDPS, no
+// FMA: the pure-Go tile's rounding), the bias (VADDPS) and the ReLU
+// (VMAXPS with zero as the first source, so -0 and NaN pass through) and
+// is stored once.
+TEXT ·gemmRows2F32(SB), NOSPLIT, $0-113
+	MOVQ dst_base+0(FP), R8
+	MOVQ a_base+24(FP), SI
+	MOVQ w_base+48(FP), DI
+	MOVQ bias_base+72(FP), R13
+	MOVQ k+96(FP), DX
+	MOVQ n+104(FP), BX
+	MOVBLZX relu+112(FP), R15
 
-	SHLQ $2, CX           // k8 in bytes
+	LEAQ (R8)(BX*4), R14  // dst row 1
+	SHRQ $2, BX           // 4-column tiles
+	JZ   done2
+	MOVQ DX, CX
+	ANDQ $-8, CX
+	SHLQ $2, CX           // k &^ 7 in bytes
 	SHLQ $2, DX           // row stride in bytes
 	LEAQ (SI)(DX*1), R9   // input row 1
+	VXORPS X15, X15, X15
+
+tile2:
 	LEAQ (DI)(DX*1), R10  // weight row 1
 	LEAQ (R10)(DX*1), R11 // weight row 2
 	LEAQ (R11)(DX*1), R12 // weight row 3
@@ -66,6 +83,8 @@ TEXT ·dotTile2x4F32(SB), NOSPLIT, $0-40
 	VXORPS Y6, Y6, Y6
 	VXORPS Y7, Y7, Y7
 	XORQ   AX, AX
+	CMPQ   AX, CX
+	JGE    reduce2
 
 loop2:
 	VMOVUPS     (SI)(AX*1), Y8
@@ -86,36 +105,91 @@ loop2:
 	CMPQ        AX, CX
 	JLT         loop2
 
-	// Horizontal reduction: hadd(hadd(c0, c1), hadd(c2, c3)) leaves the
-	// four half-sums of each 128-bit lane in order; adding the two lanes
-	// gives the four dot products.
+reduce2:
+	// hadd(hadd(c0, c1), hadd(c2, c3)) leaves the four half-sums of each
+	// 128-bit lane in order; adding the two lanes gives the four dot
+	// products.
 	VHADDPS      Y1, Y0, Y0
 	VHADDPS      Y3, Y2, Y2
 	VHADDPS      Y2, Y0, Y0
 	VEXTRACTF128 $1, Y0, X1
 	VADDPS       X1, X0, X0
-	VMOVUPS      X0, (R8)
 
 	VHADDPS      Y5, Y4, Y4
 	VHADDPS      Y7, Y6, Y6
 	VHADDPS      Y6, Y4, Y4
 	VEXTRACTF128 $1, Y4, X5
 	VADDPS       X5, X4, X4
-	VMOVUPS      X4, 16(R8)
 
+	CMPQ AX, DX
+	JGE  bias2
+
+tail2:
+	// One k step: the four weights at p gathered into X10, times the two
+	// inputs at p broadcast.
+	VMOVSS       (DI)(AX*1), X10
+	VINSERTPS    $0x10, (R10)(AX*1), X10, X10
+	VINSERTPS    $0x20, (R11)(AX*1), X10, X10
+	VINSERTPS    $0x30, (R12)(AX*1), X10, X10
+	VBROADCASTSS (SI)(AX*1), X8
+	VBROADCASTSS (R9)(AX*1), X9
+	VMULPS       X10, X8, X8
+	VADDPS       X8, X0, X0
+	VMULPS       X10, X9, X9
+	VADDPS       X9, X4, X4
+	ADDQ         $4, AX
+	CMPQ         AX, DX
+	JLT          tail2
+
+bias2:
+	TESTQ  R13, R13
+	JZ     act2
+	VMOVUPS (R13), X12
+	VADDPS X12, X0, X0
+	VADDPS X12, X4, X4
+	ADDQ   $16, R13
+
+act2:
+	TESTQ  R15, R15
+	JZ     store2
+	VMAXPS X0, X15, X0
+	VMAXPS X4, X15, X4
+
+store2:
+	VMOVUPS X0, (R8)
+	VMOVUPS X4, (R14)
+	ADDQ    $16, R8
+	ADDQ    $16, R14
+	LEAQ    (R12)(DX*1), DI // next tile's weight row 0
+	DECQ    BX
+	JNZ     tile2
+
+done2:
 	VZEROUPPER
 	RET
 
-// func dotTile1x4F32(a, w *float32, k8, ld int, out *[4]float32)
-TEXT ·dotTile1x4F32(SB), NOSPLIT, $0-40
-	MOVQ a+0(FP), SI
-	MOVQ w+8(FP), DI
-	MOVQ k8+16(FP), CX
-	MOVQ ld+24(FP), DX
-	MOVQ out+32(FP), R8
+// func gemmRow1F32(dst, a, w, bias []float32, k, n int, relu bool)
+//
+// gemmRows2F32 for one input row, with the same lane order, reduction and
+// epilogue, so a row's outputs are bit-identical in either kernel.
+TEXT ·gemmRow1F32(SB), NOSPLIT, $0-113
+	MOVQ dst_base+0(FP), R8
+	MOVQ a_base+24(FP), SI
+	MOVQ w_base+48(FP), DI
+	MOVQ bias_base+72(FP), R13
+	MOVQ k+96(FP), DX
+	MOVQ n+104(FP), BX
+	MOVBLZX relu+112(FP), R15
 
+	SHRQ $2, BX
+	JZ   done1
+	MOVQ DX, CX
+	ANDQ $-8, CX
 	SHLQ $2, CX
 	SHLQ $2, DX
+	VXORPS X15, X15, X15
+
+tile1:
 	LEAQ (DI)(DX*1), R10
 	LEAQ (R10)(DX*1), R11
 	LEAQ (R11)(DX*1), R12
@@ -125,6 +199,8 @@ TEXT ·dotTile1x4F32(SB), NOSPLIT, $0-40
 	VXORPS Y2, Y2, Y2
 	VXORPS Y3, Y3, Y3
 	XORQ   AX, AX
+	CMPQ   AX, CX
+	JGE    reduce1
 
 loop1:
 	VMOVUPS     (SI)(AX*1), Y8
@@ -136,12 +212,47 @@ loop1:
 	CMPQ        AX, CX
 	JLT         loop1
 
+reduce1:
 	VHADDPS      Y1, Y0, Y0
 	VHADDPS      Y3, Y2, Y2
 	VHADDPS      Y2, Y0, Y0
 	VEXTRACTF128 $1, Y0, X1
 	VADDPS       X1, X0, X0
-	VMOVUPS      X0, (R8)
 
+	CMPQ AX, DX
+	JGE  bias1
+
+tail1:
+	VMOVSS       (DI)(AX*1), X10
+	VINSERTPS    $0x10, (R10)(AX*1), X10, X10
+	VINSERTPS    $0x20, (R11)(AX*1), X10, X10
+	VINSERTPS    $0x30, (R12)(AX*1), X10, X10
+	VBROADCASTSS (SI)(AX*1), X8
+	VMULPS       X10, X8, X8
+	VADDPS       X8, X0, X0
+	ADDQ         $4, AX
+	CMPQ         AX, DX
+	JLT          tail1
+
+bias1:
+	TESTQ  R13, R13
+	JZ     act1
+	VMOVUPS (R13), X12
+	VADDPS X12, X0, X0
+	ADDQ   $16, R13
+
+act1:
+	TESTQ  R15, R15
+	JZ     store1
+	VMAXPS X0, X15, X0
+
+store1:
+	VMOVUPS X0, (R8)
+	ADDQ    $16, R8
+	LEAQ    (R12)(DX*1), DI
+	DECQ    BX
+	JNZ     tile1
+
+done1:
 	VZEROUPPER
 	RET

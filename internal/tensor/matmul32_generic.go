@@ -2,16 +2,21 @@
 
 package tensor
 
-// haveSIMDF32 is false: this build has no assembly tiles, so simdF32
-// stays false and gemmBlockF32 only runs the pure-Go ones.
+// haveSIMDF32 is false: this build has no assembly kernels, so simdF32
+// stays false and the GEMM and the GRU gate only run their pure-Go code.
 const haveSIMDF32 = false
 
 //pelican:noalloc
-func dotTile2x4F32(a, w *float32, k8, ld int, out *[8]float32) {
-	panic("tensor: no SIMD tile in this build")
+func gemmRows2F32(dst, a, w, bias []float32, k, n int, relu bool) {
+	panic("tensor: no SIMD kernel in this build")
 }
 
 //pelican:noalloc
-func dotTile1x4F32(a, w *float32, k8, ld int, out *[4]float32) {
-	panic("tensor: no SIMD tile in this build")
+func gemmRow1F32(dst, a, w, bias []float32, k, n int, relu bool) {
+	panic("tensor: no SIMD kernel in this build")
+}
+
+//pelican:noalloc
+func gruGate8F32(dst, z, a []float32) {
+	panic("tensor: no SIMD kernel in this build")
 }

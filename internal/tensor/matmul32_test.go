@@ -1,6 +1,8 @@
 package tensor
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math"
 	"math/rand"
 	"testing"
@@ -345,5 +347,75 @@ func BenchmarkGemmF32(b *testing.B) {
 				b.ReportMetric(2*float64(rows*f*sh.n)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
 			})
 		}
+	}
+}
+
+// TestGemmF32SIMDBitsUnchanged pins the SIMD path's output bits on seeded
+// shapes at the serving widths: an FNV-1a hash of every output's float32
+// bits. The hashes were recorded before the bias and ReLU moved into the
+// assembly row kernels, so a kernel change that moves any output by one
+// ulp — a reordered sum, an FMA where there was a multiply and an add —
+// fails here.
+func TestGemmF32SIMDBitsUnchanged(t *testing.T) {
+	useGemmPath(t, true)
+	cases := []struct {
+		m, k, n int
+		bias    bool
+		act     Act
+		want    uint64
+	}{
+		{32, 196, 196, true, ActReLU, 0x6ce088df193d69b9},
+		{32, 196, 392, true, ActNone, 0xadbab35637f95997},
+		{33, 121, 242, false, ActNone, 0xed5dc184e454d5ea},
+		{7, 9, 10, true, ActReLU, 0x2449918205722090},
+	}
+	for _, tc := range cases {
+		rng := rand.New(rand.NewSource(int64(tc.m*1000 + tc.k)))
+		a, w := randF32(rng, tc.m*tc.k), randF32(rng, tc.k*tc.n)
+		var bias []float32
+		if tc.bias {
+			bias = randF32(rng, tc.n)
+		}
+		dst := make([]float32, tc.m*tc.n)
+		GemmBiasActF32(dst, a, w, bias, tc.m, tc.k, tc.n, tc.act)
+		h := fnv.New64a()
+		var b [4]byte
+		for _, v := range dst {
+			binary.LittleEndian.PutUint32(b[:], math.Float32bits(v))
+			h.Write(b[:])
+		}
+		if got := h.Sum64(); got != tc.want {
+			t.Errorf("%d×%d×%d bias=%v act=%d: hash %#x, want %#x", tc.m, tc.k, tc.n, tc.bias, tc.act, got, tc.want)
+		}
+	}
+}
+
+// TestGemmF32ReLUPassesNaN pins the activation's edge cases on both
+// paths: ReLU keeps a NaN sum NaN and maps −Inf to 0, exactly as
+// relu32 does, in the 4-column tiles and in the n mod 4 columns.
+func TestGemmF32ReLUPassesNaN(t *testing.T) {
+	nan, inf := float32(math.NaN()), float32(math.Inf(1))
+	m, k, n := 3, 9, 5
+	for _, path := range gemmPaths {
+		t.Run(path.name, func(t *testing.T) {
+			useGemmPath(t, path.simd)
+			a := fill(m*k, 1)
+			a[0] = nan  // row 0: every column NaN
+			a[k] = -inf // row 1: every column −Inf
+			w := fill(k*n, 0.5)
+			got := make([]float32, m*n)
+			GemmBiasActF32(got, a, w, fill(n, -1), m, k, n, ActReLU)
+			for j := 0; j < n; j++ {
+				if v := got[j]; v == v {
+					t.Fatalf("row 0 col %d = %v, want NaN", j, v)
+				}
+				if v := got[n+j]; v != 0 || math.Signbit(float64(v)) {
+					t.Fatalf("row 1 col %d = %v, want +0", j, v)
+				}
+				if v := got[2*n+j]; v != 3.5 {
+					t.Fatalf("row 2 col %d = %v, want 3.5", j, v)
+				}
+			}
+		})
 	}
 }
