@@ -182,7 +182,12 @@ type Spec struct {
 	Description string
 	// Build constructs the stack for the given encoded feature count and
 	// class count. cfg carries the block parameters for block-based nets;
-	// baselines ignore most of it.
+	// baselines ignore most of it. rng draws the initial weights; a nil
+	// rng draws nothing and leaves every weight that would be drawn zero,
+	// for a caller that overwrites them all (nn.Network.SetState) before
+	// use. Constant initial values (BatchNorm scale, the LSTM forget-gate
+	// bias) are set either way. dropRNG drives dropout masks and must not
+	// be nil when the network trains.
 	Build func(rng, dropRNG *rand.Rand, cfg BlockConfig, features, classes int) *nn.Sequential
 }
 

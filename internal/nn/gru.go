@@ -11,8 +11,11 @@ import (
 // orthogonalSquare returns an n×n matrix with orthonormal rows/columns,
 // built by modified Gram–Schmidt on a random normal matrix and scaled by
 // gain. Keras initializes recurrent kernels orthogonally; we do the same
-// per gate.
+// per gate. A nil rng yields the zero matrix (see tensor.RandUniform).
 func orthogonalSquare(rng *rand.Rand, n int, gain float64) *tensor.Tensor {
+	if rng == nil {
+		return tensor.New(n, n)
+	}
 	m := tensor.RandNormal(rng, 0, 1, n, n)
 	d := m.Data()
 	for i := 0; i < n; i++ {
@@ -233,7 +236,14 @@ func (l *GRU) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
 		}
 		tensor.MatMulInto(a, xt, l.w.Value) // (B, 3H)
 		a.AddRowVec(l.b.Value)
-		tensor.MatMulInto(p, hPrev, uzr) // (B, 2H): z and r gates only
+		// The recurrent GEMMs against the zero initial state are zero: at
+		// ti == 0 the products are zeroed instead of computed, so the sums
+		// below are unchanged to the bit.
+		if ti > 0 {
+			tensor.MatMulInto(p, hPrev, uzr) // (B, 2H): z and r gates only
+		} else {
+			p.Zero()
+		}
 
 		az := tensor.Scratch.Get(b, h)
 		gateColsSumInto(az, a, p, 0, h)
@@ -252,7 +262,11 @@ func (l *GRU) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
 		tensor.MulInto(rh, r, hPrev)
 		gateColsInto(ah, a, 2, h)
 		// (r⊙hPrev) @ U_h: U_h is the last gate block of the recurrent kernel.
-		tensor.MatMulInto(ahRec, rh, uh)
+		if ti > 0 {
+			tensor.MatMulInto(ahRec, rh, uh)
+		} else {
+			ahRec.Zero()
+		}
 		ah.Axpy(1, ahRec)
 		hc := tensor.Scratch.Get(b, h)
 		ahd, hcd := ah.Data(), hc.Data()
@@ -368,16 +382,23 @@ func (l *GRU) Backward(grad *tensor.Tensor) *tensor.Tensor {
 		for i := range dahd {
 			dahd[i] = dhcd[i] * (1 - hcd[i]*hcd[i])
 		}
-		// drh = dah @ U_hᵀ ; dU_h += rhᵀ @ dah
-		tensor.MatMulTransBInto(drh, dah, uh)
-		tensor.MatMulTransAInto(dU, st.rh, dah)
-		l.addUGateGrad(2, dU)
+		// At ti == 0, hPrev is the zero initial state: rh, dr and every
+		// recurrent kernel gradient are zero, and dhPrev is dh₀, which
+		// nothing reads. The six recurrent GEMMs run only for ti > 0.
+		if ti > 0 {
+			// drh = dah @ U_hᵀ ; dU_h += rhᵀ @ dah
+			tensor.MatMulTransBInto(drh, dah, uh)
+			tensor.MatMulTransAInto(dU, st.rh, dah)
+			l.addUGateGrad(2, dU)
 
-		tensor.MulInto(dr, drh, st.hPrev)
-		// dhPrev += drh ⊙ r
-		drhd, rd := drh.Data(), st.r.Data()
-		for i := range dhpd {
-			dhpd[i] += drhd[i] * rd[i]
+			tensor.MulInto(dr, drh, st.hPrev)
+			// dhPrev += drh ⊙ r
+			drhd, rd := drh.Data(), st.r.Data()
+			for i := range dhpd {
+				dhpd[i] += drhd[i] * rd[i]
+			}
+		} else {
+			dr.Zero()
 		}
 
 		// Gate pre-activations through hard sigmoid.
@@ -410,15 +431,17 @@ func (l *GRU) Backward(grad *tensor.Tensor) *tensor.Tensor {
 		// Recurrent contributions to dhPrev from the z and r gates, and
 		// recurrent kernel gradients for those gates. Note the candidate
 		// gate's recurrent path went through rh (handled above).
-		tensor.MatMulTransBInto(rec, daz, uz)
-		dhPrev.Axpy(1, rec)
-		tensor.MatMulTransAInto(dU, st.hPrev, daz)
-		l.addUGateGrad(0, dU)
+		if ti > 0 {
+			tensor.MatMulTransBInto(rec, daz, uz)
+			dhPrev.Axpy(1, rec)
+			tensor.MatMulTransAInto(dU, st.hPrev, daz)
+			l.addUGateGrad(0, dU)
 
-		tensor.MatMulTransBInto(rec, dar, ur)
-		dhPrev.Axpy(1, rec)
-		tensor.MatMulTransAInto(dU, st.hPrev, dar)
-		l.addUGateGrad(1, dU)
+			tensor.MatMulTransBInto(rec, dar, ur)
+			dhPrev.Axpy(1, rec)
+			tensor.MatMulTransAInto(dU, st.hPrev, dar)
+			l.addUGateGrad(1, dU)
+		}
 
 		dh, dhPrev = dhPrev, dh
 	}

@@ -7,7 +7,9 @@
 package serve
 
 import (
+	"bufio"
 	"bytes"
+	"crypto/sha256"
 	"errors"
 	"fmt"
 	"io"
@@ -139,17 +141,23 @@ func SaveArtifactFile(path string, a *Artifact) error {
 // LoadArtifact reads and validates an artifact: every frame's CRC, the
 // format, the declared tensor count, the registered model name, and the
 // schema's consistency with the scaler all have to check out before any
-// network is built. The weights' shapes are checked when one is.
+// network is built. The weights' shapes are checked when one is. The file
+// is read in one streamed pass: frames are parsed as they arrive and every
+// byte also feeds the SHA-256 behind Version(), so the whole file is never
+// held. A failure of r itself is reported as a read error wrapping its
+// cause, not as a corrupt artifact.
 func LoadArtifact(r io.Reader) (*Artifact, error) {
-	b, err := io.ReadAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("serve: read artifact: %w", err)
-	}
-	if bytes.HasPrefix(b, []byte(artifactV1Magic)) {
+	src := &errRecorder{r: r}
+	br := bufio.NewReader(src)
+	if head, _ := br.Peek(len(artifactV1Magic)); string(head) == artifactV1Magic {
 		return nil, errors.New("serve: artifact is format 1 (gob, PELICANv1), this build reads format 2 only: re-export it with pelican-train")
 	}
+	sum := sha256.New()
 	var m artifactMeta
-	tensors, err := wire.ReadFile(bytes.NewReader(b), wire.FrameArtifact, &m)
+	tensors, err := wire.ReadFile(io.TeeReader(br, sum), wire.FrameArtifact, &m)
+	if src.err != nil {
+		return nil, fmt.Errorf("serve: read artifact: %w", src.err)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("serve: not a valid model artifact (corrupt, truncated or foreign): %w", err)
 	}
@@ -163,8 +171,24 @@ func LoadArtifact(r io.Reader) (*Artifact, error) {
 	if err != nil {
 		return nil, err
 	}
-	a.version = store.Version(b)
+	// ReadFile returns only at a clean end of input, so every byte is hashed.
+	a.version = store.VersionOf([sha256.Size]byte(sum.Sum(nil)))
 	return a, nil
+}
+
+// errRecorder passes reads through and keeps the first error other than
+// io.EOF, which the frame decoder would otherwise report as a truncation.
+type errRecorder struct {
+	r   io.Reader
+	err error
+}
+
+func (e *errRecorder) Read(p []byte) (int, error) {
+	n, err := e.r.Read(p)
+	if err != nil && err != io.EOF && e.err == nil {
+		e.err = err
+	}
+	return n, err
 }
 
 // LoadArtifactFile reads an artifact from path.
@@ -186,18 +210,17 @@ func LoadArtifactFile(path string) (*Artifact, error) {
 // warm-start entry point for online retraining: the returned network's
 // parameters are the artifact's weights, so nn.Network.PartialFit resumes
 // training from the deployed model instead of a fresh initialization.
-// Weight initialization seeds are irrelevant (the artifact's state
-// overwrites every parameter); dropout masks draw from a fixed-seed
-// stream, so a retraining run is deterministic given the caller's
-// FitConfig RNG.
+// The layers are built without initialising their weights (a nil weight
+// rng): SetState checks and overwrites every parameter and BatchNorm
+// statistic, so anything drawn would be thrown away. Dropout masks draw
+// from a fixed-seed stream, so a retraining run is deterministic given
+// the caller's FitConfig RNG.
 func (a *Artifact) NewNetwork(loss nn.Loss, opt nn.Optimizer) (*nn.Network, *data.Pipeline, error) {
 	spec, err := models.Lookup(a.ModelName)
 	if err != nil {
 		return nil, nil, err
 	}
-	rng := rand.New(rand.NewSource(1))
-	dropRNG := rand.New(rand.NewSource(1))
-	stack := spec.Build(rng, dropRNG, a.Block, a.Features(), a.Classes())
+	stack := spec.Build(nil, rand.New(rand.NewSource(1)), a.Block, a.Features(), a.Classes())
 	net := nn.NewNetwork(stack, loss, opt)
 	if err := net.SetState(a.tensors[2:]); err != nil {
 		return nil, nil, fmt.Errorf("serve: restore %s weights: %w", a.ModelName, err)

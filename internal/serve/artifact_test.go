@@ -2,10 +2,15 @@ package serve
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"io"
 	"math/rand"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
+	"testing/iotest"
 
 	"repro/internal/data"
 	"repro/internal/models"
@@ -15,6 +20,7 @@ import (
 	"repro/internal/store"
 	"repro/internal/synth"
 	"repro/internal/tensor"
+	"repro/internal/wire"
 )
 
 // trainTestArtifact trains a small detector of the given registered model
@@ -196,7 +202,10 @@ func mlpArtifactBytes(t *testing.T) []byte {
 // number in it is a small dyadic rational set directly — no training and
 // no transcendental math — so its bytes are the same on every platform
 // and in every process, and it is small enough to corrupt byte by byte.
-func tinyArtifact(tb testing.TB) *Artifact {
+func tinyArtifact(tb testing.TB) *Artifact { return fixedArtifact(tb, "lunet") }
+
+// fixedArtifact is tinyArtifact's construction for any registered model.
+func fixedArtifact(tb testing.TB, model string) *Artifact {
 	tb.Helper()
 	schema := data.Schema{
 		NumericNames: []string{"bytes", "duration"},
@@ -204,7 +213,7 @@ func tinyArtifact(tb testing.TB) *Artifact {
 		ClassNames:   []string{"normal", "attack"},
 	}
 	block := models.BlockConfig{Features: 4, Kernel: 2, Pool: 2, Dropout: 0.5}
-	spec, err := models.Lookup("lunet")
+	spec, err := models.Lookup(model)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -220,7 +229,7 @@ func tinyArtifact(tb testing.TB) *Artifact {
 		tb.Fatal(err)
 	}
 	pipe := &data.Pipeline{Enc: data.NewEncoder(schema), Scaler: &data.Scaler{Mean: []float64{0.5, -1, 0, 0}, Std: []float64{2, 4, 1, 1}}}
-	a, err := NewArtifact("lunet", block, schema, pipe, net)
+	a, err := NewArtifact(model, block, schema, pipe, net)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -292,6 +301,77 @@ func FuzzLoadArtifact(f *testing.F) {
 			t.Fatal("accepted a file whose re-encode differs from its input")
 		}
 	})
+}
+
+// TestArtifactVersionEveryModel: for every registered model, the version
+// LoadArtifact computes while it parses is the store's hash of the whole
+// file, however the reader splits it. The versions are pinned: the
+// encoding and the hash are unchanged by how the file is read.
+func TestArtifactVersionEveryModel(t *testing.T) {
+	want := map[string]string{
+		"cnn": "a6ad324ff195", "hast-ids": "8cf42a16e5a8", "lstm": "f6545f1d81a0",
+		"lunet": "a2b10e65b4e1", "mlp": "809424270f82", "pelican": "17a0a7cd420d",
+		"plain-21": "b56efa577088", "plain-41": "fa7f95f68201", "residual-21": "e602c76cd585",
+	}
+	for _, name := range models.Names() {
+		b := fixedArtifact(t, name).Bytes()
+		if v := store.Version(b); v != want[name] {
+			t.Errorf("%s: version %s, want %s", name, v, want[name])
+		}
+		for _, r := range []io.Reader{bytes.NewReader(b), iotest.OneByteReader(bytes.NewReader(b)), iotest.HalfReader(bytes.NewReader(b))} {
+			a, err := LoadArtifact(r)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if a.Version() != store.Version(b) || !bytes.Equal(a.Bytes(), b) {
+				t.Fatalf("%s: loaded version %s, file hashes to %s", name, a.Version(), store.Version(b))
+			}
+		}
+	}
+}
+
+// frameEnds returns the offset just past each frame of a framed file.
+func frameEnds(b []byte) []int {
+	var ends []int
+	for off := 0; off+wire.HeaderSize <= len(b); {
+		off += wire.HeaderSize + int(binary.LittleEndian.Uint32(b[off+8:]))
+		ends = append(ends, off)
+	}
+	return ends
+}
+
+// TestArtifactLoadErrorClasses pins which error each kind of bad input
+// gets. A file that is wrong is "corrupt, truncated or foreign" (or names
+// its own defect); a reader that fails is a read error wrapping its cause,
+// never a corrupt file, because a corrupt file is quarantined on recovery.
+func TestArtifactLoadErrorClasses(t *testing.T) {
+	raw := tinyArtifact(t).Bytes()
+	ends := frameEnds(raw)
+	midTensor := ends[2] + wire.HeaderSize + 3
+	const corrupt = "corrupt, truncated or foreign"
+	flipped := append([]byte(nil), raw...)
+	flipped[midTensor] ^= 0xFF
+	cause := errors.New("device gone")
+	cases := []struct {
+		name string
+		r    io.Reader
+		msg  string // the error names this
+		is   error  // and wraps this, when set
+	}{
+		{"format 1", strings.NewReader(artifactV1Magic + "\x2a\xff"), "format 1", nil},
+		{"cut at a frame boundary", bytes.NewReader(raw[:ends[len(ends)-2]]), "(truncated)", nil},
+		{"cut mid-frame", bytes.NewReader(raw[:midTensor]), corrupt, io.ErrUnexpectedEOF},
+		{"trailing garbage", io.MultiReader(bytes.NewReader(raw), strings.NewReader("PLWF and more")), corrupt, nil},
+		{"flipped byte", bytes.NewReader(flipped), corrupt, wire.ErrChecksum},
+		{"read error at once", iotest.ErrReader(cause), "read artifact", cause},
+		{"read error mid-tensor", io.MultiReader(bytes.NewReader(raw[:midTensor]), iotest.ErrReader(cause)), "read artifact", cause},
+	}
+	for _, c := range cases {
+		_, err := LoadArtifact(c.r)
+		if err == nil || !strings.Contains(err.Error(), c.msg) || c.is != nil && !errors.Is(err, c.is) {
+			t.Errorf("%s: error %v, want one naming %q (wrapping %v)", c.name, err, c.msg, c.is)
+		}
+	}
 }
 
 func TestArtifactRejectsBadMagic(t *testing.T) {
@@ -376,4 +456,67 @@ func TestArtifactRejectsUnknownModel(t *testing.T) {
 	if _, err := NewArtifact("transformer-9000", models.BlockConfig{}, schema, pipe, net); err == nil {
 		t.Fatal("unregistered model name accepted")
 	}
+}
+
+// BenchmarkColdStart times a cold start of Residual-41 at the UNSW-NB15
+// width (196 encoded features, 10 classes; untrained weights) from the
+// artifact's bytes to a first verdict. "load" is LoadArtifact; "new" is
+// serve.New on a freshly loaded artifact (which rebuilds the network and
+// compiles its inference plan) plus one DetectBatch through its handler.
+func BenchmarkColdStart(b *testing.B) {
+	gen, err := synth.New(synth.UNSWNB15Config())
+	if err != nil {
+		b.Fatal(err)
+	}
+	ds := gen.Generate(200, 1)
+	_, _, pipe := data.Preprocess(ds)
+	f, k := gen.Schema().EncodedWidth(), gen.Schema().NumClasses()
+	block := models.PaperBlockConfig(f)
+	net := nn.NewNetwork(models.BuildPelican(rand.New(rand.NewSource(1)), rand.New(rand.NewSource(2)), block, k),
+		nn.NewSoftmaxCrossEntropy(), nn.NewRMSprop(0.01))
+	a, err := NewArtifact("pelican", block, gen.Schema(), pipe, net)
+	if err != nil {
+		b.Fatal(err)
+	}
+	raw := a.Bytes()
+	recs := make([]*data.Record, 32)
+	for i := range recs {
+		recs[i] = &ds.Records[i]
+	}
+	load := func(b *testing.B) *Artifact {
+		a, err := LoadArtifact(bytes.NewReader(raw))
+		if err != nil {
+			b.Fatal(err)
+		}
+		return a
+	}
+
+	b.Run("load", func(b *testing.B) {
+		b.SetBytes(int64(len(raw)))
+		for i := 0; i < b.N; i++ {
+			load(b)
+		}
+	})
+	b.Run("new", func(b *testing.B) {
+		verdicts := make([]nids.Verdict, len(recs))
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			a := load(b)
+			b.StartTimer()
+			srv, err := New(a, Config{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			ts := httptest.NewServer(srv.Handler())
+			det := &RemoteDetector{Client: NewClient(ts.URL)}
+			det.DetectBatch(recs, verdicts)
+			b.StopTimer()
+			ts.Close()
+			srv.Close()
+			if det.Errors() != 0 {
+				b.Fatal("first DetectBatch failed")
+			}
+			b.StartTimer()
+		}
+	})
 }

@@ -42,10 +42,11 @@ var ErrNotFound = errors.New("store: artifact not found")
 // digits of its SHA-256, matching the version stamped into serve
 // artifacts so the CAS key and the registry version are the same
 // string.
-func Version(b []byte) string {
-	sum := sha256.Sum256(b)
-	return hex.EncodeToString(sum[:6])
-}
+func Version(b []byte) string { return VersionOf(sha256.Sum256(b)) }
+
+// VersionOf is Version given the SHA-256 of the bytes, for a reader that
+// hashes a file as it parses it.
+func VersionOf(sum [sha256.Size]byte) string { return hex.EncodeToString(sum[:6]) }
 
 // Stats is a point-in-time snapshot of the store for telemetry.
 type Stats struct {
