@@ -3,9 +3,8 @@
 // shadow, canary tags) each with their own batcher and replica shard,
 // shadow-mode traffic mirroring with agreement counters, atomic
 // shadow→live promotion, and rollback — plus dynamic micro-batching,
-// Prometheus metrics, and the /v1 single-model surface as aliases of the
-// /v2 handlers pinned to the live slot. With -loadgen it instead drives such a service and
-// reports achieved QPS and latency percentiles.
+// and Prometheus metrics. With -loadgen it instead drives such a service
+// and reports achieved QPS and latency percentiles.
 //
 // Usage:
 //
@@ -15,7 +14,6 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"flag"
@@ -69,11 +67,11 @@ func run(args []string, out io.Writer) error {
 
 		loadgen     = fs.Bool("loadgen", false, "run as load generator instead of server")
 		target      = fs.String("target", "http://127.0.0.1:8080", "loadgen: server base URL (model check + stage scrape even under -transport=wire)")
-		transport   = fs.String("transport", "http", "loadgen: scoring transport to drive: http (/v1/detect-batch JSON) or wire (binary frames)")
+		transport   = fs.String("transport", "http", "loadgen: scoring transport to drive: http (/v2/detect-batch JSON) or wire (binary frames)")
 		wireTarget  = fs.String("wire-target", "127.0.0.1:9090", "loadgen: wire server address for -transport=wire")
 		duration    = fs.Duration("duration", 5*time.Second, "loadgen: how long to drive load")
 		concurrency = fs.Int("concurrency", 8, "loadgen: concurrent client connections")
-		batch       = fs.Int("batch", 8, "loadgen: records per /v1/detect-batch request")
+		batch       = fs.Int("batch", 8, "loadgen: records per scoring request")
 		dataset     = fs.String("dataset", "nsl-kdd", "loadgen: dataset shape for generated flows (unsw-nb15 or nsl-kdd)")
 		records     = fs.Int("records", 512, "loadgen: distinct records generated and cycled")
 		seed        = fs.Int64("seed", 1, "loadgen: record generation seed")
@@ -346,6 +344,9 @@ func runLoadgen(out io.Writer, cfg loadgenConfig) error {
 	if cfg.batch < 1 {
 		return fmt.Errorf("-batch must be >= 1")
 	}
+	if cfg.records < 1 {
+		return fmt.Errorf("-records must be >= 1")
+	}
 	var synthCfg synth.Config
 	switch cfg.dataset {
 	case "unsw-nb15":
@@ -355,79 +356,54 @@ func runLoadgen(out io.Writer, cfg loadgenConfig) error {
 	default:
 		return fmt.Errorf("unknown dataset %q", cfg.dataset)
 	}
+	if cfg.transport != "http" && cfg.transport != "wire" {
+		return fmt.Errorf("unknown -transport %q (http or wire)", cfg.transport)
+	}
 	gen, err := synth.New(synthCfg)
 	if err != nil {
 		return err
 	}
 
 	// Sanity-check the target model against the dataset shape before
-	// hammering it.
-	var info serve.ModelInfo
-	resp, err := http.Get(cfg.target + "/v1/model")
+	// hammering it. Every HTTP call goes out exactly once: a shed request
+	// is counted, not retried.
+	hc := &serve.Client{BaseURL: cfg.target, MaxAttempts: 1}
+	info, err := hc.ModelTag("live")
 	if err != nil {
-		return fmt.Errorf("query %s/v1/model: %w", cfg.target, err)
+		return fmt.Errorf("model check on %s: %w", cfg.target, err)
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&info); err != nil {
-		resp.Body.Close()
-		return fmt.Errorf("decode /v1/model: %w", err)
-	}
-	resp.Body.Close()
 	if want := gen.Schema().EncodedWidth(); info.Features != want {
 		return fmt.Errorf("server model %s expects %d features, dataset %s encodes %d — use the matching -dataset",
 			info.Model, info.Features, cfg.dataset, want)
 	}
 	fmt.Fprintf(out, "target %s: model %s version %s\n", cfg.target, info.Model, info.Version)
 
-	// Pre-generate the records (and, for HTTP, pre-marshal the request
-	// bodies) so the hot loop measures the server, not the client encoder.
+	// Pre-generate the request batches so the hot loop measures the
+	// server, not the record generator.
 	ds := gen.Generate(cfg.records, cfg.seed)
-	type prebuilt struct {
-		body []byte
-		recs []*data.Record
-		n    int
-	}
-	bodies := make([]prebuilt, 0, (len(ds.Records)+cfg.batch-1)/cfg.batch)
+	batches := make([][]*data.Record, 0, (len(ds.Records)+cfg.batch-1)/cfg.batch)
 	for lo := 0; lo < len(ds.Records); lo += cfg.batch {
-		hi := lo + cfg.batch
-		if hi > len(ds.Records) {
-			hi = len(ds.Records)
+		hi := min(lo+cfg.batch, len(ds.Records))
+		b := make([]*data.Record, 0, hi-lo)
+		for j := lo; j < hi; j++ {
+			b = append(b, &ds.Records[j])
 		}
-		pb := prebuilt{n: hi - lo}
-		if cfg.transport == "wire" {
-			for j := lo; j < hi; j++ {
-				pb.recs = append(pb.recs, &ds.Records[j])
-			}
-		} else {
-			var req struct {
-				Records []serve.RecordJSON `json:"records"`
-			}
-			for _, r := range ds.Records[lo:hi] {
-				req.Records = append(req.Records, serve.RecordJSON{Numeric: r.Numeric, Categorical: r.Categorical})
-			}
-			b, err := json.Marshal(req)
-			if err != nil {
-				return err
-			}
-			pb.body = b
-		}
-		bodies = append(bodies, pb)
+		batches = append(batches, b)
 	}
 
-	// Wire transport: one multiplexed client shared by every worker.
+	// One scoring call per transport: the HTTP client, or one multiplexed
+	// wire client shared by every worker.
+	score := hc.Score
 	var wc *wire.Client
 	if cfg.transport == "wire" {
 		wc = wire.NewClient(cfg.wireTarget)
-		wc.Conns = cfg.concurrency
-		if wc.Conns > 8 {
-			wc.Conns = 8
-		}
+		wc.Conns = min(cfg.concurrency, 8)
 		if err := wc.Connect(); err != nil {
 			return fmt.Errorf("connect wire %s: %w", cfg.wireTarget, err)
 		}
 		defer wc.Close()
 		fmt.Fprintf(out, "wire target %s: model version %s (%d connections)\n", cfg.wireTarget, wc.ModelVersion(), wc.Conns)
-	} else if cfg.transport != "http" {
-		return fmt.Errorf("unknown -transport %q (http or wire)", cfg.transport)
+		score = wc.Score
 	}
 
 	fmt.Fprintf(out, "driving %d clients x %d-record batches for %s over %s...\n", cfg.concurrency, cfg.batch, cfg.duration, cfg.transport)
@@ -439,62 +415,27 @@ func runLoadgen(out io.Writer, cfg loadgenConfig) error {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			client := &http.Client{Timeout: 30 * time.Second}
 			res := &results[w]
 			for i := w; time.Now().Before(deadline); i++ {
-				b := bodies[i%len(bodies)]
-				if wc != nil {
-					start := time.Now()
-					verdicts, _, err := wc.Score(b.recs)
-					if err != nil {
-						if _, ok := wire.ShedStatus(err); ok || wc.Draining() {
-							// 429/503 answers and drain-time unavailability are
-							// the server shedding, same as the HTTP branch.
-							res.shed++
-						} else {
-							res.errors++
-						}
-						continue
-					}
-					res.latencies = append(res.latencies, time.Since(start))
-					res.requests++
-					res.records += len(verdicts)
-					for _, v := range verdicts {
-						if v.IsAttack {
-							res.attacks++
-						}
-					}
-					continue
-				}
 				start := time.Now()
-				resp, err := client.Post(cfg.target+"/v1/detect-batch", "application/json", bytes.NewReader(b.body))
+				verdicts, _, err := score(batches[i%len(batches)])
 				if err != nil {
-					res.errors++
-					continue
-				}
-				if resp.StatusCode == http.StatusTooManyRequests || resp.StatusCode == http.StatusServiceUnavailable {
-					// Overload shedding is the server doing its job, not an
+					// Overload shedding (429/503 on either plane, or a wire
+					// server draining) is the server doing its job, not an
 					// error: count it separately so an overload test can
 					// assert sheds happened while accepted latency stayed
 					// bounded.
-					io.Copy(io.Discard, resp.Body)
-					resp.Body.Close()
-					res.shed++
-					continue
-				}
-				var br struct {
-					Verdicts []serve.VerdictJSON `json:"verdicts"`
-				}
-				decErr := json.NewDecoder(resp.Body).Decode(&br)
-				resp.Body.Close()
-				if decErr != nil || resp.StatusCode != http.StatusOK || len(br.Verdicts) != b.n {
-					res.errors++
+					if _, ok := wire.ShedStatus(err); ok || wc != nil && wc.Draining() {
+						res.shed++
+					} else {
+						res.errors++
+					}
 					continue
 				}
 				res.latencies = append(res.latencies, time.Since(start))
 				res.requests++
-				res.records += len(br.Verdicts)
-				for _, v := range br.Verdicts {
+				res.records += len(verdicts)
+				for _, v := range verdicts {
 					if v.IsAttack {
 						res.attacks++
 					}

@@ -2,11 +2,14 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
+	"fmt"
 	"io"
 	"math/rand"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
@@ -36,6 +39,13 @@ func TestLoadgenRejectsUnknownDataset(t *testing.T) {
 	var out bytes.Buffer
 	if err := run([]string{"-loadgen", "-dataset", "cicids"}, &out); err == nil {
 		t.Fatal("unknown dataset accepted")
+	}
+}
+
+func TestLoadgenRejectsNoRecords(t *testing.T) {
+	var out bytes.Buffer
+	if err := run([]string{"-loadgen", "-records", "0"}, &out); err == nil || !strings.Contains(err.Error(), "-records") {
+		t.Fatalf("-records 0 not rejected: %v", err)
 	}
 }
 
@@ -99,6 +109,39 @@ func TestLoadgenAgainstLiveServer(t *testing.T) {
 	}
 }
 
+// TestLoadgenCountsHTTPShedAsShed pins the loadgen's one shed rule on the
+// HTTP plane: a server that answers 429 to every scoring request is
+// shedding, not failing, so the run reports every request as shed and
+// none as an error.
+func TestLoadgenCountsHTTPShedAsShed(t *testing.T) {
+	gen, err := synth.New(synth.NSLKDDConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch r.URL.Path {
+		case "/v2/models/live":
+			json.NewEncoder(w).Encode(serve.ModelInfo{Model: "stub", Version: "v", Tag: "live", Features: gen.Schema().EncodedWidth()})
+		case "/v2/detect-batch":
+			w.Header().Set("Retry-After", "1")
+			http.Error(w, `{"error":"shed"}`, http.StatusTooManyRequests)
+		default:
+			http.NotFound(w, r)
+		}
+	}))
+	defer ts.Close()
+
+	var out bytes.Buffer
+	err = run([]string{
+		"-loadgen", "-target", ts.URL, "-dataset", "nsl-kdd",
+		"-duration", "200ms", "-concurrency", "2", "-batch", "4", "-records", "16",
+	}, &out)
+	m := regexp.MustCompile(`^no successful requests \((\d+) shed, (\d+) errors\)$`).FindStringSubmatch(fmt.Sprint(err))
+	if m == nil || m[1] == "0" || m[2] != "0" {
+		t.Fatalf("loadgen against an all-429 server: %v, want every request shed and none an error\n%s", err, out.String())
+	}
+}
+
 // TestStalledRequestIsCutOff pins the bounded request read: a peer that
 // stops mid-headers, or sends its headers and then stalls mid-body, is
 // hung up on within the read bounds derived from the request timeout,
@@ -117,8 +160,8 @@ func TestStalledRequestIsCutOff(t *testing.T) {
 	defer hs.Close()
 
 	for name, half := range map[string]string{
-		"mid-headers": "POST /v1/detect-batch HTTP/1.1\r\nHost: pelican\r\n",
-		"mid-body":    "POST /v1/detect-batch HTTP/1.1\r\nHost: pelican\r\nContent-Length: 100\r\n\r\n{\"records\":",
+		"mid-headers": "POST /v2/detect-batch HTTP/1.1\r\nHost: pelican\r\n",
+		"mid-body":    "POST /v2/detect-batch HTTP/1.1\r\nHost: pelican\r\nContent-Length: 100\r\n\r\n{\"records\":",
 	} {
 		conn, err := net.Dial("tcp", ln.Addr().String())
 		if err != nil {

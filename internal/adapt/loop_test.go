@@ -83,8 +83,8 @@ func runPhase(t *testing.T, src *flow.Source, det nids.Detector, l *Loop, n int)
 // TestClosedLoopDriftRetrainHotReload is the end-to-end acceptance test:
 // an injected distribution shift degrades the served model's detection
 // rate, the drift monitor trips, the loop warm-start retrains on the
-// sliding buffer, publishes a new content-addressed artifact through
-// /v1/reload, and detection quality on the shifted traffic recovers — all
+// sliding buffer, publishes a new content-addressed artifact (staged into
+// shadow, then promoted), and detection quality on the shifted traffic recovers — all
 // while the scoring server keeps answering.
 func TestClosedLoopDriftRetrainHotReload(t *testing.T) {
 	if testing.Short() {

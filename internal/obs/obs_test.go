@@ -76,7 +76,7 @@ func TestHistogramQuantile(t *testing.T) {
 }
 
 func TestTraceSpansAndFinish(t *testing.T) {
-	tr := NewTrace("abc123", "/v1/detect-batch")
+	tr := NewTrace("abc123", "/v2/detect-batch")
 	tr.SetSlot("live", "v1")
 	start := tr.Start
 	tr.Span("infer", start.Add(2*time.Millisecond), 5*time.Millisecond, "replica", "0")

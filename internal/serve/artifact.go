@@ -147,16 +147,15 @@ func SaveArtifactFile(path string, a *Artifact) error {
 // held. A failure of r itself is reported as a read error wrapping its
 // cause, not as a corrupt artifact.
 func LoadArtifact(r io.Reader) (*Artifact, error) {
-	src := &errRecorder{r: r}
-	br := bufio.NewReader(src)
+	br := bufio.NewReader(r)
 	if head, _ := br.Peek(len(artifactV1Magic)); string(head) == artifactV1Magic {
 		return nil, errors.New("serve: artifact is format 1 (gob, PELICANv1), this build reads format 2 only: re-export it with pelican-train")
 	}
 	sum := sha256.New()
 	var m artifactMeta
 	tensors, err := wire.ReadFile(io.TeeReader(br, sum), wire.FrameArtifact, &m)
-	if src.err != nil {
-		return nil, fmt.Errorf("serve: read artifact: %w", src.err)
+	if err != nil && !wire.IsProtocolError(err) {
+		return nil, fmt.Errorf("serve: read artifact: %w", err)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("serve: not a valid model artifact (corrupt, truncated or foreign): %w", err)
@@ -174,21 +173,6 @@ func LoadArtifact(r io.Reader) (*Artifact, error) {
 	// ReadFile returns only at a clean end of input, so every byte is hashed.
 	a.version = store.VersionOf([sha256.Size]byte(sum.Sum(nil)))
 	return a, nil
-}
-
-// errRecorder passes reads through and keeps the first error other than
-// io.EOF, which the frame decoder would otherwise report as a truncation.
-type errRecorder struct {
-	r   io.Reader
-	err error
-}
-
-func (e *errRecorder) Read(p []byte) (int, error) {
-	n, err := e.r.Read(p)
-	if err != nil && err != io.EOF && e.err == nil {
-		e.err = err
-	}
-	return n, err
 }
 
 // LoadArtifactFile reads an artifact from path.

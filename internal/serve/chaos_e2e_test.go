@@ -73,7 +73,7 @@ func TestChaosOverloadShedsAndStaysHealthy(t *testing.T) {
 	inj.SetScoreDelay(20 * time.Millisecond)
 	var baseline []time.Duration
 	for i := 0; i < 25; i++ {
-		code, lat := postRecords(t, ts.URL+"/v1/detect-batch", body)
+		code, lat := postRecords(t, ts.URL+"/v2/detect-batch", body)
 		if code != http.StatusOK {
 			t.Fatalf("unloaded request %d got %d", i, code)
 		}
@@ -118,7 +118,7 @@ func TestChaosOverloadShedsAndStaysHealthy(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < perClient; i++ {
-				code, lat := postRecords(t, ts.URL+"/v1/detect-batch", body)
+				code, lat := postRecords(t, ts.URL+"/v2/detect-batch", body)
 				mu.Lock()
 				switch code {
 				case http.StatusOK:
@@ -158,7 +158,7 @@ func TestChaosOverloadShedsAndStaysHealthy(t *testing.T) {
 
 	// Storm over, fault released: normal service, no restart.
 	inj.SetScoreDelay(0)
-	if code, _ := postRecords(t, ts.URL+"/v1/detect-batch", body); code != http.StatusOK {
+	if code, _ := postRecords(t, ts.URL+"/v2/detect-batch", body); code != http.StatusOK {
 		t.Fatalf("post-storm request got %d", code)
 	}
 }
@@ -199,7 +199,7 @@ func TestChaosCorruptArtifactNeverDisturbsLive(t *testing.T) {
 	if code, _ := getBody(t, ts.URL+"/healthz"); code != http.StatusOK {
 		t.Fatalf("/healthz = %d after corrupt load", code)
 	}
-	if resp, body := postJSON(t, ts.URL+"/v1/detect-batch", detectBatchRequest{Records: recordsJSON(recs[:4])}); resp.StatusCode != http.StatusOK {
+	if resp, body := postJSON(t, ts.URL+"/v2/detect-batch", detectBatchRequest{Records: recordsJSON(recs[:4])}); resp.StatusCode != http.StatusOK {
 		t.Fatalf("scoring after corrupt load got %d (%s)", resp.StatusCode, body)
 	}
 

@@ -44,8 +44,8 @@ var defaultHTTPClient = &http.Client{
 }
 
 // Client is a typed HTTP client for the scoring server: the consumer side
-// of the /v2 API (plus Score on its /v1 alias) for Go callers (load
-// generators, adaptation sidecars, tests). It is safe for concurrent use.
+// of the /v2 API for Go callers (load generators, adaptation sidecars,
+// tests). It is safe for concurrent use.
 //
 // Resilience: requests time out after DefaultClientTimeout (override by
 // supplying HTTP — set Timeout: 0 there to opt out entirely); idempotent
@@ -227,25 +227,21 @@ func (c *Client) ModelTag(tag string) (ModelInfo, error) {
 	return info, err
 }
 
-// Score sends the records to /v1/detect-batch (the live slot) and returns
-// the verdicts plus the version of the model generation that answered.
+// Score scores the records against the live slot and returns the verdicts
+// plus the version of the model generation that answered.
 func (c *Client) Score(recs []*data.Record) ([]nids.Verdict, string, error) {
-	return c.scoreAt("/v1/detect-batch", recs)
+	return c.ScoreTag("", recs)
 }
 
 // ScoreTag scores the records against the model under tag via
 // /v2/detect-batch ("" means live).
 func (c *Client) ScoreTag(tag string, recs []*data.Record) ([]nids.Verdict, string, error) {
-	return c.scoreAt("/v2/detect-batch"+tagQuery(tag), recs)
-}
-
-func (c *Client) scoreAt(path string, recs []*data.Record) ([]nids.Verdict, string, error) {
 	req := detectBatchRequest{Records: make([]RecordJSON, len(recs))}
 	for i, r := range recs {
 		req.Records[i] = RecordJSON{Numeric: r.Numeric, Categorical: r.Categorical}
 	}
 	var resp detectBatchResponse
-	if err := c.postJSON(path, req, &resp, true); err != nil {
+	if err := c.postJSON("/v2/detect-batch"+tagQuery(tag), req, &resp, true); err != nil {
 		return nil, "", err
 	}
 	if len(resp.Verdicts) != len(recs) {

@@ -13,6 +13,7 @@ import (
 	"repro/internal/data"
 	"repro/internal/nids"
 	"repro/internal/resilience"
+	"repro/internal/wire"
 )
 
 // TestClientDefaultTimeout pins the satellite fix: a Client without its
@@ -48,7 +49,7 @@ func (ss *scriptedServer) handler() http.Handler {
 		switch r.URL.Path {
 		case "/v2/models/live":
 			json.NewEncoder(w).Encode(ModelInfo{Model: "scripted", Version: "v1"})
-		case "/v1/detect-batch", "/v2/detect-batch":
+		case "/v2/detect-batch":
 			var req detectBatchRequest
 			json.NewDecoder(r.Body).Decode(&req)
 			resp := detectBatchResponse{ModelVersion: "v1", Verdicts: make([]VerdictJSON, len(req.Records))}
@@ -231,6 +232,19 @@ func TestRemoteDetectorDegradesUnderBreaker(t *testing.T) {
 	}
 	if br.ShortCircuits() == 0 {
 		t.Fatal("breaker never short-circuited: every batch hit the dead server")
+	}
+}
+
+// TestClientShedStatusOnDrain pins the one shed rule across planes: a
+// draining server's 503, as serve.Client reports it, is a shed to
+// wire.ShedStatus just as a wire Error frame's is.
+func TestClientShedStatusOnDrain(t *testing.T) {
+	srv, ts := newTestServer(t, tinyArtifact(t), Config{Replicas: 1})
+	srv.BeginDrain()
+	c := &Client{BaseURL: ts.URL, MaxAttempts: 1}
+	_, _, err := c.Score([]*data.Record{{Numeric: []float64{1, 2}, Categorical: []string{"tcp"}}})
+	if status, shed := wire.ShedStatus(err); status != http.StatusServiceUnavailable || !shed {
+		t.Fatalf("draining server: ShedStatus(%v) = (%d, %v), want (503, true)", err, status, shed)
 	}
 }
 

@@ -110,7 +110,7 @@ func TestRecoverExactTopologyAfterCrash(t *testing.T) {
 	if err := srv.LoadSlot(registry.Shadow, a2); err != nil {
 		t.Fatal(err)
 	}
-	resp, _ := postJSON(t, ts.URL+"/v1/detect-batch", detectBatchRequest{Records: recordsJSON(recs)})
+	resp, _ := postJSON(t, ts.URL+"/v2/detect-batch", detectBatchRequest{Records: recordsJSON(recs)})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("pre-crash scoring: %d", resp.StatusCode)
 	}
@@ -148,7 +148,7 @@ func TestRecoverExactTopologyAfterCrash(t *testing.T) {
 		t.Fatalf("/readyz after recovery: %d", code)
 	}
 	// And it scores: recovery re-lowered the plan from the CAS bytes.
-	resp, _ = postJSON(t, ts2.URL+"/v1/detect-batch", detectBatchRequest{Records: recordsJSON(recs)})
+	resp, _ = postJSON(t, ts2.URL+"/v2/detect-batch", detectBatchRequest{Records: recordsJSON(recs)})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("post-recovery scoring: %d", resp.StatusCode)
 	}
@@ -196,7 +196,7 @@ func TestRecoverDegradedShadowQuarantined(t *testing.T) {
 	if code, _ := getStatus(t, ts2.URL+"/readyz"); code != http.StatusOK {
 		t.Fatalf("/readyz with degraded shadow: %d, want 200", code)
 	}
-	resp, _ := postJSON(t, ts2.URL+"/v1/detect-batch", detectBatchRequest{Records: recordsJSON(recs)})
+	resp, _ := postJSON(t, ts2.URL+"/v2/detect-batch", detectBatchRequest{Records: recordsJSON(recs)})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("live scoring with degraded shadow: %d", resp.StatusCode)
 	}
@@ -229,7 +229,7 @@ func TestRecoverMissingLiveNotReady(t *testing.T) {
 	if len(rep.Degraded) != 1 || rep.Degraded[0].Tag != registry.Live {
 		t.Fatalf("degraded = %+v, want the live slot", rep.Degraded)
 	}
-	resp, _ := postJSON(t, ts2.URL+"/v1/detect-batch", detectBatchRequest{Records: recordsJSON(recs)})
+	resp, _ := postJSON(t, ts2.URL+"/v2/detect-batch", detectBatchRequest{Records: recordsJSON(recs)})
 	if resp.StatusCode == http.StatusOK {
 		t.Fatal("scoring succeeded with no live slot")
 	}

@@ -107,8 +107,8 @@ func (m *serverMetrics) writeProm(w io.Writer, snap promSnapshot) {
 		obs.WritePromHeader(w, name, "counter", help)
 		fmt.Fprintf(w, "%s %d\n", name, v)
 	}
-	counter("pelican_serve_detect_requests_total", "Requests to /v1/detect and /v2/detect.", m.detectRequests.Load())
-	counter("pelican_serve_detect_batch_requests_total", "Requests to /v1/detect-batch and /v2/detect-batch.", m.batchRequests.Load())
+	counter("pelican_serve_detect_requests_total", "Requests to /v2/detect.", m.detectRequests.Load())
+	counter("pelican_serve_detect_batch_requests_total", "Requests to /v2/detect-batch.", m.batchRequests.Load())
 	counter("pelican_serve_records_total", "Flow records scored for requests (mirrored copies excluded).", m.records.Load())
 	counter("pelican_serve_batches_total", "Dynamic batches flushed to a replica (all slots).", m.batches.Load())
 	counter("pelican_serve_batch_records_total", "Records carried by flushed batches (all slots).", m.batchRecords.Load())

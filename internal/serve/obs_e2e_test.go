@@ -79,7 +79,7 @@ func TestMetricsExpositionFormat(t *testing.T) {
 	_, ts := recoverServer(t, durableConfig(openStore(t, dir)))
 
 	for i := 0; i < 4; i++ {
-		resp, body := postJSON(t, ts.URL+"/v1/detect-batch", detectBatchRequest{Records: recordsJSON(recs)})
+		resp, body := postJSON(t, ts.URL+"/v2/detect-batch", detectBatchRequest{Records: recordsJSON(recs)})
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("scoring round %d: status %d: %s", i, resp.StatusCode, body)
 		}
@@ -347,7 +347,7 @@ func TestTracingEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/detect-batch", bytes.NewReader(b))
+	req, err := http.NewRequest(http.MethodPost, ts.URL+"/v2/detect-batch", bytes.NewReader(b))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -418,7 +418,7 @@ func TestTracingEndToEnd(t *testing.T) {
 
 	// Error path: a bad body must answer 400 with the request ID echoed in
 	// the JSON error, and the failed trace must be filterable.
-	req, err = http.NewRequest(http.MethodPost, ts.URL+"/v1/detect-batch", strings.NewReader("{not json"))
+	req, err = http.NewRequest(http.MethodPost, ts.URL+"/v2/detect-batch", strings.NewReader("{not json"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -485,7 +485,7 @@ func TestRequestIDHonouredOnlyWhenBounded(t *testing.T) {
 		"semi;colon":            false,
 		"tab\tid":               false,
 	} {
-		req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/detect-batch", strings.NewReader("{not json"))
+		req, err := http.NewRequest(http.MethodPost, ts.URL+"/v2/detect-batch", strings.NewReader("{not json"))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -76,7 +76,7 @@ func TestAdmissionControlFastFails429(t *testing.T) {
 			defer wg.Done()
 			// 8 single-record batches: one in service, one parked in the
 			// hand-off, the rest queued (>= watermark 2).
-			postJSON(t, ts.URL+"/v1/detect-batch", detectBatchRequest{Records: recordsJSON(recs[:8])})
+			postJSON(t, ts.URL+"/v2/detect-batch", detectBatchRequest{Records: recordsJSON(recs[:8])})
 		}()
 		waitQueueLen(t, srv, 2)
 
@@ -133,7 +133,7 @@ func TestDeadlineExpiredSheds503(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			postJSON(t, ts.URL+"/v1/detect-batch", detectBatchRequest{Records: recordsJSON(recs[:1])})
+			postJSON(t, ts.URL+"/v2/detect-batch", detectBatchRequest{Records: recordsJSON(recs[:1])})
 		}()
 		// Give the first record time to be cut and picked up by the (stalled)
 		// replica before the timed request arrives behind it.
@@ -162,7 +162,7 @@ func TestDeadlineExpiredSheds503(t *testing.T) {
 	}
 
 	// Recovery: the same request with default budget now scores fine.
-	resp2, body2 := postJSON(t, ts.URL+"/v1/detect-batch", detectBatchRequest{Records: recordsJSON(recs[:1])})
+	resp2, body2 := postJSON(t, ts.URL+"/v2/detect-batch", detectBatchRequest{Records: recordsJSON(recs[:1])})
 	if resp2.StatusCode != http.StatusOK {
 		t.Fatalf("post-recovery request got %d (%s)", resp2.StatusCode, body2)
 	}
@@ -273,7 +273,7 @@ func TestSwapMidRequestRetriesOnSuccessor(t *testing.T) {
 			fillers.Add(1)
 			go func() {
 				defer fillers.Done()
-				postJSON(t, ts.URL+"/v1/detect-batch", detectBatchRequest{Records: recordsJSON(recs[6 : 6+n])})
+				postJSON(t, ts.URL+"/v2/detect-batch", detectBatchRequest{Records: recordsJSON(recs[6 : 6+n])})
 			}()
 		}
 		fill(3)
@@ -352,7 +352,7 @@ func TestMirrorDropAccountingExact(t *testing.T) {
 			defer wg.Done()
 			for r := 0; r < reqs; r++ {
 				b, _ := json.Marshal(detectBatchRequest{Records: recordsJSON(recs[:8])})
-				resp, err := http.Post(ts.URL+"/v1/detect-batch", "application/json", bytes.NewReader(b))
+				resp, err := http.Post(ts.URL+"/v2/detect-batch", "application/json", bytes.NewReader(b))
 				if err != nil {
 					errs <- err
 					return

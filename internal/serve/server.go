@@ -135,8 +135,7 @@ func (c Config) withDefaults() Config {
 // slots (live, shadow, canary tags) each serving one independently loaded
 // artifact through its own batcher and replica shard. The /v2 surface is
 // the registry API (list, per-tag load/score, shadow→live promotion,
-// rollback); the /v1 routes are aliases of four of its handlers (see
-// v1Aliases), kept for existing clients.
+// rollback).
 //
 // Construct with New, mount Handler on an http.Server, and shut down in
 // order: stop the listener first (http.Server.Shutdown /
@@ -251,27 +250,11 @@ func newServer(cfg Config) (*Server, error) {
 		"/metrics":         s.handleMetrics,
 		"/debug/traces":    s.handleTraces,
 	}
-	for v1, v2 := range v1Aliases {
-		routes[v1] = routes[v2]
-	}
 	for pattern, h := range routes {
 		s.mux.HandleFunc(pattern, h)
 	}
 	return s, nil
 }
-
-// v1Aliases is the whole /v1 surface: each route is served by the handler
-// of the /v2 route beside it. A handler that sees a /v1 path (isV1) pins
-// the live slot — no ?tag=, no "tag" in the body — and answers in the
-// pre-registry shape, which is the /v2 one without its "tag" field.
-var v1Aliases = map[string]string{
-	"/v1/detect":       "/v2/detect",
-	"/v1/detect-batch": "/v2/detect-batch",
-	"/v1/model":        "/v2/models/",
-	"/v1/reload":       "/v2/load",
-}
-
-func isV1(r *http.Request) bool { return strings.HasPrefix(r.URL.Path, "/v1/") }
 
 // newInstance builds a ready slot instance (replicas + private batcher)
 // for a. Nothing is registered: a failing artifact never disturbs serving.
@@ -486,13 +469,13 @@ type detectBatchRequest struct {
 
 type detectBatchResponse struct {
 	ModelVersion string        `json:"model_version"`
-	Tag          string        `json:"tag,omitempty"`
+	Tag          string        `json:"tag"`
 	Verdicts     []VerdictJSON `json:"verdicts"`
 }
 
 type detectResponse struct {
 	ModelVersion string      `json:"model_version"`
-	Tag          string      `json:"tag,omitempty"`
+	Tag          string      `json:"tag"`
 	Verdict      VerdictJSON `json:"verdict"`
 }
 
@@ -577,7 +560,7 @@ func toVerdictsJSON(schema data.Schema, vs []nids.Verdict) []VerdictJSON {
 }
 
 // httpScore is one HTTP scoring request as the scoring core sees it: the
-// decoded JSON records on the way in, the response writer and the
+// decoded JSON records and slot on the way in, the response writer and the
 // endpoint's response shape on the way out.
 type httpScore struct {
 	w    http.ResponseWriter
@@ -585,16 +568,13 @@ type httpScore struct {
 	// single is the /detect shape (one bare record in, one verdict out);
 	// otherwise /detect-batch ({"records": [...]} in, verdicts out).
 	single bool
-	// echoTag, when non-empty, is included in the response (the /v2
-	// shape; /v1 aliases answer without it).
-	echoTag string
-	st      scoreState
-	done    chan struct{} // closed by the completion
+	tag    string // the slot scored, echoed in the response
+	st     scoreState
+	done   chan struct{} // closed by the completion
 }
 
 // handleScore is the one HTTP scoring handler: POST /v2/detect and
-// /v2/detect-batch score on ?tag= (default live) and echo the tag; their
-// /v1 aliases score on the live slot.
+// /v2/detect-batch score on ?tag= (default live) and echo the tag.
 func (s *Server) handleScore(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		s.httpError(w, http.StatusMethodNotAllowed, "POST required")
@@ -605,13 +585,9 @@ func (s *Server) handleScore(w http.ResponseWriter, r *http.Request) {
 		s.httpError(w, http.StatusServiceUnavailable, "server is draining")
 		return
 	}
-	hs := &httpScore{w: w, single: strings.HasSuffix(r.URL.Path, "/detect"), done: make(chan struct{})}
-	tag := registry.Live
-	if !isV1(r) {
-		if qt := r.URL.Query().Get("tag"); qt != "" {
-			tag = qt
-		}
-		hs.echoTag = tag
+	hs := &httpScore{w: w, single: strings.HasSuffix(r.URL.Path, "/detect"), tag: r.URL.Query().Get("tag"), done: make(chan struct{})}
+	if hs.tag == "" {
+		hs.tag = registry.Live
 	}
 	if hs.single {
 		s.m.detectRequests.Add(1)
@@ -630,7 +606,7 @@ func (s *Server) handleScore(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		hintMS = 0
 	}
-	s.admit(r.Context(), hintMS, tag, hs, tr)
+	s.admit(r.Context(), hintMS, hs.tag, hs, tr)
 	// net/http owns this goroutine and the response is written on it, so
 	// the handler waits for the completion and settles here.
 	<-hs.done
@@ -671,9 +647,9 @@ func (hs *httpScore) pooled() bool { return false }
 func (hs *httpScore) respond(si *slotInstance, verdicts []nids.Verdict) error {
 	vj := toVerdictsJSON(si.artifact.Schema, verdicts)
 	if hs.single {
-		writeJSON(hs.w, detectResponse{ModelVersion: si.artifact.Version(), Tag: hs.echoTag, Verdict: vj[0]})
+		writeJSON(hs.w, detectResponse{ModelVersion: si.artifact.Version(), Tag: hs.tag, Verdict: vj[0]})
 	} else {
-		writeJSON(hs.w, detectBatchResponse{ModelVersion: si.artifact.Version(), Tag: hs.echoTag, Verdicts: vj})
+		writeJSON(hs.w, detectBatchResponse{ModelVersion: si.artifact.Version(), Tag: hs.tag, Verdicts: vj})
 	}
 	return nil
 }
@@ -689,8 +665,8 @@ func (hs *httpScore) reject(status int, msg string) {
 type ModelInfo struct {
 	Model   string `json:"model"`
 	Version string `json:"version"`
-	// Tag is the slot this description refers to (absent on /v1 aliases).
-	Tag string `json:"tag,omitempty"`
+	// Tag is the slot this description refers to.
+	Tag string `json:"tag"`
 	// PreviousVersion is the retained rollback generation (live slot only).
 	PreviousVersion string   `json:"previous_version,omitempty"`
 	Features        int      `json:"features"`
@@ -815,22 +791,10 @@ func (s *Server) handleModels(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, s.Models())
 }
 
-// writeInfo answers a slot description in the shape of the route asked.
-func writeInfo(w http.ResponseWriter, r *http.Request, info ModelInfo) {
-	if isV1(r) {
-		info.Tag = ""
-	}
-	writeJSON(w, info)
-}
-
 // handleModelTag is /v2/models/{tag}: GET describes the slot, DELETE
-// unloads it (live cannot be unloaded). Its alias /v1/model is the live
-// slot's.
+// unloads it (live cannot be unloaded).
 func (s *Server) handleModelTag(w http.ResponseWriter, r *http.Request) {
-	tag := registry.Live
-	if !isV1(r) {
-		tag = strings.TrimPrefix(r.URL.Path, "/v2/models/")
-	}
+	tag := strings.TrimPrefix(r.URL.Path, "/v2/models/")
 	if tag == "" || strings.Contains(tag, "/") {
 		s.httpError(w, http.StatusNotFound, "want /v2/models/{tag}")
 		return
@@ -842,7 +806,7 @@ func (s *Server) handleModelTag(w http.ResponseWriter, r *http.Request) {
 			s.httpError(w, http.StatusNotFound, "%v", err)
 			return
 		}
-		writeInfo(w, r, info)
+		writeJSON(w, info)
 	case http.MethodDelete:
 		if tag == registry.Live {
 			s.httpError(w, http.StatusConflict, "cannot unload the live slot")
@@ -865,7 +829,7 @@ type loadRequest struct {
 
 // handleLoad is POST /v2/load?tag= (or {"path": ..., "tag": ...}): load an
 // artifact file into a slot. The tag defaults to shadow — the staging slot
-// gated promotion operates on. Its alias /v1/reload loads into live.
+// gated promotion operates on.
 func (s *Server) handleLoad(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		s.httpError(w, http.StatusMethodNotAllowed, "POST required")
@@ -887,10 +851,6 @@ func (s *Server) handleLoad(w http.ResponseWriter, r *http.Request) {
 	if tag == "" {
 		tag = registry.Shadow
 	}
-	op := fmt.Sprintf("load %q", tag)
-	if isV1(r) {
-		tag, op = registry.Live, "reload"
-	}
 	if err := registry.ValidateTag(tag); err != nil {
 		s.httpError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -901,7 +861,7 @@ func (s *Server) handleLoad(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if err := s.LoadSlot(tag, a); err != nil {
-		s.httpError(w, opStatus(err, http.StatusConflict), "%s: %v", op, err)
+		s.httpError(w, opStatus(err, http.StatusConflict), "load %q: %v", tag, err)
 		return
 	}
 	info, err := s.InfoTag(tag)
@@ -911,7 +871,7 @@ func (s *Server) handleLoad(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, s.Models())
 		return
 	}
-	writeInfo(w, r, info)
+	writeJSON(w, info)
 }
 
 // handlePromote is POST /v2/promote: shadow becomes live atomically; the

@@ -83,7 +83,7 @@ func TestServerMatchesInProcessDetector(t *testing.T) {
 	want := make([]nids.Verdict, len(recs))
 	orig.DetectBatch(recs, want)
 
-	resp, body := postJSON(t, ts.URL+"/v1/detect-batch", detectBatchRequest{Records: recordsJSON(recs)})
+	resp, body := postJSON(t, ts.URL+"/v2/detect-batch", detectBatchRequest{Records: recordsJSON(recs)})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s", resp.StatusCode, body)
 	}
@@ -164,7 +164,7 @@ func TestConcurrentClientsPreservePairing(t *testing.T) {
 					sub[i] = recs[idx[i]]
 				}
 				b, _ := json.Marshal(detectBatchRequest{Records: recordsJSON(sub)})
-				resp, err := http.Post(ts.URL+"/v1/detect-batch", "application/json", bytes.NewReader(b))
+				resp, err := http.Post(ts.URL+"/v2/detect-batch", "application/json", bytes.NewReader(b))
 				if err != nil {
 					errCh <- err
 					return
@@ -248,7 +248,7 @@ func TestHotReloadNeverDropsRequests(t *testing.T) {
 					sub[i] = recs[idx[i]]
 				}
 				b, _ := json.Marshal(detectBatchRequest{Records: recordsJSON(sub)})
-				resp, err := http.Post(ts.URL+"/v1/detect-batch", "application/json", bytes.NewReader(b))
+				resp, err := http.Post(ts.URL+"/v2/detect-batch", "application/json", bytes.NewReader(b))
 				if err != nil {
 					errCh <- err
 					return
@@ -284,7 +284,7 @@ func TestHotReloadNeverDropsRequests(t *testing.T) {
 		if flip%2 == 1 {
 			path = p1
 		}
-		resp, body := postJSON(t, ts.URL+"/v1/reload", loadRequest{Path: path})
+		resp, body := postJSON(t, ts.URL+"/v2/load?tag=live", loadRequest{Path: path})
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("reload %d: status %d: %s", flip, resp.StatusCode, body)
 		}
@@ -310,17 +310,17 @@ func TestServerRejectsMalformedRecords(t *testing.T) {
 
 	// Wrong numeric arity.
 	bad := RecordJSON{Numeric: []float64{1, 2}, Categorical: recs[0].Categorical}
-	resp, _ := postJSON(t, ts.URL+"/v1/detect-batch", detectBatchRequest{Records: []RecordJSON{bad}})
+	resp, _ := postJSON(t, ts.URL+"/v2/detect-batch", detectBatchRequest{Records: []RecordJSON{bad}})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("wrong-arity record: status %d, want 400", resp.StatusCode)
 	}
 	// Empty batch.
-	resp, _ = postJSON(t, ts.URL+"/v1/detect-batch", detectBatchRequest{})
+	resp, _ = postJSON(t, ts.URL+"/v2/detect-batch", detectBatchRequest{})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("empty batch: status %d, want 400", resp.StatusCode)
 	}
 	// Garbage body.
-	r, err := http.Post(ts.URL+"/v1/detect", "application/json", strings.NewReader("{nope"))
+	r, err := http.Post(ts.URL+"/v2/detect", "application/json", strings.NewReader("{nope"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,7 +334,7 @@ func TestServerRejectsMalformedRecords(t *testing.T) {
 	for i := range odd.Categorical {
 		odd.Categorical[i] = "never-seen-in-training"
 	}
-	resp, body := postJSON(t, ts.URL+"/v1/detect", odd)
+	resp, body := postJSON(t, ts.URL+"/v2/detect", odd)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("unseen categorical: status %d: %s", resp.StatusCode, body)
 	}
@@ -365,7 +365,7 @@ func TestBodyLimits(t *testing.T) {
 	// Oversized bodies: a few records of padding blows the 2 KiB cap.
 	huge := `{"records": [` + strings.Repeat(`{"numeric": [`+strings.Repeat("1,", 400)+`1], "categorical": []},`, 4)
 	huge += `]}`
-	for _, path := range []string{"/v1/detect", "/v1/detect-batch", "/v1/reload"} {
+	for _, path := range []string{"/v2/detect", "/v2/detect-batch", "/v2/load?tag=live"} {
 		if code := rawPost(path, huge); code != http.StatusRequestEntityTooLarge {
 			t.Fatalf("%s oversized body: status %d, want 413", path, code)
 		}
@@ -399,10 +399,10 @@ func TestBodyLimits(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, tc := range []struct{ path, body string }{
-		{"/v1/detect", string(rec) + `{"second": "payload"}`},
-		{"/v1/detect", string(rec) + `}`},
-		{"/v1/detect-batch", string(batch) + `[1,2]`},
-		{"/v1/reload", `{"path": "x.plcn"} "extra"`},
+		{"/v2/detect", string(rec) + `{"second": "payload"}`},
+		{"/v2/detect", string(rec) + `}`},
+		{"/v2/detect-batch", string(batch) + `[1,2]`},
+		{"/v2/load?tag=live", `{"path": "x.plcn"} "extra"`},
 	} {
 		if code := rawPost(tc.path, tc.body); code != http.StatusBadRequest {
 			t.Fatalf("%s trailing garbage: status %d, want 400", tc.path, code)
@@ -410,7 +410,7 @@ func TestBodyLimits(t *testing.T) {
 	}
 
 	// Sanity: a clean request still works under the small cap.
-	resp, body := postJSON(t, ts.URL+"/v1/detect-batch", detectBatchRequest{Records: recordsJSON(recs[:1])})
+	resp, body := postJSON(t, ts.URL+"/v2/detect-batch", detectBatchRequest{Records: recordsJSON(recs[:1])})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("clean request under cap: status %d: %s", resp.StatusCode, body)
 	}
@@ -546,7 +546,7 @@ func TestReloadRejectsShapeChange(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	resp, body := postJSON(t, ts.URL+"/v1/reload", loadRequest{Path: path})
+	resp, body := postJSON(t, ts.URL+"/v2/load?tag=live", loadRequest{Path: path})
 	if resp.StatusCode != http.StatusConflict {
 		t.Fatalf("shape-changing reload: status %d, want 409: %s", resp.StatusCode, body)
 	}
@@ -567,7 +567,7 @@ func TestServerReloadRejectsBadArtifact(t *testing.T) {
 	if err := os.WriteFile(junk, []byte("not an artifact"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	resp, _ := postJSON(t, ts.URL+"/v1/reload", loadRequest{Path: junk})
+	resp, _ := postJSON(t, ts.URL+"/v2/load?tag=live", loadRequest{Path: junk})
 	if resp.StatusCode != http.StatusUnprocessableEntity {
 		t.Fatalf("junk reload: status %d, want 422", resp.StatusCode)
 	}
@@ -593,7 +593,7 @@ func TestHealthModelAndMetricsEndpoints(t *testing.T) {
 	}
 
 	var info ModelInfo
-	resp, err = http.Get(ts.URL + "/v1/model")
+	resp, err = http.Get(ts.URL + "/v2/models/live")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -607,7 +607,7 @@ func TestHealthModelAndMetricsEndpoints(t *testing.T) {
 	}
 
 	// Score something so the counters move.
-	postJSON(t, ts.URL+"/v1/detect-batch", detectBatchRequest{Records: recordsJSON(recs[:8])})
+	postJSON(t, ts.URL+"/v2/detect-batch", detectBatchRequest{Records: recordsJSON(recs[:8])})
 
 	resp, err = http.Get(ts.URL + "/metrics")
 	if err != nil {
@@ -633,7 +633,7 @@ func TestHealthModelAndMetricsEndpoints(t *testing.T) {
 
 	// Drain: scoring 503s, health reports draining.
 	srv.BeginDrain()
-	resp, _ = postJSON(t, ts.URL+"/v1/detect-batch", detectBatchRequest{Records: recordsJSON(recs[:1])})
+	resp, _ = postJSON(t, ts.URL+"/v2/detect-batch", detectBatchRequest{Records: recordsJSON(recs[:1])})
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("draining server answered scoring with %d, want 503", resp.StatusCode)
 	}

@@ -1,11 +1,15 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math/rand"
 	"net/http"
 	"path/filepath"
+	"regexp"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -189,7 +193,7 @@ func TestV2RegistryLifecycle(t *testing.T) {
 // TestLiveLoadRejectsFeatureSetChange pins the strengthened live-slot
 // guard: an artifact whose schema matches the live model's feature
 // *counts* but not its feature *layout* (renamed column, reordered
-// vocabulary) must be rejected by /v1/reload and /v2/load?tag=live —
+// vocabulary) must be rejected by /v2/load?tag=live —
 // before this guard, such a swap silently produced garbage scores because
 // in-flight and future records one-hot encode differently under the two
 // schemas. The same artifact is legal in the shadow slot, which is the
@@ -213,18 +217,14 @@ func TestLiveLoadRejectsFeatureSetChange(t *testing.T) {
 	srv, ts := newTestServer(t, a1, Config{})
 	c := NewClient(ts.URL)
 
-	// /v1/reload: rejected, live untouched.
-	resp, body := postJSON(t, ts.URL+"/v1/reload", loadRequest{Path: p2})
-	if resp.StatusCode != http.StatusConflict {
-		t.Fatalf("/v1/reload layout change: status %d, want 409: %s", resp.StatusCode, body)
+	// A live load: rejected, live untouched.
+	resp, body := postJSON(t, ts.URL+"/v2/load?tag=live", loadRequest{Path: p2})
+	const refused = `{"error":"load \"live\": serve: artifact's feature layout differs from the live model's (same-shaped swaps only; load into \"shadow\" and promote for schema changes)"}`
+	if resp.StatusCode != http.StatusConflict || strings.TrimSpace(string(body)) != refused {
+		t.Fatalf("/v2/load?tag=live layout change: %d %s\nwant 409 %s", resp.StatusCode, body, refused)
 	}
 	if liveVersion(srv) != a1.Version() {
-		t.Fatal("rejected reload disturbed the live model")
-	}
-
-	// /v2/load?tag=live: same guard.
-	if _, err := c.LoadTag(p2, "live"); err == nil {
-		t.Fatal("/v2/load?tag=live accepted a layout-changing artifact")
+		t.Fatal("rejected live load disturbed the live model")
 	}
 
 	// Shadow is the sanctioned path, and promotion carries the schema over.
@@ -290,10 +290,9 @@ func TestShadowMirroring(t *testing.T) {
 }
 
 // TestClientBackwardCompat pins what is left of the pre-registry client
-// surface: Score (still on /v1/detect-batch) answers from the live slot,
-// a load into live swaps it and retains the rollback generation, and a
-// RemoteDetector without a Tag scores on live. The /v1 routes themselves
-// are pinned byte for byte by TestV1AliasesAnswerParentBytes.
+// surface: Score answers from the live slot, a load into live swaps it and
+// retains the rollback generation, and a RemoteDetector without a Tag
+// scores on live.
 func TestClientBackwardCompat(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains models")
@@ -500,25 +499,61 @@ func TestPromoteRollbackUnderConcurrentScoring(t *testing.T) {
 	}
 }
 
-// decodeDetect pins the /v2 single-record wire shape (tag echoed back).
+// TestV2DetectEchoesTag pins /v2's answers byte for byte: both scoring
+// shapes and the slot description name the slot they answer for, the
+// method and body refusals, and that a /v1 path is not served (404).
+// The bytes that vary by run are masked: the version hash as V, loaded_at
+// as T, scores as S.
 func TestV2DetectEchoesTag(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains a model")
 	}
 	a, _, recs := trainTestArtifact(t, "mlp", 109, 1)
-	_, ts := newTestServer(t, a, Config{})
-	resp, body := postJSON(t, ts.URL+"/v2/detect", RecordJSON{Numeric: recs[0].Numeric, Categorical: recs[0].Categorical})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d: %s", resp.StatusCode, body)
+	_, ts := newTestServer(t, a, Config{Replicas: 2, MaxBatch: 4})
+	js := func(v any) string {
+		b, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
 	}
-	var dr struct {
-		ModelVersion string `json:"model_version"`
-		Tag          string `json:"tag"`
+	rj := recordsJSON(recs[:2])
+	rows := []struct {
+		name, method, path, body string
+		status                   int
+		want                     string
+	}{
+		{"model", "GET", "/v2/models/live", "", 200,
+			`{"model":"mlp","version":"V","tag":"live","features":121,"classes":5,"class_names":["normal","dos","probe","r2l","u2r"],"replicas":2,"max_batch":4,"max_wait_ms":2,"loaded_at":"T"}`},
+		{"detect", "POST", "/v2/detect", js(rj[0]), 200,
+			`{"model_version":"V","tag":"live","verdict":{"is_attack":false,"class":0,"class_name":"normal","score":S}}`},
+		{"detect-batch", "POST", "/v2/detect-batch?tag=live", js(detectBatchRequest{Records: rj}), 200,
+			`{"model_version":"V","tag":"live","verdicts":[{"is_attack":false,"class":0,"class_name":"normal","score":S},{"is_attack":true,"class":2,"class_name":"probe","score":S}]}`},
+		{"detect wants POST", "GET", "/v2/detect", "", 405, `{"error":"POST required"}`},
+		{"detect-batch empty", "POST", "/v2/detect-batch", `{"records":[]}`, 400, `{"error":"empty records","request_id":"golden"}`},
+		{"load wants POST", "GET", "/v2/load", "", 405, `{"error":"POST required"}`},
+		{"load without a path", "POST", "/v2/load", `{}`, 400, `{"error":"body must be {\"path\": \"artifact file\"}"}`},
+		{"no /v1", "POST", "/v1/detect-batch", js(detectBatchRequest{Records: rj}), 404, `404 page not found`},
 	}
-	if err := json.Unmarshal(body, &dr); err != nil {
-		t.Fatal(err)
-	}
-	if dr.Tag != registry.Live || dr.ModelVersion != a.Version() {
-		t.Fatalf("v2 detect echoed tag=%q version=%s", dr.Tag, dr.ModelVersion)
+	loadedAt := regexp.MustCompile(`"loaded_at":"[^"]*"`)
+	score := regexp.MustCompile(`"score":[-+0-9.e]+`)
+	for _, row := range rows {
+		req, err := http.NewRequest(row.method, ts.URL+row.path, strings.NewReader(row.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("X-Request-Id", "golden")
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		got := strings.ReplaceAll(string(bytes.TrimSpace(raw)), a.Version(), "V")
+		got = loadedAt.ReplaceAllString(got, `"loaded_at":"T"`)
+		got = score.ReplaceAllString(got, `"score":S`)
+		if resp.StatusCode != row.status || got != row.want {
+			t.Errorf("%s: %s %s answered %d %s\nwant %d %s", row.name, row.method, row.path, resp.StatusCode, got, row.status, row.want)
+		}
 	}
 }

@@ -689,6 +689,26 @@ func TestWireProtocolErrorAnswersAndCloses(t *testing.T) {
 	waitFor(t, time.Second, func() bool { return srv.m.wireConnections.Load() == 0 })
 }
 
+// TestWireResetIsNotAProtocolError pins that a peer resetting its
+// connection is an I/O failure, not a protocol violation: handshaken
+// clients that hang up with a TCP reset leave
+// pelican_wire_protocol_errors_total at 0.
+func TestWireResetIsNotAProtocolError(t *testing.T) {
+	srv, _ := newTestServer(t, tinyArtifact(t), Config{Replicas: 1})
+	addr := startWireListener(t, srv)
+	for i := 0; i < 5; i++ {
+		c := dialWire(t, addr)
+		if err := c.nc.(*net.TCPConn).SetLinger(0); err != nil {
+			t.Fatal(err)
+		}
+		c.nc.Close()
+	}
+	waitFor(t, 5*time.Second, func() bool { return srv.m.wireConnections.Load() == 0 })
+	if n := srv.m.wireProtoErrors.Load(); n != 0 {
+		t.Fatalf("5 reset connections counted %d protocol errors, want 0", n)
+	}
+}
+
 // TestWireGracefulDrain pins the zero-dropped-frames drain: ShutdownWire
 // sends GoAway, the in-flight request is still answered, a post-GoAway
 // request is answered 503 (delivered, so the client accounts it as shed),

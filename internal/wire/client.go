@@ -588,12 +588,16 @@ func staleSchema(err error) bool {
 }
 
 // ShedStatus reports whether err is the server deliberately shedding load
-// (admission control 429, deadline/drain 503) and with which status —
-// loadgen accounting uses it to separate shed from failure.
+// (admission control 429, deadline/drain 503) and with which status, on
+// either plane: a wire Error frame or an HTTP answer carry the same
+// numbering (resilience.StatusError). Load generators use it to separate
+// shed from failure.
 func ShedStatus(err error) (int, bool) {
-	var we *WireError
-	if errors.As(err, &we) && (we.Status == http.StatusTooManyRequests || we.Status == http.StatusServiceUnavailable) {
-		return we.Status, true
+	var se resilience.StatusError
+	if errors.As(err, &se) {
+		if st := se.StatusCode(); st == http.StatusTooManyRequests || st == http.StatusServiceUnavailable {
+			return st, true
+		}
 	}
 	return 0, false
 }

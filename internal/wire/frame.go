@@ -121,9 +121,10 @@ var (
 )
 
 // IsProtocolError reports whether err is a framing/payload protocol
-// violation (as opposed to an I/O error like a closed connection). A
-// truncated stream surfaces as io.ErrUnexpectedEOF, which also counts:
-// a peer that stops mid-frame left the stream unparseable.
+// violation (as opposed to an I/O error like a reset connection). A
+// stream that ends cleanly mid-frame surfaces as io.ErrUnexpectedEOF,
+// which also counts: a peer that stops mid-frame left the stream
+// unparseable.
 func IsProtocolError(err error) bool {
 	return errors.Is(err, ErrBadMagic) || errors.Is(err, ErrBadVersion) ||
 		errors.Is(err, ErrBadReserved) || errors.Is(err, ErrFrameTooBig) ||
@@ -149,15 +150,13 @@ func NewFrameReader(r io.Reader) *FrameReader { return &FrameReader{r: r} }
 // payload slice aliases the reader's recycled buffer — valid only until
 // the next Read. io.EOF is returned only on a clean boundary (no bytes of
 // a next frame read); a stream that ends mid-frame returns
-// io.ErrUnexpectedEOF.
+// io.ErrUnexpectedEOF. Any other error of the source is returned as is,
+// so a failed read is never mistaken for a malformed frame.
 //
 //pelican:noalloc
 func (fr *FrameReader) Read() (FrameType, []byte, error) {
 	if _, err := io.ReadFull(fr.r, fr.hdr[:]); err != nil {
-		if err == io.EOF {
-			return 0, nil, io.EOF
-		}
-		return 0, nil, io.ErrUnexpectedEOF
+		return 0, nil, err
 	}
 	if fr.hdr[0] != magic[0] || fr.hdr[1] != magic[1] || fr.hdr[2] != magic[2] || fr.hdr[3] != magic[3] {
 		return 0, nil, ErrBadMagic
@@ -182,7 +181,10 @@ func (fr *FrameReader) Read() (FrameType, []byte, error) {
 	}
 	p := fr.payload[:n]
 	if _, err := io.ReadFull(fr.r, p); err != nil {
-		return 0, nil, io.ErrUnexpectedEOF
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
+		return 0, nil, err
 	}
 	if crc32.ChecksumIEEE(p) != want {
 		return 0, nil, ErrChecksum
@@ -255,10 +257,14 @@ func WriteFile(w io.Writer, kind FrameType, hdr any, tensors []nn.NamedTensor) e
 // JSON of the decoded value and the rest well-formed tensors, so a file
 // that reads back re-encodes to the same bytes. Callers check the tensor
 // count their header declares: that rejects a file cut between frames.
+// An empty input is a file cut before its header (io.ErrUnexpectedEOF);
+// an error of r itself is returned as is.
 func ReadFile(r io.Reader, kind FrameType, hdr any) ([]nn.NamedTensor, error) {
 	fr := NewFrameReader(r)
 	ft, p, err := fr.Read()
 	switch {
+	case err == io.EOF:
+		return nil, io.ErrUnexpectedEOF
 	case err != nil:
 		return nil, err
 	case ft != kind:

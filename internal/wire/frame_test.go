@@ -8,6 +8,7 @@ import (
 	"math"
 	"slices"
 	"testing"
+	"testing/iotest"
 
 	"repro/internal/nn"
 )
@@ -110,6 +111,30 @@ func TestTruncationAtEveryOffset(t *testing.T) {
 				t.Fatalf("cut %d: unexpected error %v", cut, err)
 			}
 			break
+		}
+	}
+}
+
+// TestReadKeepsSourceError pins that a failing source is not a malformed
+// frame: a read error at the header start, mid-header or mid-payload comes
+// back as itself, not as a protocol violation, while the same cuts ending
+// cleanly still count as truncation.
+func TestReadKeepsSourceError(t *testing.T) {
+	frame := frameBytes(FrameScore, []byte("payload"))
+	cause := errors.New("connection reset by peer")
+	for _, c := range []struct {
+		name string
+		cut  int
+	}{{"header start", 0}, {"mid-header", HeaderSize / 2}, {"mid-payload", HeaderSize + 3}} {
+		_, _, err := NewFrameReader(io.MultiReader(bytes.NewReader(frame[:c.cut]), iotest.ErrReader(cause))).Read()
+		if !errors.Is(err, cause) || IsProtocolError(err) {
+			t.Errorf("%s: read error came back as %v (protocol error: %v), want the cause", c.name, err, IsProtocolError(err))
+		}
+		if c.cut == 0 {
+			continue
+		}
+		if _, _, err := NewFrameReader(bytes.NewReader(frame[:c.cut])).Read(); err != io.ErrUnexpectedEOF || !IsProtocolError(err) {
+			t.Errorf("%s: clean cut came back as %v, want io.ErrUnexpectedEOF as a protocol error", c.name, err)
 		}
 	}
 }
