@@ -21,6 +21,7 @@ import (
 	"repro/internal/anomaly"
 	"repro/internal/data"
 	"repro/internal/flow"
+	"repro/internal/infer"
 	"repro/internal/models"
 	"repro/internal/nids"
 	"repro/internal/nn"
@@ -158,6 +159,10 @@ func buildDetector(name string, gen *synth.Generator, trainN, epochs int, seed i
 		net := nn.NewNetwork(stack, nn.NewSoftmaxCrossEntropy(), opt)
 		x3 := x.Reshape(x.Dim(0), 1, x.Dim(1))
 		net.Fit(x3, y, nn.FitConfig{Epochs: epochs, BatchSize: 256, Shuffle: true, RNG: rng})
-		return &nids.ModelDetector{ModelName: name, Net: net, Pipe: pipe}, nil
+		plan, err := infer.Compile(net)
+		if err != nil {
+			return nil, err
+		}
+		return infer.NewDetector(name, pipe, plan), nil
 	}
 }

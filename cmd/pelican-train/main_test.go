@@ -54,7 +54,7 @@ func TestTrainSavesArtifact(t *testing.T) {
 	if a.ModelName != "cnn" {
 		t.Fatalf("artifact model %q, want cnn", a.ModelName)
 	}
-	if _, err := a.NewDetector(); err != nil {
+	if _, err := a.NewInferDetector(); err != nil {
 		t.Fatalf("rebuild detector: %v", err)
 	}
 }

@@ -60,7 +60,7 @@ func TestEndToEndTrainServeDetect(t *testing.T) {
 	})
 
 	// Save the artifact through the filesystem, as a deployment would,
-	// and rebuild the network from the file alone.
+	// and rebuild the detector from the file alone.
 	art, err := serve.NewArtifact("mlp", models.PaperBlockConfig(f), gen.Schema(), pipe, net)
 	if err != nil {
 		t.Fatal(err)
@@ -73,13 +73,12 @@ func TestEndToEndTrainServeDetect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	loaded, loadedPipe, err := onDisk.NewNetwork(nn.NewSoftmaxCrossEntropy(), nn.NewAdam(0.005))
+	det, err := onDisk.NewInferDetector()
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	// Serve the loaded model on a stream.
-	det := &nids.ModelDetector{ModelName: "mlp", Net: loaded, Pipe: loadedPipe}
 	src, err := flow.NewSource(gen, flow.DefaultSourceConfig())
 	if err != nil {
 		t.Fatal(err)

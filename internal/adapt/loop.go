@@ -522,13 +522,21 @@ func (l *Loop) adapt(trig Trigger) Event {
 	pass := true
 	if holdN > 0 {
 		holdRecs, holdLabels := recs[n-holdN:], labels[n-holdN:]
-		liveDet, err := art.NewDetector()
+		// Both sides score through the compiled plan they serve with:
+		// next's was lowered above, and art's is lowered once per
+		// generation and cached on the artifact.
+		liveDet, err := art.NewInferDetector()
 		if err != nil {
 			ev.Err = fmt.Errorf("rebuild live detector for gate: %w", err)
 			l.discardRetrain(&ev)
 			return ev
 		}
-		candDet := &nids.ModelDetector{ModelName: art.ModelName, Net: l.net, Pipe: l.pipe}
+		candDet, err := next.NewInferDetector()
+		if err != nil {
+			ev.Err = fmt.Errorf("build candidate detector for gate: %w", err)
+			l.discardRetrain(&ev)
+			return ev
+		}
 		cand := gateScore(candDet, holdRecs, holdLabels)
 		live := gateScore(liveDet, holdRecs, holdLabels)
 		ev.HoldoutFlows = holdN

@@ -7,12 +7,12 @@ import (
 	"repro/internal/nids"
 )
 
-// Detector scores flow records through a compiled float32 plan — the
-// serving-side counterpart of nids.ModelDetector. Methods are safe for
-// concurrent use: record encoding runs on pooled caller-owned slabs
-// outside any lock, and only the engine pass (whose arena is shared) is
-// serialized behind a mutex. Replicas share the immutable Plan; each
-// Detector owns its Engine.
+// Detector scores flow records through a compiled float32 plan — the one
+// engine every product path (serving, pelican-nids, the adapt gate) scores
+// a trained model with. Methods are safe for concurrent use: record
+// encoding runs on pooled caller-owned slabs outside any lock, and only
+// the engine pass (whose arena is shared) is serialized behind a mutex.
+// Replicas share the immutable Plan; each Detector owns its Engine.
 type Detector struct {
 	name string
 	pipe *data.Pipeline

@@ -3,6 +3,7 @@ package infer
 import (
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"repro/internal/data"
@@ -298,38 +299,95 @@ func TestF32ParityOnFlowCorpus(t *testing.T) {
 	}
 }
 
-// TestDetectorMatchesModelDetector runs the two BatchDetector
-// implementations over the same records and requires verdict agreement.
-func TestDetectorMatchesModelDetector(t *testing.T) {
+// trainedDetector compiles trainSmallResidualNet's network into a
+// Detector and returns it with the network, the pipeline and fixed-seed
+// records drawn from the generator.
+func trainedDetector(t *testing.T, n int, seed int64) (*Detector, *nn.Network, *data.Pipeline, []*data.Record) {
+	t.Helper()
 	net, pipe, gen := trainSmallResidualNet(t)
 	plan, err := Compile(net)
 	if err != nil {
 		t.Fatal(err)
 	}
-	f32det := NewDetector("pelican-f32", pipe, plan)
-	f64det := &nids.ModelDetector{ModelName: "pelican-f64", Net: net, Pipe: pipe}
-
-	corpus := gen.Generate(512, 123)
+	corpus := gen.Generate(n, seed)
 	recs := make([]*data.Record, len(corpus.Records))
 	for i := range corpus.Records {
 		recs[i] = &corpus.Records[i]
 	}
-	a := make([]nids.Verdict, len(recs))
-	b := make([]nids.Verdict, len(recs))
-	f32det.DetectBatch(recs, a)
-	f64det.DetectBatch(recs, b)
+	return NewDetector("pelican-f32", pipe, plan), net, pipe, recs
+}
+
+// TestDetectorMatchesNetworkPredict scores the same records through the
+// Detector and through the float64 network it was compiled from, and
+// requires verdict agreement: the class is the f64 argmax and the score is
+// within 1e-4 of the f64 winning logit.
+func TestDetectorMatchesNetworkPredict(t *testing.T) {
+	det, net, pipe, recs := trainedDetector(t, 512, 123)
+	f := pipe.Width()
+	x := tensor.New(len(recs), f)
+	for i, rec := range recs {
+		pipe.ApplyInto(rec, x.Row(i))
+	}
+	logits := net.Predict(x.Reshape(len(recs), 1, f))
+	classes := logits.ArgmaxRow()
+
+	got := make([]nids.Verdict, len(recs))
+	det.DetectBatch(recs, got)
 	mismatch := 0
-	for i := range a {
-		if a[i].Class != b[i].Class || a[i].IsAttack != b[i].IsAttack {
+	for i, v := range got {
+		if v.Class != classes[i] || v.IsAttack != (classes[i] != 0) {
 			mismatch++
 		}
-		if d := math.Abs(a[i].Score - b[i].Score); d > 1e-4 {
-			t.Fatalf("record %d: f32 score %v vs f64 %v", i, a[i].Score, b[i].Score)
+		if want := logits.Row(i)[classes[i]]; math.Abs(v.Score-want) > 1e-4 {
+			t.Fatalf("record %d: f32 score %v vs f64 %v", i, v.Score, want)
 		}
 	}
 	if mismatch > 1 {
 		t.Fatalf("%d verdict mismatches over %d records", mismatch, len(recs))
 	}
+}
+
+// TestDetectBatchMatchesDetect proves micro-batched scoring and per-flow
+// scoring agree verdict-for-verdict.
+func TestDetectBatchMatchesDetect(t *testing.T) {
+	det, _, _, recs := trainedDetector(t, 64, 75)
+	batched := make([]nids.Verdict, len(recs))
+	det.DetectBatch(recs, batched)
+	for i, rec := range recs {
+		single := det.Detect(rec)
+		if single != batched[i] {
+			t.Fatalf("record %d: batch verdict %+v != single verdict %+v", i, batched[i], single)
+		}
+	}
+}
+
+// TestDetectBatchConcurrent hammers a shared Detector from several
+// goroutines (meaningful under -race): the pooled encode slabs must stay
+// private to their caller and the mutex must serialize access to the
+// engine arena without corrupting verdicts.
+func TestDetectBatchConcurrent(t *testing.T) {
+	det, _, _, recs := trainedDetector(t, 32, 76)
+	want := make([]nids.Verdict, len(recs))
+	det.DetectBatch(recs, want)
+
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got := make([]nids.Verdict, len(recs))
+			for it := 0; it < 10; it++ {
+				det.DetectBatch(recs, got)
+				for i := range got {
+					if got[i] != want[i] {
+						t.Errorf("concurrent DetectBatch diverged at record %d", i)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // TestEngineSteadyStateAllocFree pins the engine's per-call allocation

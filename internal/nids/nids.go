@@ -1,9 +1,11 @@
 // Package nids assembles the full intrusion-detection pipeline of the
 // paper's Fig. 1: a traffic source feeding a detector whose alerts land in
-// a security-team queue. Detectors are hot-swappable — the Pelican network,
-// any other trained model, the signature engine of §VI, or an anomaly
+// a security-team queue. Detectors are hot-swappable — the Pelican network
+// or any other trained model, the signature engine of §VI, or an anomaly
 // profile — so the paper's supervised-vs-signature-vs-anomaly arguments
-// can be measured on identical traffic.
+// can be measured on identical traffic. A trained model scores through its
+// compiled float32 plan (infer.Detector, which implements BatchDetector),
+// so this package does not link the training stack.
 //
 // The pipeline is a bounded-channel goroutine graph with clean shutdown:
 // Source → [workers × (preprocess + detect)] → alert collector. Workers
@@ -21,9 +23,7 @@ import (
 	"repro/internal/anomaly"
 	"repro/internal/data"
 	"repro/internal/flow"
-	"repro/internal/nn"
 	"repro/internal/signature"
-	"repro/internal/tensor"
 )
 
 // Verdict is one detector decision.
@@ -55,82 +55,6 @@ type Detector interface {
 type BatchDetector interface {
 	Detector
 	DetectBatch(recs []*data.Record, verdicts []Verdict)
-}
-
-// ModelDetector wraps a trained network plus its preprocessing pipeline.
-// Its methods are safe for concurrent use: per-record feature encoding runs
-// on pooled caller-owned slabs outside any lock (so it scales with the
-// number of calling workers), and only the network pass itself — whose
-// layer buffers are shared — is serialized behind a mutex. Workers should
-// prefer DetectBatch, which amortizes one network pass (and one lock
-// acquisition) over a whole flow batch.
-type ModelDetector struct {
-	ModelName string
-	Net       *nn.Network
-	Pipe      *data.Pipeline
-
-	mu    sync.Mutex // serializes network passes only
-	slabs sync.Pool  // *detectSlab encode buffers, one checked out per call
-}
-
-// detectSlab is one concurrent caller's encode buffer: a (B, F) input slab
-// plus the (B, 1, F) view header fed to the network.
-type detectSlab struct {
-	x    *tensor.Tensor
-	view *tensor.Tensor
-}
-
-var _ BatchDetector = (*ModelDetector)(nil)
-
-// Name implements Detector.
-func (d *ModelDetector) Name() string { return d.ModelName }
-
-// Detect implements Detector: preprocess, run the network, argmax.
-func (d *ModelDetector) Detect(rec *data.Record) Verdict {
-	var v [1]Verdict
-	d.DetectBatch([]*data.Record{rec}, v[:])
-	return v[0]
-}
-
-// DetectBatch implements BatchDetector: the batch's feature rows are packed
-// into one contiguous tensor and scored in a single network pass. Encoding
-// happens on a pooled slab before the lock is taken, so concurrent callers
-// only contend for the network pass itself.
-//
-//pelican:noalloc
-func (d *ModelDetector) DetectBatch(recs []*data.Record, verdicts []Verdict) {
-	rows := len(recs)
-	if rows == 0 {
-		return
-	}
-	f := d.Pipe.Width()
-	s, _ := d.slabs.Get().(*detectSlab)
-	if s == nil {
-		s = &detectSlab{x: tensor.New(rows, f)}
-	} else {
-		s.x.Resize(rows, f)
-	}
-	for i, rec := range recs {
-		d.Pipe.ApplyInto(rec, s.x.Row(i))
-	}
-	s.view = s.x.ReshapeInto(s.view, rows, 1, f)
-
-	d.mu.Lock()
-	logits := d.Net.Predict(s.view)
-	// The argmax readout also runs under the lock: logits is a reused layer
-	// buffer that the next Predict overwrites.
-	for i := 0; i < rows; i++ {
-		row := logits.Row(i)
-		cls := 0
-		for c := 1; c < len(row); c++ {
-			if row[c] > row[cls] {
-				cls = c
-			}
-		}
-		verdicts[i] = Verdict{IsAttack: cls != 0, Class: cls, Score: row[cls]}
-	}
-	d.mu.Unlock()
-	d.slabs.Put(s)
 }
 
 // SignatureDetector wraps the Snort-style engine.

@@ -1,4 +1,8 @@
-package nids
+package nids_test
+
+// The pipeline is tested from outside: a trained model enters it through
+// infer.Detector, and infer imports nids. record_test.go and
+// triage_test.go hold the tests that need the package's internals.
 
 import (
 	"context"
@@ -11,7 +15,9 @@ import (
 	"repro/internal/anomaly"
 	"repro/internal/data"
 	"repro/internal/flow"
+	"repro/internal/infer"
 	"repro/internal/models"
+	"repro/internal/nids"
 	"repro/internal/nn"
 	"repro/internal/signature"
 	"repro/internal/synth"
@@ -39,8 +45,9 @@ func tinyGen(t *testing.T) *synth.Generator {
 	return g
 }
 
-// trainTinyModel fits a small MLP detector on generator traffic.
-func trainTinyModel(t *testing.T, g *synth.Generator) *ModelDetector {
+// trainTinyModel fits a small MLP on generator traffic and compiles it
+// into the float32 detector every product path scores a model with.
+func trainTinyModel(t *testing.T, g *synth.Generator) *infer.Detector {
 	t.Helper()
 	ds := g.Generate(1200, 71)
 	x, y, pipe := data.Preprocess(ds)
@@ -49,7 +56,11 @@ func trainTinyModel(t *testing.T, g *synth.Generator) *ModelDetector {
 	net := nn.NewNetwork(stack, nn.NewSoftmaxCrossEntropy(), nn.NewAdam(0.005))
 	x3 := x.Reshape(x.Dim(0), 1, x.Dim(1))
 	net.Fit(x3, y, nn.FitConfig{Epochs: 8, BatchSize: 128, Shuffle: true, RNG: rng})
-	return &ModelDetector{ModelName: "mlp", Net: net, Pipe: pipe}
+	plan, err := infer.Compile(net)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return infer.NewDetector("mlp", pipe, plan)
 }
 
 func TestModelDetectorOnPipeline(t *testing.T) {
@@ -60,13 +71,13 @@ func TestModelDetectorOnPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := New(det, Config{Workers: 4})
+	p := nids.New(det, nids.Config{Workers: 4})
 	flows := make(chan flow.Flow, 1)
 	go src.Run(context.Background(), flows, 800)
 
 	var mu sync.Mutex
-	var alerts []Alert
-	if err := p.Run(context.Background(), flows, func(a Alert) {
+	var alerts []nids.Alert
+	if err := p.Run(context.Background(), flows, func(a nids.Alert) {
 		mu.Lock()
 		alerts = append(alerts, a)
 		mu.Unlock()
@@ -92,61 +103,6 @@ func TestModelDetectorOnPipeline(t *testing.T) {
 	}
 }
 
-// TestDetectBatchMatchesDetect proves micro-batched scoring and per-flow
-// scoring agree verdict-for-verdict.
-func TestDetectBatchMatchesDetect(t *testing.T) {
-	g := tinyGen(t)
-	det := trainTinyModel(t, g)
-	ds := g.Generate(64, 75)
-
-	recs := make([]*data.Record, len(ds.Records))
-	for i := range ds.Records {
-		recs[i] = &ds.Records[i]
-	}
-	batched := make([]Verdict, len(recs))
-	det.DetectBatch(recs, batched)
-	for i, rec := range recs {
-		single := det.Detect(rec)
-		if single != batched[i] {
-			t.Fatalf("record %d: batch verdict %+v != single verdict %+v", i, batched[i], single)
-		}
-	}
-}
-
-// TestDetectBatchConcurrent hammers a shared ModelDetector from several
-// goroutines (meaningful under -race): the internal mutex must serialize
-// access to the reused network buffers without corrupting verdicts.
-func TestDetectBatchConcurrent(t *testing.T) {
-	g := tinyGen(t)
-	det := trainTinyModel(t, g)
-	ds := g.Generate(32, 76)
-	recs := make([]*data.Record, len(ds.Records))
-	for i := range ds.Records {
-		recs[i] = &ds.Records[i]
-	}
-	want := make([]Verdict, len(recs))
-	det.DetectBatch(recs, want)
-
-	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			got := make([]Verdict, len(recs))
-			for it := 0; it < 10; it++ {
-				det.DetectBatch(recs, got)
-				for i := range got {
-					if got[i] != want[i] {
-						t.Errorf("concurrent DetectBatch diverged at record %d", i)
-						return
-					}
-				}
-			}
-		}()
-	}
-	wg.Wait()
-}
-
 // TestModelDetectorMicroBatchPipeline runs the full pipeline with an
 // explicit micro-batch size and checks the counters stay exact.
 func TestModelDetectorMicroBatchPipeline(t *testing.T) {
@@ -157,7 +113,7 @@ func TestModelDetectorMicroBatchPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := New(det, Config{Workers: 2, MicroBatch: 16})
+	p := nids.New(det, nids.Config{Workers: 2, MicroBatch: 16})
 	flows := make(chan flow.Flow, 64) // deep queue so batches actually form
 	go src.Run(context.Background(), flows, 500)
 	if err := p.Run(context.Background(), flows, nil); err != nil {
@@ -186,13 +142,13 @@ func TestSignatureDetectorOnPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	det := &SignatureDetector{Engine: eng}
+	det := &nids.SignatureDetector{Engine: eng}
 
 	src, err := flow.NewSource(g, flow.DefaultSourceConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := New(det, Config{Workers: 2})
+	p := nids.New(det, nids.Config{Workers: 2})
 	flows := make(chan flow.Flow, 1)
 	go src.Run(context.Background(), flows, 600)
 	if err := p.Run(context.Background(), flows, nil); err != nil {
@@ -226,13 +182,13 @@ func TestAnomalyDetectorOnPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	det := &AnomalyDetector{Profile: th, Pipe: pipe}
+	det := &nids.AnomalyDetector{Profile: th, Pipe: pipe}
 
 	src, err := flow.NewSource(g, flow.DefaultSourceConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := New(det, Config{Workers: 3})
+	p := nids.New(det, nids.Config{Workers: 3})
 	flows := make(chan flow.Flow, 1)
 	go src.Run(context.Background(), flows, 600)
 	if err := p.Run(context.Background(), flows, nil); err != nil {
@@ -249,8 +205,8 @@ func TestAnomalyDetectorOnPipeline(t *testing.T) {
 
 func TestPipelineCancellation(t *testing.T) {
 	g := tinyGen(t)
-	det := &SignatureDetector{Engine: mustEngine(t, g)}
-	p := New(det, Config{Workers: 2})
+	det := &nids.SignatureDetector{Engine: mustEngine(t, g)}
+	p := nids.New(det, nids.Config{Workers: 2})
 
 	ctx, cancel := context.WithCancel(context.Background())
 	src, err := flow.NewSource(g, flow.DefaultSourceConfig())
@@ -271,32 +227,6 @@ func TestPipelineCancellation(t *testing.T) {
 	}
 }
 
-// TestAlertCountedOnlyAfterDelivery pins the cancellation-accounting fix:
-// an alert abandoned because the context died mid-enqueue must not be
-// counted as delivered — it lands in DroppedAlerts instead.
-func TestAlertCountedOnlyAfterDelivery(t *testing.T) {
-	g := tinyGen(t)
-	det := &SignatureDetector{Engine: mustEngine(t, g)}
-	p := New(det, Config{Workers: 1})
-
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()                   // already dead: every enqueue on a full channel must abandon
-	alerts := make(chan Alert) // unbuffered and never read
-	f := flow.Flow{TrueClass: 1}
-	p.record(ctx, &f, Verdict{IsAttack: true, Class: 1}, alerts)
-
-	st := p.Stats()
-	if st.Alerts != 0 {
-		t.Fatalf("undelivered alert was counted: Alerts=%d", st.Alerts)
-	}
-	if st.DroppedAlerts != 1 {
-		t.Fatalf("DroppedAlerts=%d, want 1", st.DroppedAlerts)
-	}
-	if st.TruePos != 1 || st.Processed != 1 {
-		t.Fatalf("detection counters must still move: %+v", st)
-	}
-}
-
 // TestCancelledRunAlertAccounting runs a real pipeline with a slow alert
 // consumer, cancels it mid-stream, and checks the invariant the fix
 // establishes: the delivered-alert counter never exceeds what onAlert
@@ -304,8 +234,8 @@ func TestAlertCountedOnlyAfterDelivery(t *testing.T) {
 // Meaningful under -race.
 func TestCancelledRunAlertAccounting(t *testing.T) {
 	g := tinyGen(t)
-	det := &SignatureDetector{Engine: mustEngine(t, g)}
-	p := New(det, Config{Workers: 4})
+	det := &nids.SignatureDetector{Engine: mustEngine(t, g)}
+	p := nids.New(det, nids.Config{Workers: 4})
 
 	ctx, cancel := context.WithCancel(context.Background())
 	src, err := flow.NewSource(g, flow.DefaultSourceConfig())
@@ -318,7 +248,7 @@ func TestCancelledRunAlertAccounting(t *testing.T) {
 	var delivered atomic.Int64
 	done := make(chan error, 1)
 	go func() {
-		done <- p.Run(ctx, flows, func(Alert) {
+		done <- p.Run(ctx, flows, func(nids.Alert) {
 			delivered.Add(1)
 			time.Sleep(100 * time.Microsecond) // consumer lags: queue backs up
 		})
@@ -346,7 +276,7 @@ func TestTapSeesEveryScoredFlow(t *testing.T) {
 
 	var tapped atomic.Int64
 	var tapAttacks atomic.Int64
-	p := New(det, Config{Workers: 3, MicroBatch: 8, Tap: func(f *flow.Flow, v Verdict) {
+	p := nids.New(det, nids.Config{Workers: 3, MicroBatch: 8, Tap: func(f *flow.Flow, v nids.Verdict) {
 		if f == nil {
 			t.Error("tap got nil flow")
 			return
@@ -375,26 +305,48 @@ func TestTapSeesEveryScoredFlow(t *testing.T) {
 	}
 }
 
-// TestFailedVerdictsExcludedFromCounters pins the no-information rule: a
-// Failed verdict (remote scorer outage) moves Processed and ScoreFailures
-// but no detection counter, and never raises an alert.
-func TestFailedVerdictsExcludedFromCounters(t *testing.T) {
+func TestTriageEndToEndWithPipeline(t *testing.T) {
+	// Stream a bursty source through a signature detector and confirm
+	// triage compresses campaign alerts substantially.
 	g := tinyGen(t)
-	det := &SignatureDetector{Engine: mustEngine(t, g)}
-	p := New(det, Config{Workers: 1})
-	alerts := make(chan Alert, 4)
-	f := flow.Flow{TrueClass: 1}
-	p.record(context.Background(), &f, Verdict{IsAttack: true, Failed: true}, alerts)
-
+	det := &nids.SignatureDetector{Engine: mustEngine(t, g)}
+	cfg := flow.DefaultSourceConfig()
+	cfg.EpisodeEvery = 120
+	cfg.EpisodeLen = 50
+	cfg.EpisodeAttackRate = 0.9
+	src, err := flow.NewSource(g, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := nids.New(det, nids.Config{Workers: 1}) // single worker keeps alert order sane
+	triage := nids.NewTriage(2 * time.Minute)
+	flows := make(chan flow.Flow, 1)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 1500; i++ {
+			flows <- src.Next()
+		}
+		close(flows)
+	}()
+	if err := p.Run(t.Context(), flows, triage.Observe); err != nil {
+		t.Fatal(err)
+	}
+	<-done
+	incidents := triage.Flush()
 	st := p.Stats()
-	if st.Processed != 1 || st.ScoreFailures != 1 {
-		t.Fatalf("processed=%d failures=%d, want 1/1", st.Processed, st.ScoreFailures)
+	if st.Alerts == 0 {
+		t.Skip("no alerts fired; nothing to triage")
 	}
-	if st.TruePos+st.FalseAlarms+st.Missed+st.TrueNeg != 0 {
-		t.Fatalf("failed verdict moved detection counters: %+v", st)
+	if int64(len(incidents)) > st.Alerts {
+		t.Fatalf("more incidents (%d) than alerts (%d)", len(incidents), st.Alerts)
 	}
-	if st.Alerts != 0 || len(alerts) != 0 {
-		t.Fatal("failed verdict raised an alert")
+	total := 0
+	for _, inc := range incidents {
+		total += inc.AlertCount
+	}
+	if int64(total) != st.Alerts {
+		t.Fatalf("incident alerts %d != pipeline alerts %d", total, st.Alerts)
 	}
 }
 
@@ -412,26 +364,8 @@ func mustEngine(t *testing.T, g *synth.Generator) *signature.Engine {
 	return eng
 }
 
-func TestStatsSnapshotMath(t *testing.T) {
-	var s Stats
-	s.truePos.Store(80)
-	s.missed.Store(20)
-	s.falseAlarm.Store(5)
-	s.trueNeg.Store(95)
-	snap := s.Snapshot()
-	if snap.DR() != 0.8 {
-		t.Fatalf("DR = %v, want 0.8", snap.DR())
-	}
-	if snap.FAR() != 0.05 {
-		t.Fatalf("FAR = %v, want 0.05", snap.FAR())
-	}
-	if snap.String() == "" {
-		t.Fatal("empty String()")
-	}
-}
-
 func TestStatsEmptyNoNaN(t *testing.T) {
-	var s Stats
+	var s nids.Stats
 	snap := s.Snapshot()
 	if snap.DR() != 0 || snap.FAR() != 0 {
 		t.Fatal("empty stats should be zero, not NaN")

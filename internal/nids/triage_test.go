@@ -90,50 +90,5 @@ func TestCompressionRatio(t *testing.T) {
 	}
 }
 
-func TestTriageEndToEndWithPipeline(t *testing.T) {
-	// Stream a bursty source through a signature detector and confirm
-	// triage compresses campaign alerts substantially.
-	g := tinyGen(t)
-	det := &SignatureDetector{Engine: mustEngine(t, g)}
-	cfg := flow.DefaultSourceConfig()
-	cfg.EpisodeEvery = 120
-	cfg.EpisodeLen = 50
-	cfg.EpisodeAttackRate = 0.9
-	src, err := flow.NewSource(g, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := New(det, Config{Workers: 1}) // single worker keeps alert order sane
-	triage := NewTriage(2 * time.Minute)
-	flows := make(chan flow.Flow, 1)
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for i := 0; i < 1500; i++ {
-			flows <- src.Next()
-		}
-		close(flows)
-	}()
-	if err := p.Run(t.Context(), flows, triage.Observe); err != nil {
-		t.Fatal(err)
-	}
-	<-done
-	incidents := triage.Flush()
-	st := p.Stats()
-	if st.Alerts == 0 {
-		t.Skip("no alerts fired; nothing to triage")
-	}
-	if int64(len(incidents)) > st.Alerts {
-		t.Fatalf("more incidents (%d) than alerts (%d)", len(incidents), st.Alerts)
-	}
-	total := 0
-	for _, inc := range incidents {
-		total += inc.AlertCount
-	}
-	if int64(total) != st.Alerts {
-		t.Fatalf("incident alerts %d != pipeline alerts %d", total, st.Alerts)
-	}
-}
-
 // OpenCount returns the number of currently-open incidents.
 func (t *Triage) OpenCount() int { return len(t.open) }

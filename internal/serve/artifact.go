@@ -20,7 +20,6 @@ import (
 	"repro/internal/data"
 	"repro/internal/infer"
 	"repro/internal/models"
-	"repro/internal/nids"
 	"repro/internal/nn"
 	"repro/internal/store"
 	"repro/internal/wire"
@@ -44,7 +43,7 @@ type artifactMeta struct {
 }
 
 // Artifact is a self-contained trained detector: everything needed to
-// reconstruct a ready-to-score nids.ModelDetector — registered model name,
+// build a ready-to-score infer.Detector — registered model name,
 // block configuration, dataset schema (which fully determines the one-hot
 // encoder), fitted scaler moments, and network weights.
 type Artifact struct {
@@ -229,9 +228,10 @@ func (a *Artifact) Plan() (*infer.Plan, error) {
 	return a.plan, a.planErr
 }
 
-// NewInferDetector builds a float32-engine scoring replica: the shared
-// compiled plan plus a private engine arena and lock. The float64
-// counterpart is NewDetector.
+// NewInferDetector builds a scoring replica: the shared compiled float32
+// plan plus a private engine arena and lock. Each call returns an
+// independent detector, so callers can shard load across several
+// replicas; the plan, scaler and schema are shared read-only.
 func (a *Artifact) NewInferDetector() (*infer.Detector, error) {
 	plan, err := a.Plan()
 	if err != nil {
@@ -239,16 +239,4 @@ func (a *Artifact) NewInferDetector() (*infer.Detector, error) {
 	}
 	pipe := &data.Pipeline{Enc: data.NewEncoder(a.Schema), Scaler: a.scaler}
 	return infer.NewDetector(a.ModelName, pipe, plan), nil
-}
-
-// NewDetector builds a fresh, ready-to-score replica from the artifact.
-// Each call returns an independent detector (own network buffers, own
-// lock), so callers can shard load across several replicas; the read-only
-// scaler and schema are shared.
-func (a *Artifact) NewDetector() (*nids.ModelDetector, error) {
-	net, pipe, err := a.NewNetwork(nn.NewSoftmaxCrossEntropy(), nn.NewRMSprop(0.01))
-	if err != nil {
-		return nil, err
-	}
-	return &nids.ModelDetector{ModelName: a.ModelName, Net: net, Pipe: pipe}, nil
 }

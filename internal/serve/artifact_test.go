@@ -5,14 +5,17 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/iotest"
 
 	"repro/internal/data"
+	"repro/internal/infer"
 	"repro/internal/models"
 	"repro/internal/nids"
 	"repro/internal/nn"
@@ -23,10 +26,11 @@ import (
 	"repro/internal/wire"
 )
 
-// trainTestArtifact trains a small detector of the given registered model
-// and returns its artifact, the original in-process detector, and a batch
-// of held-back records for verdict comparison.
-func trainTestArtifact(t *testing.T, modelName string, seed int64, epochs int) (*Artifact, *nids.ModelDetector, []*data.Record) {
+// trainTestModel trains a small detector of the given registered model
+// and returns its artifact, the trained network and fitted pipeline the
+// artifact captured, and a batch of held-back records for verdict
+// comparison.
+func trainTestModel(t *testing.T, modelName string, seed int64, epochs int) (*Artifact, *nn.Network, *data.Pipeline, []*data.Record) {
 	t.Helper()
 	gen, err := synth.New(synth.NSLKDDConfig())
 	if err != nil {
@@ -53,16 +57,34 @@ func trainTestArtifact(t *testing.T, modelName string, seed int64, epochs int) (
 	if err != nil {
 		t.Fatal(err)
 	}
-	orig := &nids.ModelDetector{ModelName: modelName, Net: net, Pipe: pipe}
 	probe := gen.Generate(64, seed+1000)
 	recs := make([]*data.Record, len(probe.Records))
 	for i := range probe.Records {
 		recs[i] = &probe.Records[i]
 	}
-	return a, orig, recs
+	return a, net, pipe, recs
 }
 
-// encodeProbe converts records to the (N, 1, F) tensor PredictClasses
+// trainTestArtifact is trainTestModel with the trained network compiled
+// into the in-process detector — the same float32 engine a server runs,
+// lowered from the original network rather than from the artifact.
+func trainTestArtifact(t *testing.T, modelName string, seed int64, epochs int) (*Artifact, *infer.Detector, []*data.Record) {
+	t.Helper()
+	a, net, pipe, recs := trainTestModel(t, modelName, seed, epochs)
+	return a, compiledDetector(t, modelName, net, pipe), recs
+}
+
+// compiledDetector lowers net into a float32 detector scoring with pipe.
+func compiledDetector(t *testing.T, name string, net *nn.Network, pipe *data.Pipeline) *infer.Detector {
+	t.Helper()
+	plan, err := infer.Compile(net)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return infer.NewDetector(name, pipe, plan)
+}
+
+// encodeProbe converts records to the (N, 1, F) tensor a network
 // consumes.
 func encodeProbe(pipe *data.Pipeline, recs []*data.Record) *tensor.Tensor {
 	x := tensor.New(len(recs), pipe.Width())
@@ -72,10 +94,27 @@ func encodeProbe(pipe *data.Pipeline, recs []*data.Record) *tensor.Tensor {
 	return x.Reshape(len(recs), 1, pipe.Width())
 }
 
+// f64Verdicts scores recs through the float64 network the artifact
+// rebuilds — the parity oracle served float32 verdicts are checked
+// against: the class is the argmax and the score the winning logit.
+func f64Verdicts(t *testing.T, a *Artifact, recs []*data.Record) []nids.Verdict {
+	t.Helper()
+	net, pipe, err := a.NewNetwork(nn.NewSoftmaxCrossEntropy(), nn.NewRMSprop(0.01))
+	if err != nil {
+		t.Fatal(err)
+	}
+	logits := net.Predict(encodeProbe(pipe, recs))
+	out := make([]nids.Verdict, len(recs))
+	for i, cls := range logits.ArgmaxRow() {
+		out[i] = nids.Verdict{IsAttack: cls != 0, Class: cls, Score: logits.Row(i)[cls]}
+	}
+	return out
+}
+
 // TestArtifactPlanCachedAndInferDetectorAgrees pins the plan-aware load
 // path: lowering happens once (Plan() returns the same compiled plan to
 // every caller — the artifact's weights stay stored once, in float64), and
-// a float32 replica built from it produces the float64 replica's verdicts
+// a float32 replica built from it produces the float64 network's verdicts
 // on a held-back batch.
 func TestArtifactPlanCachedAndInferDetectorAgrees(t *testing.T) {
 	if testing.Short() {
@@ -103,17 +142,12 @@ func TestArtifactPlanCachedAndInferDetectorAgrees(t *testing.T) {
 			p1.Features(), p1.Classes(), loaded.Features(), loaded.Classes())
 	}
 
-	f64det, err := loaded.NewDetector()
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := f64Verdicts(t, loaded, recs)
 	f32det, err := loaded.NewInferDetector()
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := make([]nids.Verdict, len(recs))
 	got := make([]nids.Verdict, len(recs))
-	f64det.DetectBatch(recs, want)
 	f32det.DetectBatch(recs, got)
 	for i := range recs {
 		if got[i].Class != want[i].Class || got[i].IsAttack != want[i].IsAttack {
@@ -123,14 +157,50 @@ func TestArtifactPlanCachedAndInferDetectorAgrees(t *testing.T) {
 	}
 }
 
+// requireRoundTrip checks that loaded, the artifact a was saved as and
+// read back, scores like the network a captured: bit-identical float64
+// logits, and identical float32 verdicts from the engine serving runs.
+func requireRoundTrip(t *testing.T, loaded *Artifact, net *nn.Network, pipe *data.Pipeline, recs []*data.Record) {
+	t.Helper()
+	loadedNet, loadedPipe, err := loaded.NewNetwork(nn.NewSoftmaxCrossEntropy(), nn.NewRMSprop(0.01))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := net.Predict(encodeProbe(pipe, recs))
+	got := loadedNet.Predict(encodeProbe(loadedPipe, recs))
+	if !reflect.DeepEqual(got.Shape(), want.Shape()) {
+		t.Fatalf("loaded logits shape %v, original %v", got.Shape(), want.Shape())
+	}
+	for i, w := range want.Data() {
+		if g := got.Data()[i]; math.Float64bits(g) != math.Float64bits(w) {
+			t.Fatalf("logit %d: loaded network %v, original %v", i, g, w)
+		}
+	}
+
+	orig := compiledDetector(t, loaded.ModelName, net, pipe)
+	det, err := loaded.NewInferDetector()
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantV := make([]nids.Verdict, len(recs))
+	gotV := make([]nids.Verdict, len(recs))
+	orig.DetectBatch(recs, wantV)
+	det.DetectBatch(recs, gotV)
+	for i := range wantV {
+		if gotV[i] != wantV[i] {
+			t.Fatalf("record %d: loaded verdict %+v, original %+v", i, gotV[i], wantV[i])
+		}
+	}
+}
+
 // TestArtifactRoundTripLuNet pins the headline contract: save → load of a
-// trained block network yields byte-identical PredictClasses output and
-// identical DetectBatch verdicts on a fixed-seed batch.
+// trained block network keeps its version and yields bit-identical
+// logits and identical DetectBatch verdicts on a fixed-seed batch.
 func TestArtifactRoundTripLuNet(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains a model")
 	}
-	a, orig, recs := trainTestArtifact(t, "lunet", 1, 2)
+	a, net, pipe, recs := trainTestModel(t, "lunet", 1, 2)
 
 	loaded, err := LoadArtifact(bytes.NewReader(a.Bytes()))
 	if err != nil {
@@ -139,28 +209,7 @@ func TestArtifactRoundTripLuNet(t *testing.T) {
 	if loaded.Version() != a.Version() {
 		t.Fatalf("version changed across round trip: %s -> %s", a.Version(), loaded.Version())
 	}
-	det, err := loaded.NewDetector()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	wantClasses := orig.Net.PredictClasses(encodeProbe(orig.Pipe, recs), 16)
-	gotClasses := det.Net.PredictClasses(encodeProbe(det.Pipe, recs), 16)
-	for i := range wantClasses {
-		if gotClasses[i] != wantClasses[i] {
-			t.Fatalf("record %d: loaded model predicts class %d, original %d", i, gotClasses[i], wantClasses[i])
-		}
-	}
-
-	want := make([]nids.Verdict, len(recs))
-	got := make([]nids.Verdict, len(recs))
-	orig.DetectBatch(recs, want)
-	det.DetectBatch(recs, got)
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("record %d: loaded verdict %+v, original %+v", i, got[i], want[i])
-		}
-	}
+	requireRoundTrip(t, loaded, net, pipe, recs)
 }
 
 // TestArtifactRoundTripResidual runs the same contract on a residual
@@ -170,24 +219,12 @@ func TestArtifactRoundTripResidual(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains a model")
 	}
-	a, orig, recs := trainTestArtifact(t, "residual-21", 3, 1)
+	a, net, pipe, recs := trainTestModel(t, "residual-21", 3, 1)
 	loaded, err := LoadArtifact(bytes.NewReader(a.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	det, err := loaded.NewDetector()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := make([]nids.Verdict, len(recs))
-	got := make([]nids.Verdict, len(recs))
-	orig.DetectBatch(recs, want)
-	det.DetectBatch(recs, got)
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("record %d: loaded verdict %+v, original %+v", i, got[i], want[i])
-		}
-	}
+	requireRoundTrip(t, loaded, net, pipe, recs)
 }
 
 // mlpArtifactBytes builds a minimal valid artifact file for the error-path

@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"repro/internal/chaos"
-	"repro/internal/nids"
 	"repro/internal/registry"
 )
 
@@ -235,12 +234,7 @@ func TestSwapMidRequestRetriesOnSuccessor(t *testing.T) {
 	}
 	a1, _, recs := trainTestArtifact(t, "mlp", 17, 1)
 	a2, _, _ := trainTestArtifact(t, "mlp", 19, 1)
-	oracle, err := a2.NewDetector()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := make([]nids.Verdict, 6)
-	oracle.DetectBatch(recs[:6], want)
+	want := f64Verdicts(t, a2, recs[:6])
 
 	inj := &chaos.Injector{}
 	srv, ts := newTestServer(t, a1, Config{

@@ -71,7 +71,7 @@ func recordsJSON(recs []*data.Record) []RecordJSON {
 }
 
 // TestServerMatchesInProcessDetector pins the acceptance criterion: the
-// served verdicts equal in-process ModelDetector.DetectBatch on the same
+// served verdicts equal the in-process detector's DetectBatch on the same
 // records.
 func TestServerMatchesInProcessDetector(t *testing.T) {
 	if testing.Short() {
@@ -103,21 +103,15 @@ func TestServerMatchesInProcessDetector(t *testing.T) {
 }
 
 // TestServedVerdictsMatchF64Oracle pins what serving runs — the compiled
-// float32 plan, and nothing selectable — against the f64 graph the
-// artifact rebuilds with NewDetector: the parity oracle that tests,
-// pelican-nids and the adapt gate score with. Same class and attack flag
-// on every record, scores within the f32 parity bound.
+// float32 plan, and nothing selectable — against the f64 network the
+// artifact rebuilds with NewNetwork, the parity oracle. Same class and
+// attack flag on every record, scores within the f32 parity bound.
 func TestServedVerdictsMatchF64Oracle(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains a model")
 	}
 	a, _, recs := trainTestArtifact(t, "mlp", 17, 2)
-	oracle, err := a.NewDetector()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := make([]nids.Verdict, len(recs))
-	oracle.DetectBatch(recs, want)
+	want := f64Verdicts(t, a, recs)
 
 	_, ts := newTestServer(t, a, Config{Replicas: 1, MaxBatch: 8, MaxWait: time.Millisecond})
 	got, _, err := NewClient(ts.URL).Score(recs)
@@ -472,26 +466,23 @@ func TestClientScoreAndRemoteDetector(t *testing.T) {
 }
 
 // TestArtifactNewNetworkWarmStart pins the warm-start constructor: the
-// reconstructed network scores identically to the artifact's detector and
-// is genuinely trainable in place.
+// reconstructed network predicts the trained network's classes and is
+// genuinely trainable in place.
 func TestArtifactNewNetworkWarmStart(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains a model")
 	}
-	a, orig, recs := trainTestArtifact(t, "mlp", 53, 2)
+	a, orig, origPipe, recs := trainTestModel(t, "mlp", 53, 2)
 
 	net, pipe, err := a.NewNetwork(nn.NewSoftmaxCrossEntropy(), nn.NewRMSprop(0.002))
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := make([]nids.Verdict, len(recs))
-	orig.DetectBatch(recs, want)
-	warm := &nids.ModelDetector{ModelName: a.ModelName, Net: net, Pipe: pipe}
-	got := make([]nids.Verdict, len(recs))
-	warm.DetectBatch(recs, got)
+	want := orig.PredictClasses(encodeProbe(origPipe, recs), 0)
+	got := net.PredictClasses(encodeProbe(pipe, recs), 0)
 	for i := range got {
-		if got[i].Class != want[i].Class {
-			t.Fatalf("record %d: warm network class %d != artifact detector %d", i, got[i].Class, want[i].Class)
+		if got[i] != want[i] {
+			t.Fatalf("record %d: warm network class %d != trained network %d", i, got[i], want[i])
 		}
 	}
 

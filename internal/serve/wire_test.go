@@ -161,12 +161,7 @@ func TestWireMatchesHTTPPlane(t *testing.T) {
 	srv, ts := newTestServer(t, a, Config{Replicas: 2, MaxBatch: 8, MaxWait: time.Millisecond})
 	planes := planesOf(t, srv, ts)
 
-	oracle, err := a.NewDetector()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := make([]nids.Verdict, len(recs))
-	oracle.DetectBatch(recs, want)
+	want := f64Verdicts(t, a, recs)
 	var attacks int64
 	for _, v := range want {
 		if v.IsAttack {
@@ -258,10 +253,17 @@ func TestWireMatchesHTTPPlane(t *testing.T) {
 			srv.m.wireFramesIn.Load(), srv.m.wireFramesOut.Load())
 	}
 
-	// wire.Client over the same listener answers the same verdicts and
-	// tracks the answering version.
+	// wire.Client over the same listener knows the live version from the
+	// handshake alone, answers the same verdicts and tracks the answering
+	// version.
 	wc := wire.NewClient(startWireListener(t, srv))
 	defer wc.Close()
+	if err := wc.Connect(); err != nil {
+		t.Fatal(err)
+	}
+	if wc.ModelVersion() != a.Version() {
+		t.Fatalf("wire.Client ModelVersion after Connect = %q, want %q", wc.ModelVersion(), a.Version())
+	}
 	got, version, err := wc.Score(recs)
 	if err != nil {
 		t.Fatal(err)

@@ -84,7 +84,7 @@ type Client struct {
 	bytesOut  atomic.Int64
 	bytesIn   atomic.Int64
 
-	version atomic.Value // string: last model version that answered
+	version atomic.Value // string: last model version seen (handshake or answer)
 }
 
 // NewClient builds a wire client for the listener at addr. Request ids
@@ -122,8 +122,10 @@ func (c *Client) Stats() (framesOut, framesIn, bytesOut, bytesIn int64) {
 	return c.framesOut.Load(), c.framesIn.Load(), c.bytesOut.Load(), c.bytesIn.Load()
 }
 
-// ModelVersion returns the version that answered the most recent
-// successful call ("" before the first).
+// ModelVersion returns the model version this client saw last: the one
+// the server named in the handshake of each connection it dials, or the
+// one that answered a successful call, whichever came later ("" before
+// the first connection).
 func (c *Client) ModelVersion() string {
 	v, _ := c.version.Load().(string)
 	return v
@@ -285,6 +287,7 @@ func (c *Client) dial() (*wireConn, error) {
 		nc.Close()
 		return nil, ErrBadPayload
 	}
+	c.version.Store(info.ModelVersion)
 	go cn.readLoop()
 	go cn.writeLoop()
 	return cn, nil
