@@ -245,7 +245,7 @@ func (l *Loader) check(pkgPath, dir string) (*Package, error) {
 	if len(files) == 0 && !hasGoFiles(dir) {
 		return nil, fmt.Errorf("analysis: no Go files in %s", dir)
 	}
-	pkg, err := l.typeCheck(pkgPath, dir, nil, files)
+	pkg, err := l.typeCheck(l, pkgPath, dir, nil, files)
 	if err != nil {
 		return nil, err
 	}
@@ -284,8 +284,8 @@ func (l *Loader) parseDir(dir string, tests bool) ([]*ast.File, error) {
 
 // typeCheck checks seen+own as one package whose Syntax is own alone: a
 // test unit is checked together with the production files it sees into,
-// but the analyzers walk only the files it owns.
-func (l *Loader) typeCheck(pkgPath, dir string, seen, own []*ast.File) (*Package, error) {
+// but the analyzers walk only the files it owns. imp resolves its imports.
+func (l *Loader) typeCheck(imp types.Importer, pkgPath, dir string, seen, own []*ast.File) (*Package, error) {
 	files := append(append([]*ast.File(nil), seen...), own...)
 	info := &types.Info{
 		Types:      map[ast.Expr]types.TypeAndValue{},
@@ -294,7 +294,7 @@ func (l *Loader) typeCheck(pkgPath, dir string, seen, own []*ast.File) (*Package
 		Selections: map[*ast.SelectorExpr]*types.Selection{},
 		Implicits:  map[ast.Node]types.Object{},
 	}
-	conf := types.Config{Importer: l}
+	conf := types.Config{Importer: imp}
 	tpkg, err := conf.Check(pkgPath, l.fset, files, info)
 	if err != nil {
 		return nil, fmt.Errorf("analysis: type-checking %s: %w", pkgPath, err)
@@ -302,11 +302,12 @@ func (l *Loader) typeCheck(pkgPath, dir string, seen, own []*ast.File) (*Package
 	return &Package{Path: pkgPath, Dir: dir, Fset: l.fset, Syntax: own, Types: tpkg, Info: info}, nil
 }
 
-// loadTests type-checks pkg's _test.go files into pkg.Tests: the
-// in-package ones together with pkg.Syntax (they see unexported names), an
-// external foo_test package on its own. The production package is never
-// re-exported from here, so the four analyzers that police production code
-// do not see test files.
+// loadTests type-checks pkg's _test.go files into pkg.Tests, as go test
+// builds them: the in-package ones together with pkg.Syntax (they see
+// unexported names), and an external foo_test package against that test
+// build of pkg, so it sees what an in-package export_test.go file exports.
+// The production package is never re-exported from here, so the four
+// analyzers that police production code do not see test files.
 func (l *Loader) loadTests(pkg *Package) error {
 	files, err := l.parseDir(pkg.Dir, true)
 	if err != nil {
@@ -321,19 +322,71 @@ func (l *Loader) loadTests(pkg *Package) error {
 		}
 	}
 	pkg.Tests = nil
+	var imp types.Importer = l
 	if len(internal) > 0 {
-		unit, err := l.typeCheck(pkg.Path, pkg.Dir, pkg.Syntax, internal)
+		unit, err := l.typeCheck(l, pkg.Path, pkg.Dir, pkg.Syntax, internal)
 		if err != nil {
 			return err
 		}
 		pkg.Tests = append(pkg.Tests, unit)
+		imp = &testBuild{l: l, under: pkg.Path, typed: map[string]*types.Package{pkg.Path: unit.Types}}
 	}
 	if len(external) > 0 {
-		unit, err := l.typeCheck(pkg.Path+"_test", pkg.Dir, nil, external)
+		unit, err := l.typeCheck(imp, pkg.Path+"_test", pkg.Dir, nil, external)
 		if err != nil {
 			return err
 		}
 		pkg.Tests = append(pkg.Tests, unit)
 	}
 	return nil
+}
+
+// testBuild is the importer of an external test package whose package
+// under test has in-package test files. It resolves that package to its
+// test build, and re-checks against it every loaded package that imports
+// it, as go test recompiles them, so both sides of the test agree on the
+// package's types.
+type testBuild struct {
+	l     *Loader
+	under string
+	typed map[string]*types.Package
+}
+
+func (b *testBuild) Import(path string) (*types.Package, error) {
+	if p, ok := b.typed[path]; ok {
+		return p, nil
+	}
+	prod, err := b.l.Import(path)
+	if err != nil {
+		return nil, err
+	}
+	pkg, ok := b.l.typed[path]
+	if !ok || !b.reaches(prod, map[string]bool{}) {
+		return prod, nil
+	}
+	conf := types.Config{Importer: b}
+	tpkg, err := conf.Check(path, b.l.fset, pkg.Syntax, nil)
+	if err != nil {
+		return nil, fmt.Errorf("analysis: type-checking %s against the test build of %s: %w", path, b.under, err)
+	}
+	b.typed[path] = tpkg
+	return tpkg, nil
+}
+
+// reaches reports whether p imports the package under test, directly or
+// through other packages of the module.
+func (b *testBuild) reaches(p *types.Package, seen map[string]bool) bool {
+	for _, imp := range p.Imports() {
+		path := imp.Path()
+		if path == b.under {
+			return true
+		}
+		if _, ok := b.l.typed[path]; ok && !seen[path] {
+			seen[path] = true
+			if b.reaches(imp, seen) {
+				return true
+			}
+		}
+	}
+	return false
 }

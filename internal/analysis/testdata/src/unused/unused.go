@@ -1,6 +1,7 @@
 // Package unused is the golden input for the unused analyzer: exported
 // names with and without a caller, and Config fields with and without a
-// setter. Its neighbours are unused_test.go (this package's own tests,
+// setter. Its neighbours are unused_test.go, export_test.go and
+// unused_ext_test.go (this package's own tests, in-package and external,
 // which do not count as callers) and package user (another package, whose
 // code and tests do).
 package unused
@@ -25,6 +26,12 @@ func Recursive(n int) int { // want "func Recursive is referenced by nothing"
 	}
 	return Recursive(n - 1)
 }
+
+// ExternalTestOnly is called by unused_ext_test.go, the external test
+// package, and nothing else: that is this package's own test too.
+func ExternalTestOnly() int { return doubled(2) } // want "func ExternalTestOnly is referenced only by its own package's tests"
+
+func doubled(n int) int { return 2 * n }
 
 // CrossTested is called only by package user's test: another package's
 // test is a real caller.

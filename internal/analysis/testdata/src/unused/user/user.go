@@ -11,3 +11,7 @@ func init() {
 }
 
 func bind(*int) {}
+
+// Replicas reads a Config its caller builds; unused's external test calls
+// it.
+func Replicas(c unused.ServeConfig) int { return c.Replicas }

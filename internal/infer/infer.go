@@ -1,7 +1,8 @@
 // Package infer is a compiled float32 inference engine for trained
 // networks: nn layer stacks are lowered once (Compile) into a flat []step
-// plan over pre-packed float32 weights, and serving scores through the plan
-// thereafter instead of walking the float64 training graph.
+// plan over float32 weights packed at compile time into the GEMM's
+// 32-column panels (tensor.PackPanelsF32), and serving scores through the
+// plan thereafter instead of walking the float64 training graph.
 //
 // Lowering specializes for the serving input shape (batch, 1, features) —
 // every flow record is a single timestep, so rank-3 (B, 1, C) activations
@@ -67,7 +68,7 @@ type step struct {
 	src2 int
 	dst  int
 
-	w    []float32 // opGemm: pre-transposed row-major (widths[dst], widths[src])
+	w    []float32 // opGemm: (widths[src], widths[dst]) in tensor.PackPanelsF32's 32-column panels
 	bias []float32 // opGemm: length widths[dst], nil for no bias
 	act  tensor.Act
 
@@ -296,23 +297,10 @@ func packF32(src []float64) []float32 {
 	return out
 }
 
-// packF32T narrows a row-major (k, n) float64 matrix to float32 and
-// transposes it to (n, k) — one contiguous row per output column, the
-// layout tensor.GemmBiasActF32's dot-tile kernel consumes.
-func packF32T(src []float64, k, n int) []float32 {
-	out := make([]float32, k*n)
-	for i := 0; i < k; i++ {
-		row := src[i*n : (i+1)*n]
-		for j, v := range row {
-			out[j*k+i] = float32(v)
-		}
-	}
-	return out
-}
-
 // emitGemm appends a GEMM step consuming the current buffer. w and b are
 // float64 working copies (w row-major k×n, b may be nil); scale/shift,
-// when non-nil, are a preceding BatchNorm's affine folded in first.
+// when non-nil, are a preceding BatchNorm's affine folded in first. The
+// step holds w narrowed to float32 in the GEMM's panel layout.
 func (c *compiler) emitGemm(w, b, scale, shift []float64, k, n int, act tensor.Act) {
 	if scale != nil {
 		b = foldAffineIntoGEMM(scale, shift, w, b, k, n)
@@ -322,7 +310,7 @@ func (c *compiler) emitGemm(w, b, scale, shift []float64, k, n int, act tensor.A
 	if b != nil {
 		bias = packF32(b)
 	}
-	c.p.steps = append(c.p.steps, step{op: opGemm, src: c.cur, dst: dst, w: packF32T(w, k, n), bias: bias, act: act})
+	c.p.steps = append(c.p.steps, step{op: opGemm, src: c.cur, dst: dst, w: tensor.PackPanelsF32(w, k, n), bias: bias, act: act})
 	c.cur = dst
 }
 

@@ -22,6 +22,23 @@ func TestFitBatchLargerThanDataset(t *testing.T) {
 	}
 }
 
+// TestFitReleasesScratch pins that training does not leave its scratch
+// pooled: a process that trained once and then serves would otherwise keep
+// the training peak's working set for good.
+func TestFitReleasesScratch(t *testing.T) {
+	const big = 1<<16 + 1 // a size class this tiny net never asks for
+	pooled := tensor.Scratch.Get(big)
+	tensor.Scratch.Put(pooled)
+	rng := rand.New(rand.NewSource(4))
+	net := NewNetwork(NewSequential(NewDense(rng, 3, 2)), NewSoftmaxCrossEntropy(), NewSGD(0.1, 0))
+	net.Fit(tensor.RandNormal(rng, 0, 1, 4, 3), []int{0, 1, 0, 1}, FitConfig{Epochs: 1})
+	got := tensor.Scratch.Get(big)
+	defer tensor.Scratch.Put(got)
+	if &got.Data()[0] == &pooled.Data()[0] {
+		t.Fatal("tensor.Scratch still pools a tensor put before Fit returned")
+	}
+}
+
 func TestFitBatchSizeOne(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	net := NewNetwork(NewSequential(NewDense(rng, 2, 2)), NewSoftmaxCrossEntropy(), NewSGD(0.05, 0))

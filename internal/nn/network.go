@@ -128,7 +128,8 @@ type FitConfig struct {
 }
 
 // Fit trains the network for cfg.Epochs over (x, labels) and returns
-// per-epoch statistics. Inputs may be rank-2 or rank-3 (batch-first).
+// per-epoch statistics. Inputs may be rank-2 or rank-3 (batch-first). It
+// releases tensor.Scratch's pooled tensors on return.
 func (n *Network) Fit(x *tensor.Tensor, labels []int, cfg FitConfig) []EpochStats {
 	rows := x.Dim(0)
 	if cfg.BatchSize <= 0 || cfg.BatchSize > rows {
@@ -220,6 +221,9 @@ func (n *Network) Fit(x *tensor.Tensor, labels []int, cfg FitConfig) []EpochStat
 			s.setLRScale(1)
 		}
 	}
+	// Training's scratch peak is dead once it returns; a process that
+	// goes on to serve or wait should not keep it pooled.
+	tensor.Scratch.Release()
 	return stats
 }
 

@@ -4,7 +4,7 @@ package tensor
 // recurrent layers (internal/infer). At one timestep from zero state a
 // GRU's hidden state is (1 − hardsig(z))·tanh(h~), one elementwise pass
 // per GRU layer over the gate GEMM's packed [z | h~] output. On amd64
-// CPUs with AVX2 (the GEMM's simdF32 dispatch) the pass runs eight lanes
+// CPUs with AVX2 (isaF32, the GEMM's dispatch) the pass runs eight lanes
 // at a time in assembly (gate32_amd64.s); the h mod 8 tail, other
 // architectures and the purego build run the scalar functions below,
 // which use the same constants and the same order of float32 operations,
@@ -40,7 +40,7 @@ const (
 //pelican:noalloc
 func GRUGateF32(dst, src []float32, h int) {
 	h8 := 0
-	if simdF32 {
+	if isaF32 >= isaAVX2 {
 		h8 = h &^ 7
 	}
 	for r := 0; r*2*h < len(src); r++ {

@@ -52,9 +52,9 @@ func TestGRUGateF32SIMDMatchesGo(t *testing.T) {
 				}
 			}
 			want, got := make([]float32, rows*h), make([]float32, rows*h)
-			useGemmPath(t, true)
+			useGemmPath(t, isaAVX2)
 			GRUGateF32(got, src, h)
-			simdF32 = false
+			isaF32 = isaGo
 			GRUGateF32(want, src, h)
 			for i := range want {
 				r, j := i/h, i%h
@@ -121,10 +121,10 @@ func TestTanhF32Accuracy(t *testing.T) {
 		t.Fatalf("max |TanhF32 − math.Tanh| = %.3g at %v, want ≤ 5e-7", worst, at)
 	}
 	t.Logf("max |TanhF32 − math.Tanh| = %.3g at %v", worst, at)
-	if !haveSIMDF32 {
+	if bestISA < isaAVX2 {
 		return
 	}
-	useGemmPath(t, true)
+	useGemmPath(t, isaAVX2)
 	src := make([]float32, 2*n)
 	for i := range a {
 		src[i] = -10
@@ -143,9 +143,12 @@ func TestTanhF32Accuracy(t *testing.T) {
 // H = 196) on both paths.
 func BenchmarkGRUGateF32(b *testing.B) {
 	const rows, h = 32, 196
-	for _, path := range gemmPaths {
+	for _, path := range []struct {
+		name string
+		isa  isa
+	}{{"simd", isaAVX2}, {"go", isaGo}} {
 		b.Run(path.name, func(b *testing.B) {
-			useGemmPath(b, path.simd)
+			useGemmPath(b, path.isa)
 			rng := rand.New(rand.NewSource(1))
 			src, dst := randF32(rng, rows*2*h), make([]float32, rows*h)
 			b.ReportAllocs()

@@ -1,27 +1,36 @@
 package tensor
 
+import "math"
+
 // Float32 GEMM for the compiled inference engine (internal/infer).
 //
 // Unlike the float64 training kernels — which must take weights in their
-// natural (k, n) layout — the inference compiler owns the weight layout and
-// pre-transposes every matrix to (n, k) at lowering time: one contiguous
-// row per *output* column. That turns the product into pure dot products
-// over contiguous operand rows, so the kernel holds a 2×4 tile of
-// accumulators (two input rows against four weight rows) with no
-// read-modify-write of dst inside the k loop. On amd64 CPUs with AVX2
-// and FMA a row kernel in assembly (matmul32_amd64.s) walks every
-// 4-column tile of two rows: eight 8-lane VFMADD231PS accumulators over
-// k &^ 7, reduced horizontally once per tile, then the k tail (k mod 8,
-// one VMULPS and one VADDPS per step, in the pure-Go tile's order), the
-// bias and the ReLU in registers, and one 4-wide store per row. A 1-row
-// kernel with the same lane order takes an odd last row, so a record's
-// scores do not depend on its position in the batch. The n mod 4
-// columns are single dot products in Go. Elsewhere, or with the purego
-// build tag, the pure-Go tiles below run; they are also the oracle the
-// assembly is tested against. The whole product runs on the caller's
-// goroutine: with the SIMD kernel, fanning rows out over the GEMM worker
-// pool bought no throughput on the serving rows and cost CPU in
-// hand-offs (PERF.md, Fan-out); serving parallelism comes from its
+// natural (k, n) layout — the inference compiler owns the weight layout
+// and packs every matrix into 32-column panels at lowering time
+// (PackPanelsF32): panel j holds rows p = 0…k−1 of columns 32j…32j+31
+// contiguously, and the last panel holds only the n mod 32 real columns,
+// so a packed matrix is exactly k·n floats. A kernel keeps a tile of rows
+// × 32 columns of accumulators in registers, broadcasts one input value
+// per row per k step and multiply-adds it into a whole panel row: no
+// horizontal reduction, no gathered tail, no column remainder loop.
+//
+// Every path computes one order, so every ISA, batch size and row
+// position gives the same bits: each output starts at 0, takes a fused
+// multiply-add for p = 0…k−1 in order, then adds the bias, then applies
+// the ReLU. Three paths implement it:
+//
+//   - amd64 with AVX-512F: tiles of 8 rows × 32 columns (16 ZMM
+//     accumulators), then 4-, 2- and 1-row tiles for the m mod 8 rows; the
+//     last panel uses masked loads and stores (matmul32_amd64.s);
+//   - amd64 with AVX2 and FMA: tiles of 2 rows × 32 columns, then a 1-row
+//     tile, with VMASKMOVPS on the last panel;
+//   - elsewhere, or with the purego build tag: a Go loop over fma32, a
+//     correctly rounded float32 FMA. It is also the oracle the assembly is
+//     tested against.
+//
+// The whole product runs on the caller's goroutine: fanning rows out over
+// the GEMM worker pool bought no throughput on the serving rows and cost
+// CPU in hand-offs (PERF.md, Fan-out); serving parallelism comes from its
 // replicas.
 
 // Act selects the activation fused into the GEMM epilogue.
@@ -34,10 +43,30 @@ const (
 	ActReLU
 )
 
-// GemmBiasActF32 computes dst = act(a @ wᵀ + bias) for row-major float32
-// slices a (m×k), w (n×k — one row per output column, the inference
-// compiler's pre-transposed packing) and dst (m×n). bias (length n) may be
-// nil. dst must not alias a or w.
+// panelF32 is the column width of a packed weight panel.
+const panelF32 = 32
+
+// PackPanelsF32 narrows a row-major (k, n) float64 weight matrix to the
+// float32 panel layout GemmBiasActF32 reads: k·n floats, panel j (columns
+// 32j…) holding its rows p = 0…k−1 contiguously, the last panel only as
+// wide as the columns left.
+func PackPanelsF32(w []float64, k, n int) []float32 {
+	out := make([]float32, k*n)
+	for j0 := 0; j0 < n; j0 += panelF32 {
+		wj := min(panelF32, n-j0)
+		panel := out[j0*k : (j0+wj)*k]
+		for p := 0; p < k; p++ {
+			for c, v := range w[p*n+j0 : p*n+j0+wj] {
+				panel[p*wj+c] = float32(v)
+			}
+		}
+	}
+	return out
+}
+
+// GemmBiasActF32 computes dst = act(a @ w + bias) for row-major float32
+// slices a (m×k) and dst (m×n) and a weight matrix w (k×n) packed by
+// PackPanelsF32. bias (length n) may be nil. dst must not alias a or w.
 //
 //pelican:noalloc
 func GemmBiasActF32(dst, a, w, bias []float32, m, k, n int, act Act) {
@@ -47,118 +76,98 @@ func GemmBiasActF32(dst, a, w, bias []float32, m, k, n int, act Act) {
 	if bias != nil && len(bias) < n {
 		panic("tensor: GemmBiasActF32 bias shorter than n")
 	}
-	gemmBlockF32(dst, a, w, bias, m, k, n, act)
-}
-
-// simdF32 selects the assembly kernels (matmul32_amd64.s, gate32_amd64.s)
-// over the pure-Go code. It is set once from the CPU's features; tests
-// flip it to run both on the same inputs.
-var simdF32 = haveSIMDF32
-
-// gemmBlockF32 computes the m rows of dst = act(a @ wᵀ + bias) two rows
-// at a time, with a 1-row kernel for an odd last row. A row kernel walks
-// the 4-column tiles of its rows and finishes each in registers: dot
-// products, bias, activation, one store. The n mod 4 columns are single
-// dot products in Go.
-//
-//pelican:noalloc
-func gemmBlockF32(dst, a, w, bias []float32, m, k, n int, act Act) {
 	relu := act == ActReLU
 	i := 0
-	for ; i+2 <= m; i += 2 {
-		d, ar := dst[i*n:(i+2)*n], a[i*k:(i+2)*k]
-		if simdF32 {
-			gemmRows2F32(d, ar, w, bias, k, n, relu)
-		} else {
-			gemmRows2F32Go(d, ar, w, bias, k, n, relu)
+	switch isaF32 {
+	case isaAVX512:
+		for ; i+8 <= m; i += 8 {
+			gemm8AVX512(dst[i*n:], a[i*k:], w, bias, k, n, relu)
 		}
-	}
-	if i < m {
-		d, ar := dst[i*n:(i+1)*n], a[i*k:(i+1)*k]
-		if simdF32 {
-			gemmRow1F32(d, ar, w, bias, k, n, relu)
-		} else {
-			gemmRow1F32Go(d, ar, w, bias, k, n, relu)
+		if i+4 <= m {
+			gemm4AVX512(dst[i*n:], a[i*k:], w, bias, k, n, relu)
+			i += 4
 		}
+		if i+2 <= m {
+			gemm2AVX512(dst[i*n:], a[i*k:], w, bias, k, n, relu)
+			i += 2
+		}
+		if i < m {
+			gemm1AVX512(dst[i*n:], a[i*k:], w, bias, k, n, relu)
+		}
+	case isaAVX2:
+		for ; i+2 <= m; i += 2 {
+			gemm2AVX2(dst[i*n:], a[i*k:], w, bias, k, n, relu)
+		}
+		if i < m {
+			gemm1AVX2(dst[i*n:], a[i*k:], w, bias, k, n, relu)
+		}
+	default:
+		gemmGoF32(dst, a, w, bias, m, k, n, relu)
 	}
-	for j := n &^ 3; j < n; j++ {
-		wrow := w[j*k : (j+1)*k]
+}
+
+// isa names one implementation of the f32 kernels, in order of preference.
+type isa uint8
+
+const (
+	isaGo     isa = iota // pure Go
+	isaAVX2              // AVX2 and FMA: the GEMM's 2×32 tile and the GRU gate
+	isaAVX512            // AVX-512F: the GEMM's 8×32 tile
+)
+
+// isaF32 selects the f32 kernels (matmul32_amd64.s, gate32_amd64.s). It
+// is set once from the CPU's features; tests lower it to run every path
+// on the same inputs.
+var isaF32 = bestISA
+
+// gemmGoF32 is the kernels' order in Go: for each panel and row, up to 32
+// accumulators take fma32 over p in order, then the bias and the ReLU.
+//
+//pelican:noalloc
+func gemmGoF32(dst, a, w, bias []float32, m, k, n int, relu bool) {
+	for j0 := 0; j0 < n; j0 += panelF32 {
+		wj := min(panelF32, n-j0)
+		panel := w[j0*k : (j0+wj)*k]
 		for i := 0; i < m; i++ {
-			arow := a[i*k : (i+1)*k]
-			var s float32
-			for p, wv := range wrow {
-				s += arow[p] * wv
+			var acc [panelF32]float32
+			s := acc[:wj]
+			for p, av := range a[i*k : (i+1)*k] {
+				for c, wv := range panel[p*wj : (p+1)*wj] {
+					s[c] = fma32(av, wv, s[c])
+				}
 			}
-			if bias != nil {
-				s += bias[j]
+			d := dst[i*n+j0 : i*n+j0+wj]
+			for c, v := range s {
+				if bias != nil {
+					v += bias[j0+c]
+				}
+				if relu {
+					v = relu32(v)
+				}
+				d[c] = v
 			}
-			if relu {
-				s = relu32(s)
-			}
-			dst[i*n+j] = s
 		}
 	}
 }
 
-// gemmRows2F32Go is gemmRows2F32 in pure Go: per 2×4 tile, eight
-// accumulators live in registers across the whole k loop, each summing
-// its dot product in order.
+// fma32 returns a·b + c rounded once to float32, as VFMADD231PS does;
+// float32(math.FMA(…)) would round twice. The float64 product of two
+// float32s is exact, and TwoSum gives the error e of adding c. Rounding
+// that sum to odd — toward zero, then the last bit set if inexact — keeps
+// the narrowing conversion from rounding a tie the float64 sum made.
 //
 //pelican:noalloc
-func gemmRows2F32Go(dst, a, w, bias []float32, k, n int, relu bool) {
-	a0, a1 := a[:k], a[k:][:k]
-	d0, d1 := dst[:n], dst[n:2*n]
-	for j := 0; j+4 <= n; j += 4 {
-		w0, w1, w2, w3 := w[j*k:(j+1)*k], w[(j+1)*k:(j+2)*k], w[(j+2)*k:(j+3)*k], w[(j+3)*k:(j+4)*k]
-		var s00, s01, s02, s03 float32
-		var s10, s11, s12, s13 float32
-		for p := range a0 {
-			av0, av1 := a0[p], a1[p]
-			wv0, wv1, wv2, wv3 := w0[p], w1[p], w2[p], w3[p]
-			s00 += av0 * wv0
-			s01 += av0 * wv1
-			s02 += av0 * wv2
-			s03 += av0 * wv3
-			s10 += av1 * wv0
-			s11 += av1 * wv1
-			s12 += av1 * wv2
-			s13 += av1 * wv3
-		}
-		store4F32(d0, bias, j, s00, s01, s02, s03, relu)
-		store4F32(d1, bias, j, s10, s11, s12, s13, relu)
+func fma32(a, b, c float32) float32 {
+	p, q := float64(a)*float64(b), float64(c)
+	s := p + q
+	r := s - p
+	// e is NaN when an input is not finite, and s is then the answer.
+	// Where e and s differ in sign, |s| was rounded up: step toward zero.
+	if e := (p - (s - r)) + (q - r); e != 0 && e == e {
+		bits := math.Float64bits(s)
+		s = math.Float64frombits((bits - (bits^math.Float64bits(e))>>63) | 1)
 	}
-}
-
-// gemmRow1F32Go is gemmRows2F32Go for one row.
-//
-//pelican:noalloc
-func gemmRow1F32Go(dst, a, w, bias []float32, k, n int, relu bool) {
-	a = a[:k]
-	for j := 0; j+4 <= n; j += 4 {
-		w0, w1, w2, w3 := w[j*k:(j+1)*k], w[(j+1)*k:(j+2)*k], w[(j+2)*k:(j+3)*k], w[(j+3)*k:(j+4)*k]
-		var s0, s1, s2, s3 float32
-		for p, av := range a {
-			s0 += av * w0[p]
-			s1 += av * w1[p]
-			s2 += av * w2[p]
-			s3 += av * w3[p]
-		}
-		store4F32(dst, bias, j, s0, s1, s2, s3, relu)
-	}
-}
-
-// store4F32 adds bias[j:j+4] (if any) to four sums, applies the ReLU if
-// asked and stores them at d[j:j+4].
-//
-//pelican:noalloc
-func store4F32(d, bias []float32, j int, s0, s1, s2, s3 float32, relu bool) {
-	if bias != nil {
-		s0, s1, s2, s3 = s0+bias[j], s1+bias[j+1], s2+bias[j+2], s3+bias[j+3]
-	}
-	if relu {
-		s0, s1, s2, s3 = relu32(s0), relu32(s1), relu32(s2), relu32(s3)
-	}
-	d[j], d[j+1], d[j+2], d[j+3] = s0, s1, s2, s3
+	return float32(s)
 }
 
 //pelican:noalloc

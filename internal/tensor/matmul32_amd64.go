@@ -4,9 +4,16 @@ package tensor
 
 import "math"
 
-// haveSIMDF32 reports whether the CPU has AVX2 and FMA and the OS saves
-// the YMM registers across context switches.
-var haveSIMDF32 = cpuHasAVX2FMA()
+// bestISA is the widest kernel set the CPU has and the OS enables.
+var bestISA = func() isa {
+	switch {
+	case !cpuHasAVX2FMA():
+		return isaGo
+	case cpuHasAVX512F():
+		return isaAVX512
+	}
+	return isaAVX2
+}()
 
 // cpuHasAVX2FMA checks CPUID for AVX, AVX2, FMA and OSXSAVE, and XGETBV
 // for OS-enabled XMM and YMM state.
@@ -14,24 +21,51 @@ var haveSIMDF32 = cpuHasAVX2FMA()
 //pelican:noalloc
 func cpuHasAVX2FMA() bool
 
-// gemmRows2F32 computes columns [0, n &^ 3) of two rows of
-// dst = act(a @ wᵀ + bias): a holds the rows (stride k), w the weight
-// rows (stride k), dst the output rows (stride n). bias may be nil; relu
-// selects ActReLU. The k loop accumulates in eight 8-lane FMA registers
-// over k &^ 7; the tail, bias and ReLU run in registers after the
-// horizontal reduction, one multiply and one add at a time.
+// cpuHasAVX512F checks CPUID for AVX512F and OSXSAVE, and XGETBV for
+// OS-enabled XMM, YMM, opmask and ZMM state.
 //
-//go:noescape
 //pelican:noalloc
-func gemmRows2F32(dst, a, w, bias []float32, k, n int, relu bool)
+func cpuHasAVX512F() bool
 
-// gemmRow1F32 is gemmRows2F32 for one row, with the same lane order,
-// reduction and epilogue, so a row's outputs are bit-identical in either
-// kernel.
+// gemm8AVX512 computes 8 rows of dst = act(a @ w + bias) over every
+// panel of w: a holds the rows (stride k), dst the output rows (stride
+// n), w the panels (PackPanelsF32). bias may be nil; relu selects
+// ActReLU. 16 ZMM registers hold the 8×32 tile.
 //
 //go:noescape
 //pelican:noalloc
-func gemmRow1F32(dst, a, w, bias []float32, k, n int, relu bool)
+func gemm8AVX512(dst, a, w, bias []float32, k, n int, relu bool)
+
+// gemm4AVX512 is gemm8AVX512 for 4 rows.
+//
+//go:noescape
+//pelican:noalloc
+func gemm4AVX512(dst, a, w, bias []float32, k, n int, relu bool)
+
+// gemm2AVX512 is gemm8AVX512 for 2 rows.
+//
+//go:noescape
+//pelican:noalloc
+func gemm2AVX512(dst, a, w, bias []float32, k, n int, relu bool)
+
+// gemm1AVX512 is gemm8AVX512 for 1 row.
+//
+//go:noescape
+//pelican:noalloc
+func gemm1AVX512(dst, a, w, bias []float32, k, n int, relu bool)
+
+// gemm2AVX2 is gemm8AVX512 for 2 rows in AVX2 and FMA: 8 YMM registers
+// hold the 2×32 tile.
+//
+//go:noescape
+//pelican:noalloc
+func gemm2AVX2(dst, a, w, bias []float32, k, n int, relu bool)
+
+// gemm1AVX2 is gemm2AVX2 for 1 row.
+//
+//go:noescape
+//pelican:noalloc
+func gemm1AVX2(dst, a, w, bias []float32, k, n int, relu bool)
 
 // gruGate8F32 sets dst[j] = (1 − hardSigmoid32(z[j]))·TanhF32(a[j]) for
 // j < len(dst), a positive multiple of 8, bit-identical to the scalar

@@ -10,9 +10,9 @@ import (
 
 // TestSIMDSelectedOnAVX2Host checks the CPUID dispatch against the
 // kernel's own view of the CPU: where /proc/cpuinfo lists avx2 and fma,
-// the assembly kernels must be selected. A broken feature check would
-// otherwise fall back, silently and correctly, to pure-Go kernels
-// several times slower.
+// the assembly kernels must be selected, and where it also lists avx512f,
+// the AVX-512 tile. A broken feature check would otherwise fall back,
+// silently and correctly, to a kernel several times slower.
 func TestSIMDSelectedOnAVX2Host(t *testing.T) {
 	info, err := os.ReadFile("/proc/cpuinfo")
 	if err != nil {
@@ -30,8 +30,11 @@ func TestSIMDSelectedOnAVX2Host(t *testing.T) {
 		if !has["avx2"] || !has["fma"] {
 			t.Skip("CPU lists no avx2 and fma")
 		}
-		if !haveSIMDF32 {
+		if bestISA < isaAVX2 {
 			t.Fatal("CPU lists avx2 and fma, but the SIMD kernels are not selected")
+		}
+		if has["avx512f"] && bestISA != isaAVX512 {
+			t.Fatal("CPU lists avx512f, but the AVX-512 tile is not selected")
 		}
 		return
 	}

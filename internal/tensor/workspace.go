@@ -80,6 +80,15 @@ func (w *Workspace) GetZeroed(shape ...int) *Tensor {
 	return t
 }
 
+// Release drops every pooled tensor, so the memory a finished phase of work
+// pooled can be collected. Tensors checked out stay their holders' and may
+// still be Put afterwards.
+func (w *Workspace) Release() {
+	w.mu.Lock()
+	w.buckets = [wsClasses][]*Tensor{}
+	w.mu.Unlock()
+}
+
 // Put returns a tensor previously obtained from Get to the pool. Putting
 // nil or an empty tensor is a no-op. The caller must not use t (or any view
 // of it) afterwards.

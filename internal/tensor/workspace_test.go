@@ -46,6 +46,21 @@ func TestWorkspaceReuse(t *testing.T) {
 	}
 }
 
+func TestWorkspaceRelease(t *testing.T) {
+	ws := NewWorkspace()
+	a, held := ws.Get(100), ws.Get(100)
+	pa := &a.Data()[0]
+	ws.Put(a)
+	ws.Release()
+	if b := ws.Get(100); &b.Data()[0] == pa {
+		t.Fatal("Get after Release reused a pooled backing array")
+	}
+	ws.Put(held) // a tensor checked out across Release still goes back
+	if c := ws.Get(100); &c.Data()[0] != &held.Data()[0] {
+		t.Fatal("Put after Release did not pool the tensor")
+	}
+}
+
 func TestWorkspaceZeroSize(t *testing.T) {
 	ws := NewWorkspace()
 	a := ws.Get(0, 5)
